@@ -13,10 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from .coefficients import CoeffQuery, fleck_sum_general, normalized_parts, t_coeff
+from .coefficients import CoeffQuery, normalized_parts, t_coeff
 from .exactmath import is_prime
-from .psi_series import monomial_twisted
-from .verifier import CHECK_IDS, CHECKS, SweepGrid, run_explore, run_sweep
+from .verifier import CHECK_IDS, CHECKS, SweepGrid, psi_sides, run_explore, run_sweep
 
 OUT_DIR_ENV = "CYCPSI_OUT_DIR"
 
@@ -37,14 +36,20 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 def _parse_primes(text: str) -> tuple[int, ...]:
     primes = _parse_int_list(text, "--p")
     for p in primes:
-        if not is_prime(p):
-            raise CliError(f"p must be prime, got {p}")
+        _require_prime(p)
     return primes
 
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise CliError(f"p must be prime, got {p}")
+
+
+def _require_workers(workers: int) -> None:
+    """Refuse a pool size below 1 or above the CPU count, before any work starts."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise CliError(f"--workers must be between 1 and the CPU count {cpus}, got {workers}")
 
 
 def _span(single, lo, hi, default: tuple[int, int]) -> tuple[int, int]:
@@ -137,15 +142,13 @@ def _cmd_coeff(args) -> int:
         query = CoeffQuery(args.p, args.a, args.n, args.r, args.l)
     except ValueError as err:
         raise CliError(str(err))
-    raw, exponent, normalized = normalized_parts(args.p, args.a, args.n, args.r, args.l)
+    row = _coeff_row(args.p, args.a, args.n, args.r, args.l)
     t_value = t_coeff(query) if args.t_coeff else None
     if args.format == "json":
-        doc = _coeff_row(args.p, args.a, args.n, args.r, args.l)
         if t_value is not None:
-            doc["t_coeff"] = str(t_value)
-        _emit(json.dumps(doc, indent=2), args.out)
+            row["t_coeff"] = str(t_value)
+        _emit(json.dumps(row, indent=2), args.out)
     elif args.format == "csv":
-        row = _coeff_row(args.p, args.a, args.n, args.r, args.l)
         header = list(_TABLE_HEADER)
         values = [str(row[k]) for k in _TABLE_HEADER]
         if t_value is not None:
@@ -155,9 +158,9 @@ def _cmd_coeff(args) -> int:
     else:
         lines = [
             f"query: p={args.p} a={args.a} n={args.n} r={args.r} l={args.l}",
-            f"raw_sum = {raw}",
-            f"exponent = {exponent}",
-            f"normalized = {normalized}",
+            f"raw_sum = {row['raw']}",
+            f"exponent = {row['exponent']}",
+            f"normalized = {row['normalized']}",
         ]
         if t_value is not None:
             lines.append(f"t_coeff = {t_value}")
@@ -238,8 +241,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers < 1:
-        raise CliError(f"--workers must be >= 1, got {args.workers}")
+    _require_workers(args.workers)
     grid = _grid_from_args(args)
     report = run_sweep(args.check, grid, workers=args.workers)
     _emit(_report_text(report, args.format), args.out)
@@ -250,8 +252,7 @@ def _cmd_explore(args) -> int:
     if args.target != "rem1.2":
         print(f"error: unknown explore target {args.target!r}; valid: rem1.2", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        raise CliError(f"--workers must be >= 1, got {args.workers}")
+    _require_workers(args.workers)
     grid = _grid_from_args(args)
     report = run_explore(grid, workers=args.workers)
     _emit(_report_text(report, args.format), args.out)
@@ -262,6 +263,7 @@ def _cmd_explore(args) -> int:
 # psi-check
 
 def _cmd_psi_check(args) -> int:
+    _require_workers(args.workers)
     _require_prime(args.p)
     if args.a < 1:
         raise CliError(f"a must be >= 1, got {args.a}")
@@ -272,12 +274,7 @@ def _cmd_psi_check(args) -> int:
     if args.n is not None:
         if args.n < 0:
             raise CliError(f"n must be >= 0, got {args.n}")
-        got = monomial_twisted(args.n, args.r, args.p, args.a, args.l_max).coefficients()
-        sign = -1 if args.n & 1 else 1
-        want = tuple(
-            sign * fleck_sum_general(args.n, args.r, args.p ** args.a, l)
-            for l in range(args.l_max + 1)
-        )
+        got, want = psi_sides(args.p, args.a, args.n, args.r, args.l_max)
         match = got == want
         if args.format == "json":
             doc = {

@@ -176,7 +176,7 @@ def modulus_factorization_identity(
     lhs = sum_j (-1)^j S_d(n,t,j) S_q(j,r,l), rhs = S_dq(n, dr+t, l), where
     S_m(n,c,i) is the general Fleck sum. Requires t < d so the inner index
     (k-t)/d is a nonnegative integer for every contributing k; the j-sum is
-    finite and its truncation point is asserted, not assumed.
+    finite and its truncation point is checked, not assumed.
     """
     if d < 1 or q < 1:
         raise ValueError(f"moduli must be positive, got d={d}, q={q}")
@@ -191,7 +191,10 @@ def modulus_factorization_identity(
         term = fleck_sum_general(n, t, d, j) * fleck_sum_general(j, r, q, l)
         lhs += -term if j & 1 else term
     # every term beyond j_max has a vanishing first factor
-    assert j_max < 0 or fleck_sum_general(n, t, d, j_max + 1) == 0
+    if j_max >= 0 and fleck_sum_general(n, t, d, j_max + 1) != 0:
+        raise IntegrityError(
+            f"the j-sum does not end at j = {j_max} (d={d}, q={q}, n={n}, r={r}, t={t}, l={l})"
+        )
     rhs = fleck_sum_general(n, d * r + t, d * q, l)
     return lhs, rhs
 

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
+import pytest
+
 from cycpsi.cli import main
+
+TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 
 
 def run_cli(argv, capsys):
@@ -138,6 +144,7 @@ class TestVerify:
         assert "valid ids" in err
         assert "thm1.0" in err and "psi-identity" in err
 
+    @TWO_CPUS
     def test_workers_give_same_report(self, capsys):
         argv = ["verify", "thm1.2", "--p", "2,3", "--n-max", "10"]
         code1, out1, _ = run_cli(argv, capsys)
@@ -203,6 +210,26 @@ class TestVerify:
         )
         assert code == 0
         assert (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm1.0"],
+        ["explore", "rem1.2"],
+        ["psi-check", "--p", "3", "--a", "1", "--n-max", "5"],
+        ["psi-check", "--p", "3", "--a", "1", "--n", "5"],
+    ],
+)
+def test_workers_above_cpu_count_refused(argv, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = run_cli(argv + ["--workers", str((os.cpu_count() or 1) + 1)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--workers" in err
 
 
 class TestPsiCheck:
@@ -273,3 +300,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "normalized = 1" in proc.stdout
+
+
+def test_optimized_interpreter_still_fails_self_test():
+    # python -O strips assert statements; no check may depend on them
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cycpsi.cli", "verify", "self-test"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["verdict"] == "fail"

@@ -188,3 +188,9 @@ class TestModulusFactorization:
     def test_rejects_t_not_below_d(self):
         with pytest.raises(ValueError):
             modulus_factorization_identity(2, 3, 5, 0, 2, 0)
+
+    def test_truncation_trap(self, monkeypatch):
+        # a first factor that never vanishes: the j-sum cannot end at j_max
+        monkeypatch.setattr(coefficients, "fleck_sum_general", lambda n, r, m, l: 1)
+        with pytest.raises(IntegrityError):
+            modulus_factorization_identity(2, 2, 5, 0, 1, 0)

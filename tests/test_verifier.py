@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from cycpsi import (
@@ -12,6 +14,8 @@ from cycpsi import (
 )
 from cycpsi.verifier import CHECKS, _lem3_2_exceptional, _sigma, _thm1_2_branch
 from cycpsi.exactmath import ord_p
+
+TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 
 SMALL = SweepGrid(
     primes=(2, 3),
@@ -111,6 +115,7 @@ def test_deterministic_reports():
     assert first.verdict == second.verdict
 
 
+@TWO_CPUS
 def test_workers_match_serial():
     serial = run_sweep("thm1.2", SMALL)
     parallel = run_sweep("thm1.2", SMALL, workers=2)
@@ -205,6 +210,7 @@ class TestExplore:
         assert report.checked == 0
         assert report.extra["min_margin"] == "infinite"
 
+    @TWO_CPUS
     def test_workers_match_serial(self):
         grid = SweepGrid(primes=(3,), a_range=(1, 1), n_range=(1, 4), l_range=(0, 1))
         serial = run_explore(grid)
