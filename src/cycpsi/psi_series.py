@@ -6,6 +6,7 @@ directions are exact integer-linear maps, so no division by p ever occurs.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .exactmath import binom, is_prime
@@ -148,34 +149,33 @@ def phi_apply(x: TruncPoly, p: int) -> TruncPoly:
     return acc.truncated(max(p * x.degree_bound, 0))
 
 
+def _shift_by_one(coeffs: list[int]) -> list[int]:
+    """Coefficients of f(X+1) from those of f(X), by additions only: each pass
+    is a synthetic division by X - 1, a running sum from the top coefficient
+    down whose last value is the next coefficient of f(X+1)."""
+    top_down = coeffs[::-1]
+    shifted = []
+    while top_down:
+        top_down = list(accumulate(top_down))
+        shifted.append(top_down.pop())
+    return shifted
+
+
 def psi_apply(x: TruncPoly, p: int) -> TruncPoly:
     """Extract x_0 from x = sum_{i=0}^{p-1} (1+T)^i phi(x_i).
 
-    Two triangular integer basis changes, writing S = 1+T:
-
-      1. T-basis to S-basis: c_m = sum_{i >= m} (-1)^(i-m) binom(i, m) a_i,
-         since T^i = (S-1)^i.
-      2. In the mixed basis S^i (S^p - 1)^j the exponent i + p j' of each
-         S-monomial determines (i, j') uniquely for i < p, and binomial
-         inversion of S^(p j') = sum (S^p - 1)^j terms gives the residue-0
-         row directly: b_j = sum_{j' >= j} binom(j', j) c_{p j'}.
-
-    The output sum_j b_j T^j has degree bound floor(D/p).
+    Two Taylor shifts by integer additions only, writing S = 1+T:
+      1. T-basis to S-basis: the coefficients c of x(S-1) are a shift by -1,
+         done as a shift by +1 between two sign flips of the odd coefficients.
+      2. S^(i + p j) = S^i phi((1+T)^j) with i < p lies in the x_i part, so
+         x_0 = sum_j c_(p j) (1+T)^j, the shift by +1 of c_0, c_p, c_2p, ...
+    The output has degree bound floor(D/p).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    a = x.coeffs
-    d = len(a) - 1
-    c = [
-        sum(-binom(i, m) * a[i] if (i - m) & 1 else binom(i, m) * a[i] for i in range(m, d + 1))
-        for m in range(d + 1)
-    ]
-    top = d // p
-    b = [
-        sum(comb(jp, j) * c[p * jp] for jp in range(j, top + 1))
-        for j in range(top + 1)
-    ]
-    return TruncPoly(tuple(b))
+    c = _shift_by_one([-v if i & 1 else v for i, v in enumerate(x.coeffs)])
+    row = [-v if (p * j) & 1 else v for j, v in enumerate(c[::p])]
+    return TruncPoly(tuple(_shift_by_one(row)))
 
 
 def psi_power(x: TruncPoly, p: int, a: int) -> TruncPoly:

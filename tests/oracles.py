@@ -29,3 +29,17 @@ def fleck_oracle(n: int, r: int, m: int, l: int) -> int:
         sign = 1 if k % 2 == 0 else -1
         total += sign * binom_product(n, k) * binom_product((k - r) // m, l)
     return total
+
+
+def psi_oracle(coeffs, p: int) -> list[int]:
+    """psi by two binomial basis changes, writing S = 1+T: the S-coefficients
+    c_m = sum_i (-1)^(i-m) binom(i, m) a_i, then the residue-0 row
+    b_j = sum_j' binom(j', j) c_(p j'). Both sums run over every index, so
+    the vanishing binomials below the diagonal are exercised, not skipped."""
+    d = len(coeffs) - 1
+    c = [
+        sum((-1 if (i - m) & 1 else 1) * binom_product(i, m) * coeffs[i] for i in range(d + 1))
+        for m in range(d + 1)
+    ]
+    top = d // p
+    return [sum(binom_product(jp, j) * c[p * jp] for jp in range(top + 1)) for j in range(top + 1)]

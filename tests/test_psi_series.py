@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cycpsi
 from cycpsi import (
     PsiResult,
     TruncPoly,
@@ -12,10 +16,15 @@ from cycpsi import (
     psi_apply,
     psi_power,
 )
-from oracles import fleck_oracle
+from oracles import fleck_oracle, psi_oracle
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=10).map(TruncPoly.of)
 small_primes = st.sampled_from((2, 3, 5))
+oracle_primes = st.sampled_from((2, 3, 5, 7))
+# Degree 0..120 drawn first, so long inputs are as likely as short ones.
+wide_coeffs = st.integers(0, 120).flatmap(
+    lambda d: st.lists(st.integers(-10**12, 10**12), min_size=d + 1, max_size=d + 1)
+)
 
 
 class TestTruncPoly:
@@ -110,6 +119,16 @@ class TestPsi:
         image = psi_apply(x, p)
         assert image.degree_bound <= x.degree_bound // p
 
+    @given(wide_coeffs, oracle_primes)
+    @example([1] + [0] * 20, 2)
+    @example([1] + [0] * 20, 7)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_binomial_oracle(self, coeffs, p):
+        # .coeffs keeps trailing zeros, so the output length is compared too
+        got = psi_apply(TruncPoly.of(coeffs), p).coeffs
+        assert len(got) == (len(coeffs) - 1) // p + 1
+        assert got == tuple(psi_oracle(coeffs, p))
+
 
 class TestPsiPower:
     def test_double_round_trip(self):
@@ -129,6 +148,14 @@ class TestPsiPower:
     def test_rejects_bad_iteration(self):
         with pytest.raises(ValueError):
             psi_power(TruncPoly.one(), 2, 0)
+
+    @given(wide_coeffs, oracle_primes, st.sampled_from((1, 2, 3)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_iterated_oracle(self, coeffs, p, a):
+        want = coeffs
+        for _ in range(a):
+            want = psi_oracle(want, p)
+        assert psi_power(TruncPoly.of(coeffs), p, a).coeffs == tuple(want)
 
 
 class TestMonomialTwisted:
@@ -180,3 +207,62 @@ class TestProjectionRule:
     @settings(max_examples=60)
     def test_property(self, x, y, p):
         assert projection_rule_check(x, y, p)
+
+
+PACKAGE_DIR = Path(cycpsi.__file__).parent
+
+
+def _module_tree(short: str) -> ast.Module:
+    return ast.parse((PACKAGE_DIR / f"{short}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(short: str) -> set[str]:
+    """The cycpsi modules that cycpsi/<short>.py imports, by file stem.
+
+    A name that is not a module of the package (``from . import f``, ``import
+    cycpsi``) counts as ``__init__``, which imports everything.
+    """
+    names = []
+    for node in ast.walk(_module_tree(short)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "cycpsi." if node.level else ""
+            if node.module:
+                names.append(prefix + node.module)
+            else:
+                names += [prefix + alias.name for alias in node.names]
+    found = set()
+    for name in names:
+        if name == "cycpsi" or name.startswith("cycpsi."):
+            stem = name.removeprefix("cycpsi").lstrip(".").split(".")[0]
+            found.add(stem if (PACKAGE_DIR / f"{stem}.py").is_file() else "__init__")
+    return found
+
+
+class TestOperatorRouteIndependence:
+    def test_psi_series_reaches_no_fleck_sums(self):
+        # psi-identity compares this module against the Fleck sums; the two
+        # routes stay independent only if nothing here can read the sums
+        reached, todo = set(), ["psi_series"]
+        while todo:
+            for stem in _package_imports(todo.pop()) - reached:
+                reached.add(stem)
+                todo.append(stem)
+        assert not reached & {"__init__", "coefficients", "verifier", "cli"}
+
+    def test_import_walker_sees_known_imports(self):
+        # verifier has both "from . import coefficients" and "from .x import y"
+        assert _package_imports("verifier") == {"coefficients", "exactmath", "psi_series"}
+
+    def test_psi_apply_calls_no_binomial(self):
+        functions = {
+            node.name: node for node in _module_tree("psi_series").body
+            if isinstance(node, ast.FunctionDef)
+        }
+        for name in ("psi_apply", "_shift_by_one"):
+            called = {
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+            }
+            assert not called & {"binom", "comb", "binom_product"}, name
