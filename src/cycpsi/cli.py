@@ -344,7 +344,6 @@ def _add_grid_flags(sp) -> None:
 def _add_output_flags(sp, default_format: str) -> None:
     sp.add_argument("--format", choices=("json", "csv", "plain"), default=default_format)
     sp.add_argument("--out", help=f"output path (relative paths honor ${OUT_DIR_ENV})")
-    sp.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -378,6 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run one verification sweep")
     sp.add_argument("check", metavar="CHECK_ID", help=f"one of: {', '.join(CHECK_IDS)}")
     _add_grid_flags(sp)
+    sp.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     _add_output_flags(sp, "json")
     sp.set_defaults(handler=_cmd_verify)
 
@@ -389,12 +389,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=0, help="class r for single row mode (default 0)")
     sp.add_argument("--r-list", help="comma-separated r values for grid mode")
     sp.add_argument("--l-max", type=int, default=4)
+    sp.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     _add_output_flags(sp, "plain")
     sp.set_defaults(handler=_cmd_psi_check)
 
     sp = sub.add_parser("explore", help="tabulate margins for an open conjecture")
     sp.add_argument("target", metavar="TARGET", help="rem1.2")
     _add_grid_flags(sp)
+    sp.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     _add_output_flags(sp, "json")
     sp.set_defaults(handler=_cmd_explore)
 

@@ -79,7 +79,6 @@ def fleck_sum(q: CoeffQuery) -> int:
     return fleck_sum_general(q.n, q.r, q.p ** q.a, q.l)
 
 
-@lru_cache(maxsize=None)
 def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, int]:
     """(raw_sum, exponent, normalized) for one coefficient.
 
@@ -200,6 +199,5 @@ def modulus_factorization_identity(
 
 
 def clear_caches() -> None:
-    """Drop memoized sums; sweeps call this to bound memory between runs."""
+    """Drop the memoized Fleck sums; sweeps call this to bound memory between runs."""
     fleck_sum_general.cache_clear()
-    normalized_parts.cache_clear()

@@ -8,14 +8,17 @@ _expander turns the axes, outermost first, into the nested loops that yield
 one parameter dict per tuple, keys in axis order. The evaluator returns
 None when the statement holds there, else an (expected, actual) pair.
 
-Every evaluation is a pure function of its parameter dict, so sweeps can be
-spread over worker processes; results merge in expansion order either way.
+Every evaluation is a pure function of its parameter dict, so a sweep splits
+into shards: shard k of w takes the tuples whose expansion index i has
+i % w == k. One worker runs the single shard in process, w > 1 workers one
+shard each in a pool; merging on i restores expansion order either way.
 """
 
 import multiprocessing
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from time import perf_counter
 
 from . import coefficients
@@ -553,39 +556,53 @@ CHECKS: dict[str, Check] = {
 CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 
 
-def _evaluate_item(item: tuple[str, dict]):
-    check_id, params = item
-    return params, CHECKS[check_id].evaluate(params)
+def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int, list]:
+    """(tuples evaluated, [(i, params, outcome)] for each outcome not None) over
+    the tuples of target (a check id or "rem1.2") with i % workers == index.
+
+    The evaluators are looked up on each call, so rebinding CHECKS entries,
+    _expand_rem1_2 or _margin_rem1_2 (as a tracer does) takes effect.
+    """
+    if target == "rem1.2":
+        expand, evaluate = _expand_rem1_2, _margin_rem1_2
+    else:
+        expand, evaluate = CHECKS[target].expand, CHECKS[target].evaluate
+    checked = 0
+    rows = []
+    for i, params in islice(enumerate(expand(grid)), index, None, workers):
+        checked += 1
+        outcome = evaluate(params)
+        if outcome is not None:
+            rows.append((i, params, outcome))
+    return checked, rows
+
+
+def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
+    """(checked, rows in expansion order, elapsed_ms): one shard in process, or one per pool worker."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    coefficients.clear_caches()
+    start = perf_counter()
+    if workers == 1:
+        shards = [_shard(target, grid, 0, 1)]
+    else:
+        with multiprocessing.Pool(workers) as pool:
+            shards = pool.starmap(_shard, [(target, grid, index, workers) for index in range(workers)])
+    rows = sorted((row for _, part in shards for row in part), key=lambda row: row[0])
+    return sum(checked for checked, _ in shards), rows, int((perf_counter() - start) * 1000)
 
 
 def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) -> VerificationReport:
     """Expand the grid for one check, evaluate every tuple, and report.
 
-    workers > 1 spreads evaluation over a process pool; results are merged
-    in expansion order, so the report is identical apart from elapsed_ms.
+    workers > 1 spreads the shards over a process pool; the report is
+    identical apart from elapsed_ms.
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
     grid = grid if grid is not None else SweepGrid()
-    check = CHECKS[check_id]
-    coefficients.clear_caches()
-    start = perf_counter()
-    checked = 0
-    failures: list[CheckFailure] = []
-    if workers > 1:
-        payload = ((check_id, params) for params in check.expand(grid))
-        with multiprocessing.Pool(workers) as pool:
-            for params, outcome in pool.imap(_evaluate_item, payload, chunksize=128):
-                checked += 1
-                if outcome is not None:
-                    failures.append(CheckFailure(params, outcome[0], outcome[1]))
-    else:
-        for params in check.expand(grid):
-            checked += 1
-            outcome = check.evaluate(params)
-            if outcome is not None:
-                failures.append(CheckFailure(params, outcome[0], outcome[1]))
-    elapsed_ms = int((perf_counter() - start) * 1000)
+    checked, rows, elapsed_ms = _sweep(check_id, grid, workers)
+    failures = [CheckFailure(params, *outcome) for _, params, outcome in rows]
     return VerificationReport(
         theorem=check_id, grid=grid, checked=checked, failures=failures, elapsed_ms=elapsed_ms
     )
@@ -606,41 +623,22 @@ def _margin_rem1_2(params: dict):
     diff = _norm(p, a + 1, p ** a * n, p * r, l) - _norm(p, a, p ** (a - 1) * n, r, l)
     target = 2 * a - (1 if p == 3 else 0)
     observed = ord_p(diff, p)
-    margin = INFINITE if observed is INFINITE else observed - target
-    return params, target, observed, margin
+    if observed is INFINITE:
+        return None
+    return {"target": target, "observed": observed, "margin": observed - target}
 
 
 def run_explore(grid: SweepGrid | None = None, workers: int = 1) -> VerificationReport:
     """Tabulate valuation margins for the strengthened-exponent conjecture."""
     grid = grid if grid is not None else SweepGrid()
-    coefficients.clear_caches()
-    start = perf_counter()
-    checked = 0
-    infinite = 0
-    finite: list[tuple[int, int, dict, int, int]] = []
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            rows = list(pool.imap(_margin_rem1_2, _expand_rem1_2(grid), chunksize=128))
-    else:
-        rows = (_margin_rem1_2(params) for params in _expand_rem1_2(grid))
-    for params, target, observed, margin in rows:
-        checked += 1
-        if margin is INFINITE:
-            infinite += 1
-        else:
-            finite.append((margin, checked, params, target, observed))
-    finite.sort(key=lambda row: (row[0], row[1]))
-    worst = [
-        {"params": params, "target": target, "observed": observed, "margin": margin}
-        for margin, _, params, target, observed in finite[:10]
-    ]
+    checked, rows, elapsed_ms = _sweep("rem1.2", grid, workers)
+    rows.sort(key=lambda row: row[2]["margin"])  # stable: ties stay in expansion order
     extra = {
         "conjectured_exponent": "2a - [p == 3]",
-        "min_margin": str(finite[0][0]) if finite else "infinite",
-        "infinite_margins": infinite,
-        "worst": worst,
+        "min_margin": str(rows[0][2]["margin"]) if rows else "infinite",
+        "infinite_margins": checked - len(rows),
+        "worst": [{"params": params, **outcome} for _, params, outcome in rows[:10]],
     }
-    elapsed_ms = int((perf_counter() - start) * 1000)
     return VerificationReport(
         theorem="rem1.2", grid=grid, checked=checked, failures=[], elapsed_ms=elapsed_ms, extra=extra
     )

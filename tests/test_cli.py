@@ -232,6 +232,20 @@ def test_workers_above_cpu_count_refused(argv, monkeypatch, capsys):
     assert "--workers" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "--p", "3", "--a", "1", "--n", "5", "--r", "0", "--l", "0"],
+        ["table", "--p", "3", "--a", "1", "--n-max", "5"],
+    ],
+)
+def test_workers_not_accepted_without_a_sweep(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 class TestPsiCheck:
     def test_single_row(self, capsys):
         code, out, _ = run_cli(

@@ -12,7 +12,7 @@ from cycpsi import (
     run_explore,
     run_sweep,
 )
-from cycpsi.verifier import CHECKS, _lem3_2_exceptional, _sigma, _thm1_2_branch
+from cycpsi.verifier import CHECKS, CheckFailure, _lem3_2_exceptional, _shard, _sigma, _thm1_2_branch
 from cycpsi.exactmath import ord_p
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
@@ -124,6 +124,40 @@ def test_workers_match_serial():
     parallel_fail = run_sweep("self-test", SMALL, workers=2)
     assert parallel_fail.verdict == "fail"
     assert parallel_fail.checked == 20
+
+
+def merged_shards(target, grid, workers=3):
+    """Every shard of target run in process, as pool workers would run them, merged on i."""
+    shards = [_shard(target, grid, index, workers) for index in range(workers)]
+    for index, (checked, rows) in enumerate(shards):
+        assert checked > 0
+        assert all(i % workers == index for i, _, _ in rows)
+    rows = sorted((row for _, part in shards for row in part), key=lambda row: row[0])
+    return sum(checked for checked, _ in shards), rows
+
+
+def test_three_shards_merge_to_the_serial_report():
+    serial = run_sweep("self-test", SMALL)
+    checked, rows = merged_shards("self-test", SMALL)
+    assert checked == serial.checked == 20
+    assert [i for i, _, _ in rows] == list(range(checked))  # every tuple fails
+    assert [CheckFailure(params, *outcome) for _, params, outcome in rows] == serial.failures
+
+    grid = SweepGrid(primes=(3, 5), a_range=(1, 2), n_range=(1, 5), l_range=(0, 1))
+    serial = run_explore(grid)
+    checked, rows = merged_shards("rem1.2", grid)
+    assert checked == serial.checked
+    assert checked - len(rows) == serial.extra["infinite_margins"] > 0
+    worst = sorted(rows, key=lambda row: row[2]["margin"])[:10]
+    assert [{"params": params, **outcome} for _, params, outcome in worst] == serial.extra["worst"]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep("thm1.0", SMALL, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_explore(SMALL, workers=workers)
 
 
 def test_report_json_schema():
