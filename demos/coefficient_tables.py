@@ -2,7 +2,7 @@
 """Tour of the coefficients: Fleck sums, their guaranteed powers of p, and
 the normalized values that behave like binomial coefficients."""
 
-from cycpsi import CoeffQuery, fleck_sum, normalized_parts, residue_system, t_coeff
+from cycpsi import fleck_sum_general, normalized_parts, residue_system, t_coeff
 
 print("A Fleck sum adds (-1)^k binom(n,k) binom((k-r)/p^a, l) over k = r (mod p^a).")
 print("Dividing out the guaranteed power of p leaves the normalized coefficient.\n")
@@ -30,8 +30,8 @@ for m in (1, 2, 3):
 print("\nThe rational T-coefficients l! p^l / floor(n/p^(a-1))! * sum are")
 print("always p-integral even when they are not integers:")
 for n in (6, 15):
-    value = t_coeff(CoeffQuery(3, 2, n, 1, 0))
+    value = t_coeff(3, 2, n, 1, 0)
     print(f"  T(p=3, a=2, n={n}, r=1, l=0) = {value}")
 
 print("\nRaw sums grow fast but stay exact (arbitrary precision):")
-print(f"  fleck_sum(p=2, a=1, n=120, r=0, l=0) = {fleck_sum(CoeffQuery(2, 1, 120, 0, 0))}")
+print(f"  fleck_sum_general(n=120, r=0, m=2, l=0) = {fleck_sum_general(120, 0, 2, 0)}")

@@ -34,7 +34,7 @@ print(f"  holds for x = {list(x.coeffs)}, y = {list(y.coeffs)}:",
 print("\nThe coefficients of psi^a(T^n (1+T)^(-r)) are the sign-adjusted")
 print("Fleck sums (-1)^n C_l, computed here twice by independent routes:")
 for (n, r, prime, a) in ((4, 0, 2, 2), (5, -2, 3, 1), (12, 5, 2, 2)):
-    got = monomial_twisted(n, r, prime, a, 4).coefficients()
+    got = monomial_twisted(n, r, prime, a, 4).coeffs
     sign = 1 if n % 2 == 0 else -1
     want = tuple(sign * fleck_sum_general(n, r, prime**a, l) for l in range(5))
     print(f"  n={n:>2} r={r:>2} p={prime} a={a}: operator {list(got)}  sums {list(want)}")

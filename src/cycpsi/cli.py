@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .coefficients import CoeffQuery, normalized_parts, t_coeff
+from .coefficients import normalized_parts, t_coeff
 from .exactmath import is_prime
 from .verifier import CHECK_IDS, CHECKS, SweepGrid, psi_sides, run_explore, run_sweep
 
@@ -137,13 +137,12 @@ def _coeff_row(p: int, a: int, n: int, r: int, l: int) -> dict:
 
 
 def _cmd_coeff(args) -> int:
-    _require_prime(args.p)
+    coefficient = (args.p, args.a, args.n, args.r, args.l)
     try:
-        query = CoeffQuery(args.p, args.a, args.n, args.r, args.l)
+        row = _coeff_row(*coefficient)
     except ValueError as err:
         raise CliError(str(err))
-    row = _coeff_row(args.p, args.a, args.n, args.r, args.l)
-    t_value = t_coeff(query) if args.t_coeff else None
+    t_value = t_coeff(*coefficient) if args.t_coeff else None
     if args.format == "json":
         if t_value is not None:
             row["t_coeff"] = str(t_value)
@@ -177,6 +176,8 @@ def _cmd_table(args) -> int:
         raise CliError(f"a must be >= 1, got {args.a}")
     if args.n_min < 0:
         raise CliError(f"n must be >= 0, got {args.n_min}")
+    if args.n_min > args.n_max:
+        raise CliError(f"n_range is empty: {args.n_min} > {args.n_max}")
     r_values = _parse_int_list(args.r, "--r")
     l_values = _parse_int_list(args.l, "--l")
     if any(l < 0 for l in l_values):
@@ -271,6 +272,8 @@ def _cmd_psi_check(args) -> int:
         raise CliError(f"--l-max must be >= 0, got {args.l_max}")
     if args.n is None and args.n_max is None:
         raise CliError("give --n for a single row or --n-max for a grid")
+    if args.n is not None and (args.n_max is not None or args.r_list is not None):
+        raise CliError("--n (single row) cannot be combined with --n-max or --r-list (grid)")
     if args.n is not None:
         if args.n < 0:
             raise CliError(f"n must be >= 0, got {args.n}")
@@ -289,6 +292,9 @@ def _cmd_psi_check(args) -> int:
                 "match": match,
             }
             _emit(json.dumps(doc, indent=2), args.out)
+        elif args.format == "csv":
+            rows = [[str(l), str(got[l]), str(want[l])] for l in range(args.l_max + 1)]
+            _emit(_csv_text(["l", "psi", "expected"], rows), args.out)
         else:
             lines = [
                 f"psi^{args.a} coefficients vs sign-adjusted sums (p={args.p} n={args.n} r={args.r})",

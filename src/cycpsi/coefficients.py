@@ -1,7 +1,6 @@
 """Fleck-type alternating binomial sums, their prime-power normalizations, and
 the exact reduction identities they satisfy."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -18,40 +17,18 @@ def totient_prime_power(p: int, a: int) -> int:
     return p ** (a - 1) * (p - 1)
 
 
-@dataclass(frozen=True)
-class CoeffQuery:
-    """Parameter tuple naming one coefficient: prime p, power a, row n, class r, order l."""
-
-    p: int
-    a: int
-    n: int
-    r: int
-    l: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.a < 1:
-            raise ValueError(f"a must be >= 1, got {self.a}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.l < 0:
-            raise ValueError(f"l must be >= 0, got {self.l}")
+def _require_prime_power(p: int, a: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
 
 
-@dataclass(frozen=True)
-class NormalizedCoeff:
-    """A Fleck sum together with its extracted power of p.
-
-    raw_sum = p^exponent * normalized when exponent >= 0; for a negative
-    exponent the normalized value is raw_sum scaled up by p^(-exponent),
-    so it is a multiple of p whenever raw_sum is nonzero.
-    """
-
-    query: CoeffQuery
-    raw_sum: int
-    exponent: int
-    normalized: int
+def floor_exponent(p: int, a: int, n: int, l: int) -> int:
+    """floor((n - p^(a-1) - l p^a) / totient(p^a)), the power of p that the
+    integrality theorem guarantees in the Fleck sum of (p, a, n, r, l); it may
+    be negative."""
+    return (n - p ** (a - 1) - l * p ** a) // totient_prime_power(p, a)
 
 
 @lru_cache(maxsize=None)
@@ -74,24 +51,17 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
     return total
 
 
-def fleck_sum(q: CoeffQuery) -> int:
-    """Fleck sum of a coefficient query, modulus p^a."""
-    return fleck_sum_general(q.n, q.r, q.p ** q.a, q.l)
-
-
 def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, int]:
     """(raw_sum, exponent, normalized) for one coefficient.
 
-    exponent = floor((n - p^(a-1) - l p^a) / totient(p^a)) and may be
-    negative; the integrality theorem makes the division by p^exponent exact
-    when exponent >= 0, and a violation raises IntegrityError as a bug trap.
+    exponent = floor_exponent(p, a, n, l). When it is >= 0 the integrality
+    theorem makes raw = p^exponent * normalized exact, and a violation raises
+    IntegrityError as a bug trap; when it is negative, normalized is raw scaled
+    up by p^(-exponent).
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
+    _require_prime_power(p, a)
     raw = fleck_sum_general(n, r, p ** a, l)
-    exponent = (n - p ** (a - 1) - l * p ** a) // totient_prime_power(p, a)
+    exponent = floor_exponent(p, a, n, l)
     if exponent >= 0:
         normalized, rem = divmod(raw, p ** exponent)
         if rem:
@@ -104,30 +74,25 @@ def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, 
     return raw, exponent, normalized
 
 
-def normalized_coeff(q: CoeffQuery) -> NormalizedCoeff:
-    """Normalized coefficient: the Fleck sum with its guaranteed power of p removed."""
-    raw, exponent, normalized = normalized_parts(q.p, q.a, q.n, q.r, q.l)
-    return NormalizedCoeff(query=q, raw_sum=raw, exponent=exponent, normalized=normalized)
-
-
-def t_coeff(q: CoeffQuery) -> Fraction:
+def t_coeff(p: int, a: int, n: int, r: int, l: int) -> Fraction:
     """Factorial-normalized rational coefficient l! p^l / floor(n/p^(a-1))! times the Fleck sum."""
-    scale = Fraction(factorial(q.l) * q.p ** q.l, factorial(q.n // q.p ** (q.a - 1)))
-    return scale * fleck_sum(q)
+    _require_prime_power(p, a)
+    total = fleck_sum_general(n, r, p ** a, l)
+    return Fraction(factorial(l) * p ** l, factorial(n // p ** (a - 1))) * total
 
 
-def recurrence_residue(q: CoeffQuery) -> int:
+def recurrence_residue(p: int, a: int, n: int, r: int, l: int) -> int:
     """Mod-p residue of the order-lowering recurrence for a normalized coefficient.
 
     Requires n >= 1 and l >= 1. Sums -binom(n,j) <j,r>_0 <n-j-1, r-j+p^a-1>_(l-1)
     over the j in [0, n-1] whose totient-residue test keeps the carried power
     of p at zero; the result agrees with the normalized coefficient mod p.
     """
-    if q.l < 1:
-        raise ValueError(f"recurrence needs l >= 1, got {q.l}")
-    if q.n < 1:
-        raise ValueError(f"recurrence needs n >= 1, got {q.n}")
-    p, a, n, r, l = q.p, q.a, q.n, q.r, q.l
+    _require_prime_power(p, a)
+    if l < 1:
+        raise ValueError(f"recurrence needs l >= 1, got {l}")
+    if n < 1:
+        raise ValueError(f"recurrence needs n >= 1, got {n}")
     pa = p ** a
     phi = totient_prime_power(p, a)
     threshold = (n - (l + 1) * p ** (a - 1)) % phi

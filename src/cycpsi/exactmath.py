@@ -61,7 +61,7 @@ INFINITE = _InfiniteValuation()
 # p in the denominator); INFINITE stands in for ord_p(0).
 Valuation = int | _InfiniteValuation
 
-factorial = lru_cache(maxsize=None)(math.factorial)
+factorial = math.factorial
 
 
 @lru_cache(maxsize=None)

@@ -123,21 +123,6 @@ class TruncPoly:
         return f"TruncPoly({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
-class PsiResult:
-    """A truncated series together with the largest degree certified exact."""
-
-    series: TruncPoly
-    valid_degree: int
-
-    def __post_init__(self):
-        if self.valid_degree > self.series.degree_bound:
-            raise ValueError("valid_degree exceeds the stored degree bound")
-
-    def coefficients(self) -> tuple[int, ...]:
-        return tuple(self.series.coeff(i) for i in range(self.valid_degree + 1))
-
-
 def phi_apply(x: TruncPoly, p: int) -> TruncPoly:
     """Frobenius: substitute (1+T)^p - 1 for T, exactly. Degree grows p-fold."""
     if not is_prime(p):
@@ -187,8 +172,9 @@ def psi_power(x: TruncPoly, p: int, a: int) -> TruncPoly:
     return x
 
 
-def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> PsiResult:
-    """psi^a applied to T^n (1+T)^(-r), exact through degree l_max.
+def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
+    """psi^a applied to T^n (1+T)^(-r), exact through degree l_max and
+    truncated there.
 
     For r > 0 the argument is an infinite series, so it is rewritten as
     T^n (1+T)^e times a Frobenius-power image: with r1 = ceil(r / p^a) and
@@ -215,8 +201,7 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> PsiResult:
     inner = TruncPoly.monomial(n) * TruncPoly.one_plus_t_power(e)
     core = psi_power(inner, p, a)
     unit = TruncPoly.one_plus_t_power(-r1, through=l_max)
-    series = (core * unit).truncated(l_max)
-    return PsiResult(series=series, valid_degree=l_max)
+    return (core * unit).truncated(l_max)
 
 
 def projection_rule_check(x: TruncPoly, y: TruncPoly, p: int) -> bool:

@@ -23,8 +23,8 @@ from time import perf_counter
 
 from . import coefficients
 from .coefficients import (
-    CoeffQuery,
     fleck_sum_general,
+    floor_exponent,
     index_reduction_identity,
     modulus_factorization_identity,
     normalized_parts,
@@ -256,8 +256,7 @@ _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 def _eval_thm1_0(params: dict):
     p, a, l, n, r = params["p"], params["a"], params["l"], params["n"], params["r"]
     raw = fleck_sum_general(n, r, p ** a, l)
-    exponent = (n - p ** (a - 1) - l * p ** a) // totient_prime_power(p, a)
-    bound = max(exponent, 0)
+    bound = max(floor_exponent(p, a, n, l), 0)
     v = ord_p(raw, p)
     if v >= bound:
         return None
@@ -336,8 +335,8 @@ def _eval_thm1_2(params: dict):
 
 def _eval_cor1_3(params: dict):
     p, l, n, r = params["p"], params["l"], params["n"], params["r"]
-    lhs = t_coeff(CoeffQuery(p, 2, n, r, l))
-    rhs = binom(n % p, r % p) * t_coeff(CoeffQuery(p, 1, n // p, r // p, l))
+    lhs = t_coeff(p, 2, n, r, l)
+    rhs = binom(n % p, r % p) * t_coeff(p, 1, n // p, r // p, l)
     if (r % p) & 1:
         rhs = -rhs
     for side, value in (("lhs", lhs), ("rhs", rhs)):
@@ -456,7 +455,7 @@ def _eval_lem4_1(params: dict):
 
 def _eval_rem2_1(params: dict):
     p, a, l, n, r = params["p"], params["a"], params["l"], params["n"], params["r"]
-    actual = recurrence_residue(CoeffQuery(p, a, n, r, l))
+    actual = recurrence_residue(p, a, n, r, l)
     expected = _norm(p, a, n, r, l) % p
     return _mod_p(actual == expected, expected, actual, p)
 
@@ -494,7 +493,7 @@ def psi_sides(p: int, a: int, n: int, r: int, l_max: int) -> tuple[list[int], li
     The operator side comes from monomial_twisted alone, never from the sums,
     so the two routes stay independent.
     """
-    got = list(monomial_twisted(n, r, p, a, l_max).coefficients())
+    got = list(monomial_twisted(n, r, p, a, l_max).coeffs)
     sign = -1 if n & 1 else 1
     want = [sign * fleck_sum_general(n, r, p ** a, l) for l in range(l_max + 1)]
     return got, want

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from cycpsi import cli
 from cycpsi.cli import main
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
@@ -83,13 +84,14 @@ class TestTable:
         assert by_n["5"]["raw"] == "-9"
         assert by_n["5"]["normalized_mod_p"] == "2"
 
-    def test_empty_range_is_header_only(self, capsys):
-        code, out, _ = run_cli(
-            ["table", "--p", "3", "--a", "1", "--n-min", "5", "--n-max", "4"], capsys
+    def test_empty_range_refused(self, capsys):
+        # the same refusal as verify and explore give an empty n range
+        code, out, err = run_cli(
+            ["table", "--p", "3", "--a", "1", "--n-min", "5", "--n-max", "2"], capsys
         )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines == ["p,a,n,r,l,raw,exponent,normalized,normalized_mod_p"]
+        assert code == 2
+        assert out == ""
+        assert "n_range is empty" in err
 
     def test_json_matches_csv_values(self, capsys):
         argv = ["table", "--p", "3", "--a", "1", "--n-max", "6", "--r", "0,1", "--l", "0,1"]
@@ -281,10 +283,31 @@ class TestPsiCheck:
         assert doc["match"] is True
         assert doc["rows"][0] == {"l": 0, "psi": "-1", "expected": "-1"}
 
+    def test_csv_single(self, capsys):
+        code, out, _ = run_cli(
+            ["psi-check", "--p", "2", "--a", "1", "--n", "1", "--r", "0", "--l-max", "2",
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        assert out == "l,psi,expected\n0,-1,-1\n1,0,0\n2,0,0\n"
+
     def test_needs_row_or_grid(self, capsys):
         code, _, err = run_cli(["psi-check", "--p", "2", "--a", "1"], capsys)
         assert code == 2
         assert "--n" in err
+
+    @pytest.mark.parametrize("grid_flag", [["--n-max", "5"], ["--r-list", "0,1"]])
+    def test_row_and_grid_modes_refused_together(self, grid_flag, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a comparison was started")
+
+        monkeypatch.setattr(cli, "psi_sides", no_work)
+        monkeypatch.setattr(cli, "run_sweep", no_work)
+        code, out, err = run_cli(["psi-check", "--p", "3", "--a", "1", "--n", "2"] + grid_flag, capsys)
+        assert code == 2
+        assert out == ""
+        assert grid_flag[0] in err
 
 
 class TestExplore:

@@ -4,13 +4,11 @@ import pytest
 
 import cycpsi.coefficients as coefficients
 from cycpsi import (
-    CoeffQuery,
     IntegrityError,
-    fleck_sum,
     fleck_sum_general,
+    floor_exponent,
     index_reduction_identity,
     modulus_factorization_identity,
-    normalized_coeff,
     normalized_parts,
     ord_p,
     recurrence_residue,
@@ -33,7 +31,7 @@ class TestFleckSum:
         ],
     )
     def test_spec_values(self, p, a, n, r, l, expected):
-        assert fleck_sum(CoeffQuery(p, a, n, r, l)) == expected
+        assert fleck_sum_general(n, r, p**a, l) == expected
 
     def test_against_oracle(self):
         # the oracle iterates k over a wider window, so finite support is
@@ -67,8 +65,7 @@ class TestNormalized:
     )
     def test_values(self, p, a, n, r, l, raw, exponent, normalized):
         assert normalized_parts(p, a, n, r, l) == (raw, exponent, normalized)
-        coeff = normalized_coeff(CoeffQuery(p, a, n, r, l))
-        assert (coeff.raw_sum, coeff.exponent, coeff.normalized) == (raw, exponent, normalized)
+        assert floor_exponent(p, a, n, l) == exponent
 
     def test_reconstruction(self):
         for p, a in ((2, 1), (2, 2), (3, 1), (5, 1)):
@@ -87,14 +84,16 @@ class TestNormalized:
         assert totient_prime_power(5, 3) == 100
 
     def test_query_validation(self):
-        with pytest.raises(ValueError):
-            CoeffQuery(4, 1, 0, 0, 0)
-        with pytest.raises(ValueError):
-            CoeffQuery(3, 0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            CoeffQuery(3, 1, -1, 0, 0)
-        with pytest.raises(ValueError):
-            CoeffQuery(3, 1, 0, 0, -1)
+        bad = [
+            ((4, 1, 0, 0, 0), "p must be prime, got 4"),
+            ((3, 0, 0, 0, 0), "a must be >= 1, got 0"),
+            ((3, 1, -1, 0, 0), "n must be >= 0, got -1"),
+            ((3, 1, 0, 0, -1), "l must be >= 0, got -1"),
+        ]
+        for args, message in bad:
+            for fn in (normalized_parts, t_coeff):
+                with pytest.raises(ValueError, match=message):
+                    fn(*args)
 
     def test_integrity_trap(self, monkeypatch):
         # force a sum that the guaranteed power of p cannot divide
@@ -117,7 +116,7 @@ class TestTCoeff:
         ],
     )
     def test_values(self, p, a, n, r, l, expected):
-        assert t_coeff(CoeffQuery(p, a, n, r, l)) == expected
+        assert t_coeff(p, a, n, r, l) == expected
 
     def test_p_integrality_on_grid(self):
         for p in (2, 3, 5):
@@ -125,7 +124,7 @@ class TestTCoeff:
                 for n in range(0, 20):
                     for r in (-1, 0, 1, p):
                         for l in (0, 1, 2):
-                            value = t_coeff(CoeffQuery(p, a, n, r, l))
+                            value = t_coeff(p, a, n, r, l)
                             assert ord_p(value, p) >= 0, (p, a, n, r, l, value)
 
 
@@ -135,14 +134,15 @@ class TestRecurrence:
         [(3, 1, 5, 0, 1), (2, 1, 3, 0, 1), (2, 2, 4, 1, 1), (5, 1, 9, 2, 2), (3, 2, 12, -1, 3)],
     )
     def test_matches_normalized(self, p, a, n, r, l):
-        q = CoeffQuery(p, a, n, r, l)
-        assert recurrence_residue(q) == normalized_parts(p, a, n, r, l)[2] % p
+        assert recurrence_residue(p, a, n, r, l) == normalized_parts(p, a, n, r, l)[2] % p
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            recurrence_residue(CoeffQuery(3, 1, 5, 0, 0))
+            recurrence_residue(3, 1, 5, 0, 0)
         with pytest.raises(ValueError):
-            recurrence_residue(CoeffQuery(3, 1, 0, 0, 1))
+            recurrence_residue(3, 1, 0, 0, 1)
+        with pytest.raises(ValueError, match="a must be >= 1"):
+            recurrence_residue(3, 0, 5, 0, 1)
 
 
 class TestIndexReduction:

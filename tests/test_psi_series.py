@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import cycpsi
 from cycpsi import (
-    PsiResult,
     TruncPoly,
     fleck_sum_general,
     monomial_twisted,
@@ -160,9 +159,9 @@ class TestPsiPower:
 
 class TestMonomialTwisted:
     def test_examples(self):
-        assert monomial_twisted(1, 0, 2, 1, 3).coefficients() == (-1, 0, 0, 0)
-        assert monomial_twisted(0, 0, 5, 2, 2).coefficients() == (1, 0, 0)
-        got = monomial_twisted(5, -2, 3, 1, 4).coefficients()
+        assert monomial_twisted(1, 0, 2, 1, 3).coeffs == (-1, 0, 0, 0)
+        assert monomial_twisted(0, 0, 5, 2, 2).coeffs == (1, 0, 0)
+        got = monomial_twisted(5, -2, 3, 1, 4).coeffs
         want = tuple(-fleck_sum_general(5, -2, 3, l) for l in range(5))
         assert got == want
 
@@ -171,21 +170,20 @@ class TestMonomialTwisted:
             pa = p**a
             for n in range(0, 9):
                 for r in range(-4, 5):
-                    got = monomial_twisted(n, r, p, a, 3).coefficients()
+                    got = monomial_twisted(n, r, p, a, 3).coeffs
                     sign = 1 if n % 2 == 0 else -1
                     want = tuple(sign * fleck_oracle(n, r, pa, l) for l in range(4))
                     assert got == want, (p, a, n, r)
 
     def test_positive_r_twist(self):
         # r > 0 makes the argument a genuine infinite series
-        got = monomial_twisted(12, 5, 2, 2, 4).coefficients()
+        got = monomial_twisted(12, 5, 2, 2, 4).coeffs
         want = tuple(fleck_sum_general(12, 5, 4, l) for l in range(5))
         assert got == want
 
     def test_valid_degree(self):
-        result = monomial_twisted(3, 1, 2, 1, 6)
-        assert result.valid_degree == 6
-        assert result.series.degree_bound == 6
+        # truncated to exactly l_max, the degree it is exact through
+        assert monomial_twisted(3, 1, 2, 1, 6).degree_bound == 6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -194,8 +192,6 @@ class TestMonomialTwisted:
             monomial_twisted(1, 0, 2, 0, 3)
         with pytest.raises(ValueError):
             monomial_twisted(1, 0, 2, 1, -1)
-        with pytest.raises(ValueError):
-            PsiResult(series=TruncPoly.of([1]), valid_degree=3)
 
 
 class TestProjectionRule:
