@@ -9,11 +9,8 @@ from .exactmath import (
     binom,
     congruent_mod_p_power,
     factorial,
-    floor_div,
-    floor_sum_gap,
     is_prime,
     ord_p,
-    residue,
 )
 from .coefficients import (
     IntegrityError,
@@ -54,11 +51,8 @@ __all__ = [
     "binom",
     "congruent_mod_p_power",
     "factorial",
-    "floor_div",
-    "floor_sum_gap",
     "is_prime",
     "ord_p",
-    "residue",
     "IntegrityError",
     "fleck_sum_general",
     "floor_exponent",

@@ -52,9 +52,19 @@ def _require_workers(workers: int) -> None:
         raise CliError(f"--workers must be between 1 and the CPU count {cpus}, got {workers}")
 
 
-def _span(single, lo, hi, default: tuple[int, int]) -> tuple[int, int]:
+def _span(args, name: str) -> tuple[int, int]:
+    """The inclusive range for <name>_range: --<name> fixes one value, else
+    --<name>-min/--<name>-max narrow the default. A flag the parser lacks is absent."""
+    single = getattr(args, name, None)
+    lo = getattr(args, f"{name}_min", None)
+    hi = getattr(args, f"{name}_max", None)
     if single is not None:
+        if lo is not None or hi is not None:
+            raise CliError(
+                f"--{name} (fixed) cannot be combined with --{name}-min or --{name}-max (range)"
+            )
         return (single, single)
+    default = getattr(_GRID_DEFAULTS, f"{name}_range")
     return (
         lo if lo is not None else default[0],
         hi if hi is not None else default[1],
@@ -65,12 +75,8 @@ def _grid_from_args(args) -> SweepGrid:
     kwargs = {}
     if args.p is not None:
         kwargs["primes"] = _parse_primes(args.p)
-    kwargs["a_range"] = _span(args.a, args.a_min, args.a_max, _GRID_DEFAULTS.a_range)
-    kwargs["n_range"] = _span(args.n, args.n_min, args.n_max, _GRID_DEFAULTS.n_range)
-    kwargs["l_range"] = _span(args.l, args.l_min, args.l_max, _GRID_DEFAULTS.l_range)
-    kwargs["m_range"] = _span(None, args.m_min, args.m_max, _GRID_DEFAULTS.m_range)
-    kwargs["d_range"] = _span(None, None, args.d_max, _GRID_DEFAULTS.d_range)
-    kwargs["q_range"] = _span(None, None, args.q_max, _GRID_DEFAULTS.q_range)
+    for name in ("a", "n", "l", "m", "d", "q"):
+        kwargs[f"{name}_range"] = _span(args, name)
     if args.r is not None:
         kwargs["r_values"] = _parse_int_list(args.r, "--r")
     if args.s is not None:
@@ -274,17 +280,20 @@ def _cmd_psi_check(args) -> int:
         raise CliError("give --n for a single row or --n-max for a grid")
     if args.n is not None and (args.n_max is not None or args.r_list is not None):
         raise CliError("--n (single row) cannot be combined with --n-max or --r-list (grid)")
+    if args.n is None and args.r is not None:
+        raise CliError("--r (single row) cannot be combined with --n-max (grid); give --r-list")
     if args.n is not None:
         if args.n < 0:
             raise CliError(f"n must be >= 0, got {args.n}")
-        got, want = psi_sides(args.p, args.a, args.n, args.r, args.l_max)
+        r = 0 if args.r is None else args.r
+        got, want = psi_sides(args.p, args.a, args.n, r, args.l_max)
         match = got == want
         if args.format == "json":
             doc = {
                 "p": args.p,
                 "a": args.a,
                 "n": args.n,
-                "r": args.r,
+                "r": r,
                 "rows": [
                     {"l": l, "psi": str(got[l]), "expected": str(want[l])}
                     for l in range(args.l_max + 1)
@@ -297,7 +306,7 @@ def _cmd_psi_check(args) -> int:
             _emit(_csv_text(["l", "psi", "expected"], rows), args.out)
         else:
             lines = [
-                f"psi^{args.a} coefficients vs sign-adjusted sums (p={args.p} n={args.n} r={args.r})",
+                f"psi^{args.a} coefficients vs sign-adjusted sums (p={args.p} n={args.n} r={r})",
                 "l  psi  expected",
             ]
             for l in range(args.l_max + 1):
@@ -392,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--n", type=int, help="single row mode")
     sp.add_argument("--n-max", type=int, help="grid mode over 0..n-max")
-    sp.add_argument("--r", type=int, default=0, help="class r for single row mode (default 0)")
+    sp.add_argument("--r", type=int, help="class r for single row mode (default 0)")
     sp.add_argument("--r-list", help="comma-separated r values for grid mode")
     sp.add_argument("--l-max", type=int, default=4)
     sp.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactmath import binom, factorial, is_prime
+from .exactmath import _require_prime, binom, factorial
 
 
 class IntegrityError(RuntimeError):
@@ -18,8 +18,7 @@ def totient_prime_power(p: int, a: int) -> int:
 
 
 def _require_prime_power(p: int, a: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _require_prime(p)
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
 

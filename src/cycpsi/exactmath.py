@@ -1,4 +1,4 @@
-"""Exact integer and rational primitives: generalized binomials, p-adic valuations, residues."""
+"""Exact integer and rational primitives: generalized binomials, p-adic valuations, congruences."""
 
 import math
 from fractions import Fraction
@@ -121,20 +121,6 @@ def _ord_nonzero(x: int, p: int) -> int:
     return e
 
 
-def residue(x: int, m: int) -> int:
-    """Least nonnegative residue of x modulo m, in [0, m)."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    return x % m
-
-
-def floor_div(a: int, b: int) -> int:
-    """Floor division a // b, b >= 1; rounds toward minus infinity."""
-    if b < 1:
-        raise ValueError(f"divisor must be positive, got {b}")
-    return a // b
-
-
 def congruent_mod_p_power(
     x: int | Fraction, y: int | Fraction, p: int, e: int
 ) -> bool:
@@ -151,9 +137,3 @@ def congruent_mod_p_power(
             raise NotPIntegralError(f"{v} is not {p}-integral")
     return ord_p(Fraction(x) - Fraction(y), p) >= e
 
-
-def floor_sum_gap(a: int, b: int, m: int) -> int:
-    """floor(a/m) + floor(b/m) + 1 - floor((a+b+1)/m); always 0 or 1."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    return a // m + b // m + 1 - (a + b + 1) // m

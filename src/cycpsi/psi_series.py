@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .exactmath import binom, is_prime
+from .exactmath import _require_prime, binom
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +73,6 @@ class TruncPoly:
     def __hash__(self):
         return hash(self._stripped())
 
-    def agreement(self, other: "TruncPoly") -> tuple[bool, int]:
-        """Compare up to the smaller degree bound; returns (equal, compared_through)."""
-        through = min(self.degree_bound, other.degree_bound)
-        ok = all(self.coeff(i) == other.coeff(i) for i in range(through + 1))
-        return ok, through
-
     def __add__(self, other):
         if isinstance(other, int):
             other = TruncPoly((other,))
@@ -125,8 +119,7 @@ class TruncPoly:
 
 def phi_apply(x: TruncPoly, p: int) -> TruncPoly:
     """Frobenius: substitute (1+T)^p - 1 for T, exactly. Degree grows p-fold."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _require_prime(p)
     u = TruncPoly(tuple(comb(p, i) for i in range(p + 1))) - 1
     acc = TruncPoly.zero()
     for c in reversed(x.coeffs):
@@ -156,8 +149,7 @@ def psi_apply(x: TruncPoly, p: int) -> TruncPoly:
          x_0 = sum_j c_(p j) (1+T)^j, the shift by +1 of c_0, c_p, c_2p, ...
     The output has degree bound floor(D/p).
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _require_prime(p)
     c = _shift_by_one([-v if i & 1 else v for i, v in enumerate(x.coeffs)])
     row = [-v if (p * j) & 1 else v for j, v in enumerate(c[::p])]
     return TruncPoly(tuple(_shift_by_one(row)))
@@ -193,8 +185,7 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
         raise ValueError(f"a must be >= 1, got {a}")
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _require_prime(p)
     pa = p ** a
     r1 = -((-r) // pa)
     e = pa * r1 - r

@@ -214,6 +214,21 @@ class TestVerify:
         assert (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", [["verify", "thm1.0"], ["explore", "rem1.2"]])
+@pytest.mark.parametrize("name", ["a", "n", "l"])
+@pytest.mark.parametrize("bound", ["min", "max"])
+def test_fixed_value_and_range_refused_together(command, name, bound, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "SweepGrid", no_work)
+    argv = command + ["--p", "3", f"--{name}", "2", f"--{name}-{bound}", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--{name} (fixed) cannot be combined with --{name}-min or --{name}-max" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -308,6 +323,20 @@ class TestPsiCheck:
         assert code == 2
         assert out == ""
         assert grid_flag[0] in err
+
+    def test_r_refused_in_grid_mode(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a comparison was started")
+
+        monkeypatch.setattr(cli, "run_sweep", no_work)
+        code, out, err = run_cli(["psi-check", "--p", "3", "--a", "1", "--n-max", "3", "--r", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--r" in err and "--r-list" in err
+
+    def test_single_row_r_defaults_to_zero(self, capsys):
+        argv = ["psi-check", "--p", "3", "--a", "1", "--n", "4"]
+        assert run_cli(argv, capsys) == run_cli(argv + ["--r", "0"], capsys)
 
 
 class TestExplore:

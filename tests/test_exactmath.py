@@ -10,11 +10,8 @@ from cycpsi import (
     binom,
     congruent_mod_p_power,
     factorial,
-    floor_div,
-    floor_sum_gap,
     is_prime,
     ord_p,
-    residue,
 )
 from oracles import binom_product
 
@@ -87,28 +84,6 @@ class TestOrdP:
         assert (3 + INFINITE) is INFINITE
 
 
-class TestResidueFloor:
-    @pytest.mark.parametrize("x, m, expected", [(-1, 4, 3), (15, 9, 6), (0, 7, 0)])
-    def test_residue(self, x, m, expected):
-        assert residue(x, m) == expected
-
-    @pytest.mark.parametrize("a, b, expected", [(-1, 2, -1), (7, 2, 3), (-6, 3, -2)])
-    def test_floor_div(self, a, b, expected):
-        assert floor_div(a, b) == expected
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            residue(3, 0)
-        with pytest.raises(ValueError):
-            floor_div(3, 0)
-        with pytest.raises(ValueError):
-            floor_div(3, -2)
-
-    @given(st.integers(-10**9, 10**9), st.integers(1, 10**6))
-    def test_division_identity(self, x, m):
-        assert x == m * floor_div(x, m) + residue(x, m)
-
-
 class TestCongruence:
     def test_integer_case(self):
         assert congruent_mod_p_power(10, 1, 3, 1)
@@ -126,23 +101,6 @@ class TestCongruence:
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
             congruent_mod_p_power(1, 1, 3, 0)
-
-
-class TestFloorSumGap:
-    def test_examples(self):
-        assert floor_sum_gap(0, 0, 2) == 1
-        assert floor_sum_gap(1, 0, 2) == 0
-
-    def test_exhaustive_membership(self):
-        # full desk-scale sweep of the {0, 1} contract
-        for m in range(1, 21):
-            for a in range(-100, 101):
-                for b in range(-100, 101):
-                    assert floor_sum_gap(a, b, m) in (0, 1)
-
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            floor_sum_gap(1, 1, 0)
 
 
 def test_is_prime_small():

@@ -47,14 +47,10 @@ class TestTruncPoly:
         assert x * x == TruncPoly.of([1, 2, 1])
         assert x + 1 == TruncPoly.of([2, 1])
 
-    def test_truncated_and_agreement(self):
+    def test_truncated(self):
         x = TruncPoly.of([1, 2, 3])
         assert x.truncated(1) == TruncPoly.of([1, 2])
         assert x.truncated(4).degree_bound == 4
-        ok, through = x.agreement(TruncPoly.of([1, 2]))
-        assert ok and through == 1
-        ok, through = x.agreement(TruncPoly.of([1, 9]))
-        assert not ok and through == 1
 
     def test_one_plus_t_power(self):
         assert TruncPoly.one_plus_t_power(3) == TruncPoly.of([1, 3, 3, 1])

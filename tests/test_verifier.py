@@ -1,4 +1,9 @@
+import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,11 +12,13 @@ from cycpsi import (
     SweepGrid,
     congruent_mod_p_power,
     delta_for,
+    fleck_sum_general,
     normalized_parts,
     residue_system,
     run_explore,
     run_sweep,
 )
+from cycpsi import verifier
 from cycpsi.verifier import CHECKS, CheckFailure, _lem3_2_exceptional, _shard, _sigma, _thm1_2_branch
 from cycpsi.exactmath import ord_p
 
@@ -126,6 +133,52 @@ def test_workers_match_serial():
     assert parallel_fail.checked == 20
 
 
+POOL_SCRIPT = """
+import json
+import multiprocessing
+import sys
+
+from cycpsi import SweepGrid, run_sweep
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    grid = SweepGrid(**json.loads(sys.argv[2]))
+    docs = {}
+    for check_id in ("self-test", "thm1.1", "psi-identity"):
+        doc = run_sweep(check_id, grid, workers=2).to_json_dict()
+        del doc["elapsed_ms"]
+        docs[check_id] = doc
+    print(json.dumps(docs))
+"""
+
+
+@TWO_CPUS
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pool_start_methods_match_serial(method, tmp_path):
+    # Python 3.14 makes forkserver the default on Linux; spawn is the default elsewhere
+    grid = {"primes": [2, 3], "a_range": [1, 2], "n_range": [0, 8], "l_range": [0, 2]}
+    script = tmp_path / "pooled.py"
+    script.write_text(POOL_SCRIPT, encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, str(script), method, json.dumps(grid)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pooled = json.loads(proc.stdout)
+    serial_grid = SweepGrid(**{key: tuple(value) for key, value in grid.items()})
+    for check_id, doc in pooled.items():
+        serial = run_sweep(check_id, serial_grid).to_json_dict()
+        del serial["elapsed_ms"]
+        assert json.loads(json.dumps(serial)) == doc, check_id
+    assert pooled["self-test"]["verdict"] == "fail"
+
+
 def merged_shards(target, grid, workers=3):
     """Every shard of target run in process, as pool workers would run them, merged on i."""
     shards = [_shard(target, grid, index, workers) for index in range(workers)]
@@ -158,6 +211,20 @@ def test_workers_below_one_rejected(workers):
         run_sweep("thm1.0", SMALL, workers=workers)
     with pytest.raises(ValueError, match="workers"):
         run_explore(SMALL, workers=workers)
+
+
+def test_psi_identity_leaves_the_sum_memo_empty():
+    # each tuple's sums are distinct, so psi-identity reads the sums uncached
+    report = run_sweep("psi-identity", SMALL)
+    assert report.verdict == "pass" and report.checked > 0
+    assert fleck_sum_general.cache_info().currsize == 0
+
+
+def test_cor1_3_refuses_non_integral_sides(monkeypatch):
+    # the p-integrality pre-check reports the failure; congruent_mod_p_power would raise
+    monkeypatch.setattr(verifier, "t_coeff", lambda p, a, n, r, l: Fraction(1, p))
+    outcome = CHECKS["cor1.3"].evaluate({"p": 3, "l": 0, "n": 4, "r": 1})
+    assert outcome == ("lhs 3-integral", "lhs = 1/3")
 
 
 def test_report_json_schema():
