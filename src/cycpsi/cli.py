@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .coefficients import normalized_parts, t_coeff
-from .exactmath import is_prime
 from .verifier import CHECK_IDS, CHECKS, SweepGrid, psi_sides, run_explore, run_sweep
 
 OUT_DIR_ENV = "CYCPSI_OUT_DIR"
@@ -31,18 +30,6 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise CliError(f"{what} must be a comma-separated list of integers, got {text!r}")
-
-
-def _parse_primes(text: str) -> tuple[int, ...]:
-    primes = _parse_int_list(text, "--p")
-    for p in primes:
-        _require_prime(p)
-    return primes
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise CliError(f"p must be prime, got {p}")
 
 
 def _require_workers(workers: int) -> None:
@@ -74,7 +61,7 @@ def _span(args, name: str) -> tuple[int, int]:
 def _grid_from_args(args) -> SweepGrid:
     kwargs = {}
     if args.p is not None:
-        kwargs["primes"] = _parse_primes(args.p)
+        kwargs["primes"] = _parse_int_list(args.p, "--p")
     for name in ("a", "n", "l", "m", "d", "q"):
         kwargs[f"{name}_range"] = _span(args, name)
     if args.r is not None:
@@ -177,23 +164,21 @@ def _cmd_coeff(args) -> int:
 # table
 
 def _cmd_table(args) -> int:
-    _require_prime(args.p)
-    if args.a < 1:
-        raise CliError(f"a must be >= 1, got {args.a}")
-    if args.n_min < 0:
-        raise CliError(f"n must be >= 0, got {args.n_min}")
     if args.n_min > args.n_max:
         raise CliError(f"n_range is empty: {args.n_min} > {args.n_max}")
     r_values = _parse_int_list(args.r, "--r")
     l_values = _parse_int_list(args.l, "--l")
     if any(l < 0 for l in l_values):
         raise CliError("l values must be >= 0")
-    rows = [
-        _coeff_row(args.p, args.a, n, r, l)
-        for n in range(args.n_min, args.n_max + 1)
-        for r in r_values
-        for l in l_values
-    ]
+    try:
+        rows = [
+            _coeff_row(args.p, args.a, n, r, l)
+            for n in range(args.n_min, args.n_max + 1)
+            for r in r_values
+            for l in l_values
+        ]
+    except ValueError as err:
+        raise CliError(str(err))
     if args.format == "json":
         _emit(json.dumps(rows, indent=2), args.out)
     elif args.format == "plain":
@@ -243,22 +228,19 @@ def _report_text(report, fmt: str) -> str:
 
 def _cmd_verify(args) -> int:
     if args.check not in CHECKS:
-        print(
-            f"error: unknown check id {args.check!r}; valid ids: {', '.join(CHECK_IDS)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise CliError(f"unknown check id {args.check!r}; valid ids: {', '.join(CHECK_IDS)}")
     _require_workers(args.workers)
     grid = _grid_from_args(args)
     report = run_sweep(args.check, grid, workers=args.workers)
+    if report.checked == 0:
+        raise CliError(f"the grid gives {args.check} no tuples to check")
     _emit(_report_text(report, args.format), args.out)
     return 0 if report.verdict == "pass" else 1
 
 
 def _cmd_explore(args) -> int:
     if args.target != "rem1.2":
-        print(f"error: unknown explore target {args.target!r}; valid: rem1.2", file=sys.stderr)
-        return 2
+        raise CliError(f"unknown explore target {args.target!r}; valid: rem1.2")
     _require_workers(args.workers)
     grid = _grid_from_args(args)
     report = run_explore(grid, workers=args.workers)
@@ -271,7 +253,6 @@ def _cmd_explore(args) -> int:
 
 def _cmd_psi_check(args) -> int:
     _require_workers(args.workers)
-    _require_prime(args.p)
     if args.a < 1:
         raise CliError(f"a must be >= 1, got {args.a}")
     if args.l_max < 0:
@@ -283,10 +264,11 @@ def _cmd_psi_check(args) -> int:
     if args.n is None and args.r is not None:
         raise CliError("--r (single row) cannot be combined with --n-max (grid); give --r-list")
     if args.n is not None:
-        if args.n < 0:
-            raise CliError(f"n must be >= 0, got {args.n}")
         r = 0 if args.r is None else args.r
-        got, want = psi_sides(args.p, args.a, args.n, r, args.l_max)
+        try:
+            got, want = psi_sides(args.p, args.a, args.n, r, args.l_max)
+        except ValueError as err:
+            raise CliError(str(err))
         match = got == want
         if args.format == "json":
             doc = {

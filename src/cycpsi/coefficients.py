@@ -147,8 +147,8 @@ def modulus_factorization_identity(
         raise ValueError(f"need n, l >= 0, got n={n}, l={l}")
     if t >= d:
         raise ValueError(f"need t < d, got t={t}, d={d}")
-    ks = range(t % d, n + 1, d)
-    j_max = max(((k - t) // d for k in ks), default=-1)
+    # the last contributing k is the largest k <= n with k = t (mod d)
+    j_max = (n - t) // d if t % d <= n else -1
     lhs = 0
     for j in range(j_max + 1):
         term = fleck_sum_general(n, t, d, j) * fleck_sum_general(j, r, q, l)

@@ -5,10 +5,13 @@ Each check in CHECKS is declared as named axes plus an evaluator. An axis
 is a parameter name and the values it takes once the outer axes are bound;
 a filter such as a >= 2 or n = l (mod p-1) lives on the axis it tests.
 _expander turns the axes, outermost first, into the nested loops that yield
-one parameter dict per tuple, keys in axis order. The evaluator returns
-None when the statement holds there, else an (expected, actual) pair.
+one parameter dict per tuple, keys in axis order. The evaluator is a plain
+function of the axis names, called as evaluate(**params); it returns None
+when the statement holds there, else an (expected, actual) pair. Evaluators
+look coefficient functions up in this module at call time, never binding
+them earlier, so a tracer that rebinds those names sees every call.
 
-Every evaluation is a pure function of its parameter dict, so a sweep splits
+Every evaluation is a pure function of its parameters, so a sweep splits
 into shards: shard k of w takes the tuples whose expansion index i has
 i % w == k. One worker runs the single shard in process, w > 1 workers one
 shard each in a pool; merging on i restores expansion order either way.
@@ -132,7 +135,6 @@ class CheckFailure:
 @dataclass
 class VerificationReport:
     theorem: str
-    grid: SweepGrid
     checked: int
     failures: list[CheckFailure]
     elapsed_ms: int
@@ -171,6 +173,12 @@ def _mod_p(holds: bool, expected, actual, p: int) -> tuple[str, str] | None:
 def _exact(lhs, rhs) -> tuple[str, str] | None:
     """None when the two sides of an exact identity agree, else (rhs, lhs) as text."""
     return None if lhs == rhs else (str(rhs), str(lhs))
+
+
+def _ord_at_least(value, bound: int, p: int) -> tuple[str, str] | None:
+    """None when ord_p(value) reaches bound, else both valuations as text."""
+    v = ord_p(value, p)
+    return None if v >= bound else (f"ord_{p} >= {bound}", f"ord_{p} = {v}")
 
 
 # Axes: values(grid, bound) gives the values of the axis' parameter, where
@@ -244,14 +252,9 @@ _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
 # thm1.0: ord_p of every Fleck sum reaches the floor exponent.
 
-def _eval_thm1_0(params: dict):
-    p, a, l, n, r = params["p"], params["a"], params["l"], params["n"], params["r"]
+def _eval_thm1_0(p, a, l, n, r):
     raw = fleck_sum_general(n, r, p ** a, l)
-    bound = max(floor_exponent(p, a, n, l), 0)
-    v = ord_p(raw, p)
-    if v >= bound:
-        return None
-    return f"ord_{p} >= {bound}", f"ord_{p} = {v}"
+    return _ord_at_least(raw, max(floor_exponent(p, a, n, l), 0), p)
 
 
 # thm1.1 and lem3.2: <pn+s, pr+t> at depth a+1 against (-1)^t binom(s,t) <n,r>
@@ -264,10 +267,8 @@ def _lem3_2_exceptional(p: int, a: int, l: int, n: int, s: int) -> bool:
     return n > 0 and s != p - 1 and (n - (l + 1) * p ** (a - 1)) % phi == 0
 
 
-def _lucas_check(corrected: bool) -> Callable[[dict], tuple[str, str] | None]:
-    def evaluate(params: dict):
-        p, a, l = params["p"], params["a"], params["l"]
-        n, r, s, t = params["n"], params["r"], params["s"], params["t"]
+def _lucas_check(corrected: bool) -> Callable[..., tuple[str, str] | None]:
+    def evaluate(p, a, l, n, r, s, t):
         lhs = _norm(p, a + 1, p * n + s, p * r + t, l)
         rhs = binom(s, t) * _norm(p, a, n, r, l)
         if t & 1:
@@ -303,13 +304,10 @@ _THM1_2_T = _where(
 )
 
 
-def _eval_thm1_2(params: dict):
-    p, l, n, r, s, t = (
-        params["p"], params["l"], params["n"], params["r"], params["s"], params["t"],
-    )
+def _eval_thm1_2(p, l, n, r, s, t):
     branch = _thm1_2_branch(p, l, n, s, t)
     if branch == 1:
-        return _eval_thm1_1({**params, "a": 1})
+        return _eval_thm1_1(p, 1, l, n, r, s, t)
     if branch == 2:
         lhs = _norm(p, 2, p * n + s, p * r + t, l)
         if n <= l + 1:
@@ -324,8 +322,7 @@ def _eval_thm1_2(params: dict):
 # cor1.3: Lucas-type congruence for the factorial-normalized rationals,
 # with p-integrality of both sides certified first.
 
-def _eval_cor1_3(params: dict):
-    p, l, n, r = params["p"], params["l"], params["n"], params["r"]
+def _eval_cor1_3(p, l, n, r):
     lhs = t_coeff(p, 2, n, r, l)
     rhs = binom(n % p, r % p) * t_coeff(p, 1, n // p, r // p, l)
     if (r % p) & 1:
@@ -338,15 +335,10 @@ def _eval_cor1_3(params: dict):
 
 # thm1.4: valuation of <pn,pr> - <n,r> is at least ceil((p-1)/p (2 ord_p(n) + delta)).
 
-def _eval_thm1_4(params: dict):
-    p, a, l, n, r = params["p"], params["a"], params["l"], params["n"], params["r"]
+def _eval_thm1_4(p, a, l, n, r):
     diff = _norm(p, a + 1, p * n, p * r, l) - _norm(p, a, n, r, l)
     numerator = (p - 1) * (2 * ord_p(n, p) + delta_for(p))
-    bound = -(-numerator // p)
-    v = ord_p(diff, p)
-    if v >= bound:
-        return None
-    return f"ord_{p} >= {bound}", f"ord_{p} = {v}"
+    return _ord_at_least(diff, -(-numerator // p), p)
 
 
 # thm1.5: on rows n = (l+1) p^(a-1) - 1 + m phi(p^a) the residue mod p is
@@ -363,9 +355,8 @@ def _boundary_residue(p: int, m: int, l: int) -> int:
     return (-rhs if (m - 1) & 1 else rhs) % p
 
 
-def _boundary_check(sign: int) -> Callable[[dict], tuple[str, str] | None]:
-    def evaluate(params: dict):
-        p, a, l, m, r = params["p"], params["a"], params["l"], params["m"], params["r"]
+def _boundary_check(sign: int) -> Callable[..., tuple[str, str] | None]:
+    def evaluate(p, a, l, m, r):
         n = (l + 1) * p ** (a - 1) - 1 + m * totient_prime_power(p, a)
         actual = _norm(p, a, n, r, l) % p
         expected = sign * _boundary_residue(p, m, l) % p
@@ -378,7 +369,7 @@ def _boundary_check(sign: int) -> Callable[[dict], tuple[str, str] | None]:
 # lem3.1 and in psi-identity the axis names are the parameter names of the
 # function that computes both sides.
 
-def _eval_lem2_2(params: dict):
+def _eval_lem2_2(**params):
     return _exact(*index_reduction_identity(**params))
 
 
@@ -390,7 +381,7 @@ _LEM3_1_T = _where(
 )
 
 
-def _eval_lem3_1(params: dict):
+def _eval_lem3_1(**params):
     return _exact(*modulus_factorization_identity(**params))
 
 
@@ -410,8 +401,7 @@ def _sigma(p: int, n: int, s: int, t: int) -> Fraction:
     return 1 + (ratio if p == 2 else -ratio)
 
 
-def _eval_lem3_3(params: dict):
-    p, n, s, t = params["p"], params["n"], params["s"], params["t"]
+def _eval_lem3_3(p, n, s, t):
     value = _norm(p, 1, p * n + s, t, n - 1)
     if s < t:
         sign = -1 if (n + s) & 1 else 1
@@ -432,8 +422,7 @@ def _eval_lem3_3(params: dict):
 _LEM4_1_N = _where(_N, lambda n, bound: (n - bound["l"]) % (bound["p"] - 1) == 0)
 
 
-def _eval_lem4_1(params: dict):
-    p, l, n, r = params["p"], params["l"], params["n"], params["r"]
+def _eval_lem4_1(p, l, n, r):
     actual = _norm(p, 1, n, r, l) % p
     expected = 0 if n <= l else _boundary_residue(p, (n - l) // (p - 1), l)
     return _mod_p(actual == expected, expected, actual, p)
@@ -441,8 +430,7 @@ def _eval_lem4_1(params: dict):
 
 # rem2.1: the order-lowering recurrence agrees with the coefficient mod p.
 
-def _eval_rem2_1(params: dict):
-    p, a, l, n, r = params["p"], params["a"], params["l"], params["n"], params["r"]
+def _eval_rem2_1(p, a, l, n, r):
     actual = recurrence_residue(p, a, n, r, l)
     expected = _norm(p, a, n, r, l) % p
     return _mod_p(actual == expected, expected, actual, p)
@@ -458,9 +446,7 @@ _CONJ_PERM_N = _where(
 _CONJ_PERM_R = ("r_values", lambda grid, bound: [list(grid.residues(bound["p"], 2))])
 
 
-def _eval_conj_perm(params: dict):
-    p, n = params["p"], params["n"]
-    r_values = params["r_values"]
+def _eval_conj_perm(p, n, r_values):
     residues = []
     for t in range(1, p):
         seen = {_norm(p, 2, p * n, p * r + t, 0) % p for r in r_values}
@@ -491,41 +477,37 @@ def psi_sides(p: int, a: int, n: int, r: int, l_max: int) -> tuple[list[int], li
     return got, want
 
 
-def _eval_psi_identity(params: dict):
+def _eval_psi_identity(**params):
     return _exact(*psi_sides(**params))
 
 
 @dataclass(frozen=True)
 class Check:
-    check_id: str
     expand: Callable[[SweepGrid], Iterator[dict]]
-    evaluate: Callable[[dict], tuple[str, str] | None]
+    evaluate: Callable[..., tuple[str, str] | None]
 
 
 CHECKS: dict[str, Check] = {
-    c.check_id: c
-    for c in (
-        Check("thm1.0", _expander(_P, _A, _L, _N, _R), _eval_thm1_0),
-        Check("thm1.1", _expander(_P, _where(_A, lambda a, bound: a >= 2), _L, _N, _R, _S, _T),
-              _eval_thm1_1),
-        Check("thm1.2", _expander(_P, _L, _N, _residues_at(1), _S, _THM1_2_T), _eval_thm1_2),
-        Check("cor1.3", _expander(_P, _L, _N, _residues_at(2)), _eval_cor1_3),
-        Check("thm1.4", _expander(_P, _A, _L, _N_POSITIVE, _R), _eval_thm1_4),
-        Check("thm1.5", _BOUNDARY_ROWS, _boundary_check(1)),
-        Check("lem2.2", _expander(_N_POSITIVE, ("r", lambda grid, bound: grid.free_r(grid.abs_r_max)),
-                                  _L_POSITIVE, _M), _eval_lem2_2),
-        Check("lem3.1", _expander(_span("d"), _span("q"), _N, ("r", lambda grid, bound: grid.free_r(2)),
-                                  _LEM3_1_T, _L), _eval_lem3_1),
-        Check("lem3.2", _expander(_P, _A, _L, _N, _R, _S, _T), _eval_lem3_2),
-        Check("lem3.3", _expander(_P, _N_POSITIVE, _where(_S, lambda s, bound: s != bound["p"] - 1), _T),
-              _eval_lem3_3),
-        Check("lem4.1", _expander(_P, _L, _LEM4_1_N, _residues_at(1)), _eval_lem4_1),
-        Check("rem2.1", _expander(_P, _A, _L_POSITIVE, _N_POSITIVE, _R), _eval_rem2_1),
-        Check("conj-perm", _expander(_P, _CONJ_PERM_N, _CONJ_PERM_R), _eval_conj_perm),
-        Check("psi-identity", _expander(_P, _A, _N, _R, ("l_max", lambda grid, bound: (grid.coeff_degree,))),
-              _eval_psi_identity),
-        Check("self-test", lambda grid: _BOUNDARY_ROWS(_SELF_TEST_GRID), _boundary_check(-1)),
-    )
+    "thm1.0": Check(_expander(_P, _A, _L, _N, _R), _eval_thm1_0),
+    "thm1.1": Check(_expander(_P, _where(_A, lambda a, bound: a >= 2), _L, _N, _R, _S, _T),
+                    _eval_thm1_1),
+    "thm1.2": Check(_expander(_P, _L, _N, _residues_at(1), _S, _THM1_2_T), _eval_thm1_2),
+    "cor1.3": Check(_expander(_P, _L, _N, _residues_at(2)), _eval_cor1_3),
+    "thm1.4": Check(_expander(_P, _A, _L, _N_POSITIVE, _R), _eval_thm1_4),
+    "thm1.5": Check(_BOUNDARY_ROWS, _boundary_check(1)),
+    "lem2.2": Check(_expander(_N_POSITIVE, ("r", lambda grid, bound: grid.free_r(grid.abs_r_max)),
+                              _L_POSITIVE, _M), _eval_lem2_2),
+    "lem3.1": Check(_expander(_span("d"), _span("q"), _N, ("r", lambda grid, bound: grid.free_r(2)),
+                              _LEM3_1_T, _L), _eval_lem3_1),
+    "lem3.2": Check(_expander(_P, _A, _L, _N, _R, _S, _T), _eval_lem3_2),
+    "lem3.3": Check(_expander(_P, _N_POSITIVE, _where(_S, lambda s, bound: s != bound["p"] - 1), _T),
+                    _eval_lem3_3),
+    "lem4.1": Check(_expander(_P, _L, _LEM4_1_N, _residues_at(1)), _eval_lem4_1),
+    "rem2.1": Check(_expander(_P, _A, _L_POSITIVE, _N_POSITIVE, _R), _eval_rem2_1),
+    "conj-perm": Check(_expander(_P, _CONJ_PERM_N, _CONJ_PERM_R), _eval_conj_perm),
+    "psi-identity": Check(_expander(_P, _A, _N, _R, ("l_max", lambda grid, bound: (grid.coeff_degree,))),
+                          _eval_psi_identity),
+    "self-test": Check(lambda grid: _BOUNDARY_ROWS(_SELF_TEST_GRID), _boundary_check(-1)),
 }
 
 CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
@@ -538,15 +520,12 @@ def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int,
     The evaluators are looked up on each call, so rebinding CHECKS entries,
     _expand_rem1_2 or _margin_rem1_2 (as a tracer does) takes effect.
     """
-    if target == "rem1.2":
-        expand, evaluate = _expand_rem1_2, _margin_rem1_2
-    else:
-        expand, evaluate = CHECKS[target].expand, CHECKS[target].evaluate
+    check = CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2)
     checked = 0
     rows = []
-    for i, params in islice(enumerate(expand(grid)), index, None, workers):
+    for i, params in islice(enumerate(check.expand(grid)), index, None, workers):
         checked += 1
-        outcome = evaluate(params)
+        outcome = check.evaluate(**params)
         if outcome is not None:
             rows.append((i, params, outcome))
     return checked, rows
@@ -578,9 +557,7 @@ def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) ->
     grid = grid if grid is not None else SweepGrid()
     checked, rows, elapsed_ms = _sweep(check_id, grid, workers)
     failures = [CheckFailure(params, *outcome) for _, params, outcome in rows]
-    return VerificationReport(
-        theorem=check_id, grid=grid, checked=checked, failures=failures, elapsed_ms=elapsed_ms
-    )
+    return VerificationReport(theorem=check_id, checked=checked, failures=failures, elapsed_ms=elapsed_ms)
 
 
 # rem1.2 exploration: measures how much slack the p-power digit shift has
@@ -593,8 +570,7 @@ _expand_rem1_2 = _expander(
 )
 
 
-def _margin_rem1_2(params: dict):
-    p, a, l, n, r = params["p"], params["a"], params["l"], params["n"], params["r"]
+def _margin_rem1_2(p, a, l, n, r):
     diff = _norm(p, a + 1, p ** a * n, p * r, l) - _norm(p, a, p ** (a - 1) * n, r, l)
     target = 2 * a - (1 if p == 3 else 0)
     observed = ord_p(diff, p)
@@ -615,5 +591,5 @@ def run_explore(grid: SweepGrid | None = None, workers: int = 1) -> Verification
         "worst": [{"params": params, **outcome} for _, params, outcome in rows[:10]],
     }
     return VerificationReport(
-        theorem="rem1.2", grid=grid, checked=checked, failures=[], elapsed_ms=elapsed_ms, extra=extra
+        theorem="rem1.2", checked=checked, failures=[], elapsed_ms=elapsed_ms, extra=extra
     )

@@ -213,6 +213,18 @@ class TestVerify:
         assert code == 0
         assert (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "thm1.1", "--p", "3", "--s", "5", "--n-max", "5"], ["verify", "thm1.1", "--a", "1"]],
+    )
+    def test_empty_grid_refused(self, argv, tmp_path, capsys):
+        # s = 5 is no digit mod 3, and thm1.1 keeps only a >= 2: nothing is checked
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", "error: the grid gives thm1.1 no tuples to check\n")
+        target = tmp_path / "report.json"
+        assert run_cli(argv + ["--out", str(target)], capsys)[0] == 2
+        assert not target.exists()
+
 
 @pytest.mark.parametrize("command", [["verify", "thm1.0"], ["explore", "rem1.2"]])
 @pytest.mark.parametrize("name", ["a", "n", "l"])

@@ -174,7 +174,17 @@ class TestIndexReduction:
 class TestModulusFactorization:
     @pytest.mark.parametrize(
         "d, q, n, r, t, l",
-        [(2, 2, 5, 0, 1, 0), (3, 9, 10, 0, 2, 1), (2, 3, 0, 0, 0, 0), (4, 3, 11, -2, -1, 2)],
+        [
+            (2, 2, 5, 0, 1, 0),
+            (3, 9, 10, 0, 2, 1),
+            (2, 3, 0, 0, 0, 0),
+            (4, 3, 11, -2, -1, 2),
+            # no k in [0, n] is congruent to t mod d: the j-sum is empty
+            (5, 2, 2, 1, 4, 0),
+            (5, 3, 2, 1, -1, 0),
+            # negative t with n < d; the sum is nonzero
+            (4, 2, 2, -1, -3, 1),
+        ],
     )
     def test_spec_tuples(self, d, q, n, r, t, l):
         lhs, rhs = modulus_factorization_identity(d, q, n, r, t, l)

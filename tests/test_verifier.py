@@ -223,8 +223,31 @@ def test_psi_identity_leaves_the_sum_memo_empty():
 def test_cor1_3_refuses_non_integral_sides(monkeypatch):
     # the p-integrality pre-check reports the failure; congruent_mod_p_power would raise
     monkeypatch.setattr(verifier, "t_coeff", lambda p, a, n, r, l: Fraction(1, p))
-    outcome = CHECKS["cor1.3"].evaluate({"p": 3, "l": 0, "n": 4, "r": 1})
+    outcome = CHECKS["cor1.3"].evaluate(p=3, l=0, n=4, r=1)
     assert outcome == ("lhs 3-integral", "lhs = 1/3")
+
+
+def test_valuation_failure_texts(monkeypatch):
+    # a unit sum misses thm1.0's floor exponent floor((5 - 1) / 2) = 2
+    monkeypatch.setattr(verifier, "fleck_sum_general", lambda n, r, m, l: 1)
+    assert CHECKS["thm1.0"].evaluate(p=3, a=1, l=0, n=5, r=0) == ("ord_3 >= 2", "ord_3 = 0")
+    # a difference of 3 misses thm1.4's bound ceil(4/5 (2 ord_5(5) + 2)) = 4
+    monkeypatch.setattr(verifier, "_norm", lambda p, a, n, r, l: 3 * a)
+    assert CHECKS["thm1.4"].evaluate(p=5, a=1, l=0, n=5, r=0) == ("ord_5 >= 4", "ord_5 = 0")
+
+
+def test_evaluators_resolve_names_at_call_time(monkeypatch):
+    # a tracer rebinds these names in the module; the sweeps must call the new bindings
+    monkeypatch.setattr(verifier, "index_reduction_identity", lambda n, r, l, m: (1, 2))
+    report = run_sweep("lem2.2", SMALL)
+    assert report.verdict == "fail"
+    assert len(report.failures) == report.checked > 0
+    assert (report.failures[0].expected, report.failures[0].actual) == ("2", "1")
+    margin = {"target": 0, "observed": -7, "margin": -7}
+    monkeypatch.setattr(verifier, "_margin_rem1_2", lambda p, a, l, n, r: margin)
+    report = run_explore(SMALL)
+    assert report.extra["min_margin"] == "-7"
+    assert report.extra["worst"][0] == {"params": {"p": 3, "a": 1, "l": 0, "n": 1, "r": 0}, **margin}
 
 
 def test_report_json_schema():
