@@ -231,9 +231,10 @@ def _cmd_verify(args) -> int:
         raise CliError(f"unknown check id {args.check!r}; valid ids: {', '.join(CHECK_IDS)}")
     _require_workers(args.workers)
     grid = _grid_from_args(args)
-    report = run_sweep(args.check, grid, workers=args.workers)
-    if report.checked == 0:
-        raise CliError(f"the grid gives {args.check} no tuples to check")
+    try:
+        report = run_sweep(args.check, grid, workers=args.workers)
+    except ValueError as err:
+        raise CliError(str(err))
     _emit(_report_text(report, args.format), args.out)
     return 0 if report.verdict == "pass" else 1
 

@@ -50,6 +50,11 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
     return total
 
 
+# The sum without the memo: normalized values are memoized in normalized_table
+# instead, and psi-identity never reads a sum twice.
+_direct_fleck_sum = fleck_sum_general.__wrapped__
+
+
 def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, int]:
     """(raw_sum, exponent, normalized) for one coefficient.
 
@@ -59,7 +64,7 @@ def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, 
     up by p^(-exponent).
     """
     _require_prime_power(p, a)
-    raw = fleck_sum_general(n, r, p ** a, l)
+    raw = _direct_fleck_sum(n, r, p ** a, l)
     exponent = floor_exponent(p, a, n, l)
     if exponent >= 0:
         normalized, rem = divmod(raw, p ** exponent)
@@ -71,6 +76,25 @@ def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, 
     else:
         normalized = raw * p ** (-exponent)
     return raw, exponent, normalized
+
+
+@lru_cache(maxsize=None)
+def normalized_table(p: int, a: int) -> dict[tuple[int, int, int], int]:
+    """The memo of normalized coefficients for the prime power p^a, keyed (n, r, l).
+
+    normalized fills it; every value in it went through normalized_parts.
+    """
+    _require_prime_power(p, a)
+    return {}
+
+
+def normalized(p: int, a: int, n: int, r: int, l: int) -> int:
+    """The normalized coefficient <n r>_{l,p^a}, memoized in normalized_table(p, a)."""
+    table = normalized_table(p, a)
+    value = table.get((n, r, l))
+    if value is None:
+        value = table[n, r, l] = normalized_parts(p, a, n, r, l)[2]
+    return value
 
 
 def t_coeff(p: int, a: int, n: int, r: int, l: int) -> Fraction:
@@ -100,8 +124,8 @@ def recurrence_residue(p: int, a: int, n: int, r: int, l: int) -> int:
         if (j - p ** (a - 1)) % phi >= threshold:
             acc -= (
                 comb(n, j)
-                * normalized_parts(p, a, j, r, 0)[2]
-                * normalized_parts(p, a, n - j - 1, r - j + pa - 1, l - 1)[2]
+                * normalized(p, a, j, r, 0)
+                * normalized(p, a, n - j - 1, r - j + pa - 1, l - 1)
             )
     return acc % p
 
@@ -163,5 +187,7 @@ def modulus_factorization_identity(
 
 
 def clear_caches() -> None:
-    """Drop the memoized Fleck sums; sweeps call this to bound memory between runs."""
+    """Drop the memoized Fleck sums and normalized coefficients; sweeps call
+    this when the grid changes, to bound memory by what one grid needs."""
     fleck_sum_general.cache_clear()
+    normalized_table.cache_clear()

@@ -26,11 +26,12 @@ from time import perf_counter
 
 from . import coefficients
 from .coefficients import (
+    _direct_fleck_sum,
     fleck_sum_general,
     floor_exponent,
     index_reduction_identity,
     modulus_factorization_identity,
-    normalized_parts,
+    normalized,
     recurrence_residue,
     t_coeff,
     totient_prime_power,
@@ -160,7 +161,7 @@ class VerificationReport:
 
 
 def _norm(p: int, a: int, n: int, r: int, l: int) -> int:
-    return normalized_parts(p, a, n, r, l)[2]
+    return normalized(p, a, n, r, l)
 
 
 def _mod_p(holds: bool, expected, actual, p: int) -> tuple[str, str] | None:
@@ -460,10 +461,7 @@ def _eval_conj_perm(p, n, r_values):
 
 # psi-identity: coefficients of psi^a(T^n (1+T)^(-r)) equal the sign-adjusted
 # Fleck sums through degree coeff_degree. No tuple repeats another's sums, so
-# they come from the undecorated sum and leave the memo empty.
-
-_direct_fleck_sum = fleck_sum_general.__wrapped__
-
+# they come from the undecorated sum and leave both memos empty.
 
 def psi_sides(p: int, a: int, n: int, r: int, l_max: int) -> tuple[list[int], list[int]]:
     """(operator coefficients, sign-adjusted Fleck sums) of degrees 0..l_max.
@@ -531,11 +529,21 @@ def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int,
     return checked, rows
 
 
+_last_grid: SweepGrid | None = None
+
+
 def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
-    """(checked, rows in expansion order, elapsed_ms): one shard in process, or one per pool worker."""
+    """(checked, rows in expansion order, elapsed_ms): one shard in process, or one per pool worker.
+
+    The coefficient memos are kept while sweeps run on the same grid, so
+    checks on one grid share them, and cleared when the grid changes.
+    """
+    global _last_grid
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    coefficients.clear_caches()
+    if grid != _last_grid:
+        coefficients.clear_caches()
+        _last_grid = grid
     start = perf_counter()
     if workers == 1:
         shards = [_shard(target, grid, 0, 1)]
@@ -550,12 +558,15 @@ def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) ->
     """Expand the grid for one check, evaluate every tuple, and report.
 
     workers > 1 spreads the shards over a process pool; the report is
-    identical apart from elapsed_ms.
+    identical apart from elapsed_ms. A grid that gives the check no tuples
+    raises ValueError, since a sweep that checked nothing proves nothing.
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
     grid = grid if grid is not None else SweepGrid()
     checked, rows, elapsed_ms = _sweep(check_id, grid, workers)
+    if checked == 0:
+        raise ValueError(f"the grid gives {check_id} no tuples to check")
     failures = [CheckFailure(params, *outcome) for _, params, outcome in rows]
     return VerificationReport(theorem=check_id, checked=checked, failures=failures, elapsed_ms=elapsed_ms)
 

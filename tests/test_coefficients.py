@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cycpsi.coefficients as coefficients
 from cycpsi import (
@@ -15,6 +17,7 @@ from cycpsi import (
     t_coeff,
     totient_prime_power,
 )
+from cycpsi.coefficients import normalized, normalized_table
 from oracles import fleck_oracle
 
 
@@ -98,11 +101,70 @@ class TestNormalized:
     def test_integrity_trap(self, monkeypatch):
         # force a sum that the guaranteed power of p cannot divide
         coefficients.clear_caches()
-        monkeypatch.setattr(coefficients, "fleck_sum_general", lambda n, r, m, l: 7)
+        monkeypatch.setattr(coefficients, "_direct_fleck_sum", lambda n, r, m, l: 7)
         with pytest.raises(IntegrityError):
             coefficients.normalized_parts(3, 1, 11, 1, 0)
         monkeypatch.undo()
         coefficients.clear_caches()
+
+    def test_integrity_trap_through_the_memo(self, monkeypatch):
+        # a memo miss goes through normalized_parts, so the trap fires and nothing is stored
+        monkeypatch.setattr(coefficients, "_direct_fleck_sum", lambda n, r, m, l: 7)
+        with pytest.raises(IntegrityError):
+            normalized(3, 1, 11, 1, 0)
+        assert normalized_table(3, 1) == {}
+
+
+class TestNormalizedMemo:
+    def test_values_and_hits(self):
+        assert normalized(3, 2, 15, 1, 0) == 332
+        assert normalized_table(3, 2) == {(15, 1, 0): 332}
+        assert normalized(3, 2, 15, 1, 0) == 332
+        assert normalized_table.cache_info().currsize == 1
+
+    def test_validates_the_prime_power(self):
+        for args, message in (((4, 1), "p must be prime, got 4"), ((3, 0), "a must be >= 1, got 0")):
+            with pytest.raises(ValueError, match=message):
+                normalized(*args, 0, 0, 0)
+        assert normalized_table.cache_info().currsize == 0
+
+    def test_clear_caches_empties_both_memos(self):
+        normalized(2, 1, 4, 0, 0)
+        fleck_sum_general(4, 0, 2, 0)
+        coefficients.clear_caches()
+        assert normalized_table.cache_info().currsize == 0
+        assert fleck_sum_general.cache_info().currsize == 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((2, 3, 5, 7)),
+                st.integers(1, 3),
+                st.integers(0, 300),
+                st.integers(-60, -1),
+                st.integers(0, 5),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memo_matches_direct_route_and_oracle(self, coeffs, rng):
+        coefficients.clear_caches()
+        warm = list(coeffs)
+        rng.shuffle(warm)
+        for args in warm:
+            normalized(*args)
+        for p, a, n, r, l in coeffs:
+            raw = fleck_oracle(n, r, p**a, l)
+            # the guaranteed power of p, written out independently of floor_exponent
+            e = (n - p ** (a - 1) - l * p**a) // ((p - 1) * p ** (a - 1))
+            want = raw // p**e if e >= 0 else raw * p ** (-e)
+            if e >= 0:
+                assert raw % p**e == 0
+            assert normalized_table(p, a)[n, r, l] == normalized(p, a, n, r, l) == want
+            assert normalized_parts(p, a, n, r, l)[2] == want
 
 
 class TestTCoeff:

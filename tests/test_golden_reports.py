@@ -106,6 +106,13 @@ def test_pooled_report_unchanged(grid_name, target):
     assert report_digest(target, GRIDS[grid_name], 2) == DIGESTS[(grid_name, target)]
 
 
+def test_reverse_order_in_one_process():
+    # later targets read coefficients that earlier ones memoized on the same grid
+    for grid_name in sorted(GRIDS):
+        for target in reversed(TARGETS):
+            assert report_digest(target, GRIDS[grid_name], 1) == DIGESTS[(grid_name, target)], target
+
+
 if __name__ == "__main__":
     for name in sorted(GRIDS):
         for target in TARGETS:

@@ -18,7 +18,8 @@ from cycpsi import (
     run_explore,
     run_sweep,
 )
-from cycpsi import verifier
+from cycpsi import coefficients, verifier
+from cycpsi.coefficients import normalized_table
 from cycpsi.verifier import CHECKS, CheckFailure, _lem3_2_exceptional, _shard, _sigma, _thm1_2_branch
 from cycpsi.exactmath import ord_p
 
@@ -218,6 +219,57 @@ def test_psi_identity_leaves_the_sum_memo_empty():
     report = run_sweep("psi-identity", SMALL)
     assert report.verdict == "pass" and report.checked > 0
     assert fleck_sum_general.cache_info().currsize == 0
+    assert normalized_table.cache_info().currsize == 0
+
+
+def _counting_normalized_parts(monkeypatch) -> list:
+    """Count the calls that reach normalized_parts, i.e. the memo misses."""
+    calls = []
+    direct = coefficients.normalized_parts
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(coefficients, "normalized_parts", counted)
+    return calls
+
+
+def _doc(report) -> dict:
+    doc = report.to_json_dict()
+    del doc["elapsed_ms"]
+    return doc
+
+
+def test_memo_is_kept_while_the_grid_stays(monkeypatch):
+    calls = _counting_normalized_parts(monkeypatch)
+    first = _doc(run_sweep("thm1.1", SMALL))
+    thm1_1_misses = set(calls)
+    assert thm1_1_misses
+    calls.clear()
+    assert _doc(run_sweep("thm1.1", SMALL)) == first
+    assert calls == []
+    # lem3.2 reads every coefficient thm1.1 read and computes none of them again
+    run_sweep("lem3.2", SMALL)
+    assert calls and thm1_1_misses.isdisjoint(calls)
+    assert len(calls) == len(set(calls))
+
+
+def test_a_new_grid_starts_with_empty_memos():
+    run_sweep("thm1.1", SMALL)
+    run_sweep("thm1.0", SMALL)
+    assert normalized_table.cache_info().currsize > 0
+    assert fleck_sum_general.cache_info().currsize > 0
+    other = SweepGrid(primes=(3,), a_range=(1, 1), l_range=(0, 0), m_range=(1, 2))
+    run_sweep("thm1.5", other)
+    assert normalized_table.cache_info().currsize == 1  # only the table thm1.5 filled
+    assert fleck_sum_general.cache_info().currsize == 0
+
+
+def test_empty_grid_raises():
+    # thm1.1 keeps only a >= 2, so a_range (1, 1) gives it nothing to check
+    with pytest.raises(ValueError, match=r"^the grid gives thm1\.1 no tuples to check$"):
+        run_sweep("thm1.1", SweepGrid(a_range=(1, 1)))
 
 
 def test_cor1_3_refuses_non_integral_sides(monkeypatch):
