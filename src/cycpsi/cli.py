@@ -11,14 +11,13 @@ import io
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .coefficients import normalized_parts, t_coeff
 from .verifier import CHECK_IDS, CHECKS, SweepGrid, psi_sides, run_explore, run_sweep
 
 OUT_DIR_ENV = "CYCPSI_OUT_DIR"
-
-_GRID_DEFAULTS = SweepGrid()
 
 
 class CliError(Exception):
@@ -37,6 +36,16 @@ def _require_workers(workers: int) -> None:
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise CliError(f"--workers must be between 1 and the CPU count {cpus}, got {workers}")
+
+
+def _grid(**kwargs) -> SweepGrid:
+    try:
+        return SweepGrid(**kwargs)
+    except ValueError as err:
+        raise CliError(str(err))
+
+
+_GRID_DEFAULTS = _grid()
 
 
 def _span(args, name: str) -> tuple[int, int]:
@@ -74,45 +83,34 @@ def _grid_from_args(args) -> SweepGrid:
         kwargs["abs_r_max"] = args.abs_r_max
     if args.coeff_degree is not None:
         kwargs["coeff_degree"] = args.coeff_degree
-    try:
-        return SweepGrid(**kwargs)
-    except ValueError as err:
-        raise CliError(str(err))
+    return _grid(**kwargs)
 
 
-def _resolve_out(out: str | None) -> Path | None:
-    if out is None:
-        return None
-    path = Path(out)
+def _emit(args, doc, rows: list[dict], lines: list[str]) -> None:
+    """Render one command's output in --format: doc as JSON, rows as CSV under
+    the first row's keys, or lines as plain text; write it to stdout or --out."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    path = Path(args.out)
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
-    return path
-
-
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    path = _resolve_out(out)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    path.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
-# coeff
-
-_TABLE_HEADER = ["p", "a", "n", "r", "l", "raw", "exponent", "normalized", "normalized_mod_p"]
-
+# coeff / table
 
 def _coeff_row(p: int, a: int, n: int, r: int, l: int) -> dict:
     raw, exponent, normalized = normalized_parts(p, a, n, r, l)
@@ -135,33 +133,18 @@ def _cmd_coeff(args) -> int:
         row = _coeff_row(*coefficient)
     except ValueError as err:
         raise CliError(str(err))
-    t_value = t_coeff(*coefficient) if args.t_coeff else None
-    if args.format == "json":
-        if t_value is not None:
-            row["t_coeff"] = str(t_value)
-        _emit(json.dumps(row, indent=2), args.out)
-    elif args.format == "csv":
-        header = list(_TABLE_HEADER)
-        values = [str(row[k]) for k in _TABLE_HEADER]
-        if t_value is not None:
-            header.append("t_coeff")
-            values.append(str(t_value))
-        _emit(_csv_text(header, [values]), args.out)
-    else:
-        lines = [
-            f"query: p={args.p} a={args.a} n={args.n} r={args.r} l={args.l}",
-            f"raw_sum = {row['raw']}",
-            f"exponent = {row['exponent']}",
-            f"normalized = {row['normalized']}",
-        ]
-        if t_value is not None:
-            lines.append(f"t_coeff = {t_value}")
-        _emit("\n".join(lines), args.out)
+    lines = [
+        f"query: p={args.p} a={args.a} n={args.n} r={args.r} l={args.l}",
+        f"raw_sum = {row['raw']}",
+        f"exponent = {row['exponent']}",
+        f"normalized = {row['normalized']}",
+    ]
+    if args.t_coeff:
+        row["t_coeff"] = str(t_coeff(*coefficient))
+        lines.append(f"t_coeff = {row['t_coeff']}")
+    _emit(args, row, [row], lines)
     return 0
 
-
-# ---------------------------------------------------------------------------
-# table
 
 def _cmd_table(args) -> int:
     if args.n_min > args.n_max:
@@ -179,36 +162,28 @@ def _cmd_table(args) -> int:
         ]
     except ValueError as err:
         raise CliError(str(err))
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2), args.out)
-    elif args.format == "plain":
-        widths = [max(len(str(row[k])) for row in rows + [dict(zip(_TABLE_HEADER, _TABLE_HEADER))]) for k in _TABLE_HEADER]
-        lines = ["  ".join(k.ljust(w) for k, w in zip(_TABLE_HEADER, widths))]
-        for row in rows:
-            lines.append("  ".join(str(row[k]).ljust(w) for k, w in zip(_TABLE_HEADER, widths)))
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(_csv_text(_TABLE_HEADER, [[str(row[k]) for k in _TABLE_HEADER] for row in rows]), args.out)
+    cells = [list(rows[0])] + [[str(value) for value in row.values()] for row in rows]
+    widths = [max(len(line[i]) for line in cells) for i in range(len(cells[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)) for line in cells]
+    _emit(args, rows, rows, lines)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# verify / explore
+# verify / explore / psi-check
 
-def _report_text(report, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report.to_json_dict(), indent=2)
-    if fmt == "csv":
-        header = ["theorem", "checked", "verdict", "elapsed_ms", "params", "expected", "actual"]
-        base = [report.theorem, str(report.checked), report.verdict, str(report.elapsed_ms)]
-        if report.failures:
-            rows = [
-                base + [json.dumps(f.params, sort_keys=True, separators=(",", ":")), f.expected, f.actual]
-                for f in report.failures
-            ]
-        else:
-            rows = [base + ["", "", ""]]
-        return _csv_text(header, rows)
+def _emit_report(args, report) -> None:
+    head = {
+        "theorem": report.theorem,
+        "checked": report.checked,
+        "verdict": report.verdict,
+        "elapsed_ms": report.elapsed_ms,
+    }
+    rows = [
+        {**head, "params": json.dumps(f.params, sort_keys=True, separators=(",", ":")),
+         "expected": f.expected, "actual": f.actual}
+        for f in report.failures
+    ] or [{**head, "params": "", "expected": "", "actual": ""}]
     lines = [
         f"check   : {report.theorem}",
         f"checked : {report.checked}",
@@ -223,37 +198,44 @@ def _report_text(report, fmt: str) -> str:
             lines.append(f"  ... and {len(report.failures) - 10} more")
     for key, value in report.extra.items():
         lines.append(f"{key}: {value}")
-    return "\n".join(lines)
+    _emit(args, report.to_json_dict(), rows, lines)
+
+
+def _sweep(args, grid_of, run) -> int:
+    """Check --workers, build the grid, run the sweep and emit its report;
+    exit 1 when the verdict is fail."""
+    _require_workers(args.workers)
+    grid = grid_of(args)
+    try:
+        report = run(grid, workers=args.workers)
+    except ValueError as err:
+        raise CliError(str(err))
+    _emit_report(args, report)
+    return 1 if report.verdict == "fail" else 0
 
 
 def _cmd_verify(args) -> int:
     if args.check not in CHECKS:
         raise CliError(f"unknown check id {args.check!r}; valid ids: {', '.join(CHECK_IDS)}")
-    _require_workers(args.workers)
-    grid = _grid_from_args(args)
-    try:
-        report = run_sweep(args.check, grid, workers=args.workers)
-    except ValueError as err:
-        raise CliError(str(err))
-    _emit(_report_text(report, args.format), args.out)
-    return 0 if report.verdict == "pass" else 1
+    return _sweep(args, _grid_from_args, partial(run_sweep, args.check))
 
 
 def _cmd_explore(args) -> int:
     if args.target != "rem1.2":
         raise CliError(f"unknown explore target {args.target!r}; valid: rem1.2")
-    _require_workers(args.workers)
-    grid = _grid_from_args(args)
-    report = run_explore(grid, workers=args.workers)
-    _emit(_report_text(report, args.format), args.out)
-    return 0
+    return _sweep(args, _grid_from_args, run_explore)
 
 
-# ---------------------------------------------------------------------------
-# psi-check
+def _psi_grid(args) -> SweepGrid:
+    """The psi-identity grid named by psi-check's grid flags."""
+    kwargs = {}
+    if args.r_list is not None:
+        kwargs["r_values"] = _parse_int_list(args.r_list, "--r-list")
+    return _grid(primes=(args.p,), a_range=(args.a, args.a), n_range=(0, args.n_max),
+                 coeff_degree=args.l_max, **kwargs)
+
 
 def _cmd_psi_check(args) -> int:
-    _require_workers(args.workers)
     if args.a < 1:
         raise CliError(f"a must be >= 1, got {args.a}")
     if args.l_max < 0:
@@ -264,54 +246,25 @@ def _cmd_psi_check(args) -> int:
         raise CliError("--n (single row) cannot be combined with --n-max or --r-list (grid)")
     if args.n is None and args.r is not None:
         raise CliError("--r (single row) cannot be combined with --n-max (grid); give --r-list")
-    if args.n is not None:
-        r = 0 if args.r is None else args.r
-        try:
-            got, want = psi_sides(args.p, args.a, args.n, r, args.l_max)
-        except ValueError as err:
-            raise CliError(str(err))
-        match = got == want
-        if args.format == "json":
-            doc = {
-                "p": args.p,
-                "a": args.a,
-                "n": args.n,
-                "r": r,
-                "rows": [
-                    {"l": l, "psi": str(got[l]), "expected": str(want[l])}
-                    for l in range(args.l_max + 1)
-                ],
-                "match": match,
-            }
-            _emit(json.dumps(doc, indent=2), args.out)
-        elif args.format == "csv":
-            rows = [[str(l), str(got[l]), str(want[l])] for l in range(args.l_max + 1)]
-            _emit(_csv_text(["l", "psi", "expected"], rows), args.out)
-        else:
-            lines = [
-                f"psi^{args.a} coefficients vs sign-adjusted sums (p={args.p} n={args.n} r={r})",
-                "l  psi  expected",
-            ]
-            for l in range(args.l_max + 1):
-                lines.append(f"{l}  {got[l]}  {want[l]}")
-            lines.append(f"match: {'yes' if match else 'NO'}")
-            _emit("\n".join(lines), args.out)
-        return 0 if match else 1
-    grid_kwargs = {
-        "primes": (args.p,),
-        "a_range": (args.a, args.a),
-        "n_range": (0, args.n_max),
-        "coeff_degree": args.l_max,
-    }
-    if args.r_list is not None:
-        grid_kwargs["r_values"] = _parse_int_list(args.r_list, "--r-list")
+    if args.n is None:
+        return _sweep(args, _psi_grid, partial(run_sweep, "psi-identity"))
+    _require_workers(args.workers)
+    r = 0 if args.r is None else args.r
     try:
-        grid = SweepGrid(**grid_kwargs)
+        got, want = psi_sides(args.p, args.a, args.n, r, args.l_max)
     except ValueError as err:
         raise CliError(str(err))
-    report = run_sweep("psi-identity", grid, workers=args.workers)
-    _emit(_report_text(report, args.format), args.out)
-    return 0 if report.verdict == "pass" else 1
+    match = got == want
+    rows = [{"l": l, "psi": str(got[l]), "expected": str(want[l])} for l in range(args.l_max + 1)]
+    lines = [
+        f"psi^{args.a} coefficients vs sign-adjusted sums (p={args.p} n={args.n} r={r})",
+        "l  psi  expected",
+        *(f"{row['l']}  {row['psi']}  {row['expected']}" for row in rows),
+        f"match: {'yes' if match else 'NO'}",
+    ]
+    doc = {"p": args.p, "a": args.a, "n": args.n, "r": r, "rows": rows, "match": match}
+    _emit(args, doc, rows, lines)
+    return 0 if match else 1
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +358,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (CliError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ shard each in a pool; merging on i restores expansion order either way.
 """
 
 import multiprocessing
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,7 +77,8 @@ class SweepGrid:
     0..p-1 and are filtered below p per prime at expansion time. m_range
     doubles as the multiplier range (thm1.5) and the modulus range (lem2.2);
     abs_r_max bounds |r| for the arbitrary-modulus identities and
-    coeff_degree is the comparison depth for psi-identity.
+    coeff_degree is the comparison depth for psi-identity. primes and the
+    explicit value lists may not repeat a value, which would check a tuple twice.
     """
 
     primes: tuple[int, ...] = (2, 3, 5)
@@ -105,6 +107,10 @@ class SweepGrid:
                 raise ValueError(f"{name} must start at {floor} or above, got {lo}")
         if self.r_values is not None and not self.r_values:
             raise ValueError("r_values must be nonempty when given")
+        for name in ("primes", "r_values", "s_values", "t_values"):
+            repeated = sorted(v for v, k in Counter(getattr(self, name) or ()).items() if k > 1)
+            if repeated:
+                raise ValueError(f"{name} has repeated values: {', '.join(map(str, repeated))}")
         if self.abs_r_max < 0:
             raise ValueError("abs_r_max must be >= 0")
         if self.coeff_degree < 0:
@@ -158,10 +164,6 @@ class VerificationReport:
         }
         doc.update(self.extra)
         return doc
-
-
-def _norm(p: int, a: int, n: int, r: int, l: int) -> int:
-    return normalized(p, a, n, r, l)
 
 
 def _mod_p(holds: bool, expected, actual, p: int) -> tuple[str, str] | None:
@@ -270,12 +272,12 @@ def _lem3_2_exceptional(p: int, a: int, l: int, n: int, s: int) -> bool:
 
 def _lucas_check(corrected: bool) -> Callable[..., tuple[str, str] | None]:
     def evaluate(p, a, l, n, r, s, t):
-        lhs = _norm(p, a + 1, p * n + s, p * r + t, l)
-        rhs = binom(s, t) * _norm(p, a, n, r, l)
+        lhs = normalized(p, a + 1, p * n + s, p * r + t, l)
+        rhs = binom(s, t) * normalized(p, a, n, r, l)
         if t & 1:
             rhs = -rhs
         if corrected and _lem3_2_exceptional(p, a, l, n, s):
-            correction = _norm(p, a, n - 1, r, l) * _norm(p, 1, p * n + s, t, n - 1)
+            correction = normalized(p, a, n - 1, r, l) * normalized(p, 1, p * n + s, t, n - 1)
             rhs += -correction if (n - 1) & 1 else correction
         if (lhs - rhs) % p == 0:
             return None
@@ -310,7 +312,7 @@ def _eval_thm1_2(p, l, n, r, s, t):
     if branch == 1:
         return _eval_thm1_1(p, 1, l, n, r, s, t)
     if branch == 2:
-        lhs = _norm(p, 2, p * n + s, p * r + t, l)
+        lhs = normalized(p, 2, p * n + s, p * r + t, l)
         if n <= l + 1:
             return _mod_p(lhs % p == 0, 0, lhs % p, p)
         u = (n - l - 1) // (p - 1)
@@ -337,7 +339,7 @@ def _eval_cor1_3(p, l, n, r):
 # thm1.4: valuation of <pn,pr> - <n,r> is at least ceil((p-1)/p (2 ord_p(n) + delta)).
 
 def _eval_thm1_4(p, a, l, n, r):
-    diff = _norm(p, a + 1, p * n, p * r, l) - _norm(p, a, n, r, l)
+    diff = normalized(p, a + 1, p * n, p * r, l) - normalized(p, a, n, r, l)
     numerator = (p - 1) * (2 * ord_p(n, p) + delta_for(p))
     return _ord_at_least(diff, -(-numerator // p), p)
 
@@ -359,7 +361,7 @@ def _boundary_residue(p: int, m: int, l: int) -> int:
 def _boundary_check(sign: int) -> Callable[..., tuple[str, str] | None]:
     def evaluate(p, a, l, m, r):
         n = (l + 1) * p ** (a - 1) - 1 + m * totient_prime_power(p, a)
-        actual = _norm(p, a, n, r, l) % p
+        actual = normalized(p, a, n, r, l) % p
         expected = sign * _boundary_residue(p, m, l) % p
         return _mod_p(actual == expected, expected, actual, p)
 
@@ -403,7 +405,7 @@ def _sigma(p: int, n: int, s: int, t: int) -> Fraction:
 
 
 def _eval_lem3_3(p, n, s, t):
-    value = _norm(p, 1, p * n + s, t, n - 1)
+    value = normalized(p, 1, p * n + s, t, n - 1)
     if s < t:
         sign = -1 if (n + s) & 1 else 1
         rhs = Fraction(sign * n, t * binom(t - 1, s))
@@ -424,7 +426,7 @@ _LEM4_1_N = _where(_N, lambda n, bound: (n - bound["l"]) % (bound["p"] - 1) == 0
 
 
 def _eval_lem4_1(p, l, n, r):
-    actual = _norm(p, 1, n, r, l) % p
+    actual = normalized(p, 1, n, r, l) % p
     expected = 0 if n <= l else _boundary_residue(p, (n - l) // (p - 1), l)
     return _mod_p(actual == expected, expected, actual, p)
 
@@ -433,7 +435,7 @@ def _eval_lem4_1(p, l, n, r):
 
 def _eval_rem2_1(p, a, l, n, r):
     actual = recurrence_residue(p, a, n, r, l)
-    expected = _norm(p, a, n, r, l) % p
+    expected = normalized(p, a, n, r, l) % p
     return _mod_p(actual == expected, expected, actual, p)
 
 
@@ -450,7 +452,7 @@ _CONJ_PERM_R = ("r_values", lambda grid, bound: [list(grid.residues(bound["p"], 
 def _eval_conj_perm(p, n, r_values):
     residues = []
     for t in range(1, p):
-        seen = {_norm(p, 2, p * n, p * r + t, 0) % p for r in r_values}
+        seen = {normalized(p, 2, p * n, p * r + t, 0) % p for r in r_values}
         if len(seen) != 1:
             return "one residue per t over all r", f"t={t} gave {sorted(seen)}"
         residues.append(seen.pop())
@@ -582,7 +584,7 @@ _expand_rem1_2 = _expander(
 
 
 def _margin_rem1_2(p, a, l, n, r):
-    diff = _norm(p, a + 1, p ** a * n, p * r, l) - _norm(p, a, p ** (a - 1) * n, r, l)
+    diff = normalized(p, a + 1, p ** a * n, p * r, l) - normalized(p, a, p ** (a - 1) * n, r, l)
     target = 2 * a - (1 if p == 3 else 0)
     observed = ord_p(diff, p)
     if observed is INFINITE:

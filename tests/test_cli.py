@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cycpsi import cli
+from cycpsi import cli, verifier
 from cycpsi.cli import main
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
@@ -242,6 +242,25 @@ def test_fixed_value_and_range_refused_together(command, name, bound, monkeypatc
 
 
 @pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["verify", "thm1.0", "--p", "3,3", "--n-max", "3"], "primes has repeated values: 3"),
+        (["verify", "thm1.1", "--s", "1,1"], "s_values has repeated values: 1"),
+        (["explore", "rem1.2", "--r=-1,0,-1"], "r_values has repeated values: -1"),
+        (["psi-check", "--p", "3", "--a", "1", "--n-max", "3", "--r-list", "2,2"],
+         "r_values has repeated values: 2"),
+    ],
+)
+def test_repeated_grid_values_refused(argv, error, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep was started")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(cli, "run_explore", no_work)
+    assert run_cli(argv, capsys) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "thm1.0"],
@@ -349,6 +368,17 @@ class TestPsiCheck:
     def test_single_row_r_defaults_to_zero(self, capsys):
         argv = ["psi-check", "--p", "3", "--a", "1", "--n", "4"]
         assert run_cli(argv, capsys) == run_cli(argv + ["--r", "0"], capsys)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_grid_mode_is_a_psi_identity_sweep(self, fmt, monkeypatch, capsys):
+        monkeypatch.setattr(verifier, "perf_counter", lambda: 0.0)
+        psi_check = ["psi-check", "--p", "3", "--a", "2", "--n-max", "12", "--r-list", "0,-3,7",
+                     "--l-max", "2", "--format", fmt]
+        verify = ["verify", "psi-identity", "--p", "3", "--a", "2", "--n-max", "12", "--r=0,-3,7",
+                  "--coeff-degree", "2", "--format", fmt]
+        code, out, err = run_cli(psi_check, capsys)
+        assert (code, err) == (0, "")
+        assert run_cli(verify, capsys) == (code, out, err)
 
 
 class TestExplore:

@@ -76,6 +76,19 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepGrid(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, values, text",
+        [
+            ("primes", (3, 3), "3"),
+            ("r_values", (2, -1, 2, -1, 0), "-1, 2"),
+            ("s_values", (1, 1), "1"),
+            ("t_values", (0, 4, 4), "4"),
+        ],
+    )
+    def test_repeated_values_refused(self, name, values, text):
+        with pytest.raises(ValueError, match=f"^{name} has repeated values: {text}$"):
+            SweepGrid(**{name: values})
+
     def test_residues_override(self):
         grid = SweepGrid(r_values=(0, 5))
         assert grid.residues(3, 2) == (0, 5)
@@ -284,7 +297,7 @@ def test_valuation_failure_texts(monkeypatch):
     monkeypatch.setattr(verifier, "fleck_sum_general", lambda n, r, m, l: 1)
     assert CHECKS["thm1.0"].evaluate(p=3, a=1, l=0, n=5, r=0) == ("ord_3 >= 2", "ord_3 = 0")
     # a difference of 3 misses thm1.4's bound ceil(4/5 (2 ord_5(5) + 2)) = 4
-    monkeypatch.setattr(verifier, "_norm", lambda p, a, n, r, l: 3 * a)
+    monkeypatch.setattr(verifier, "normalized", lambda p, a, n, r, l: 3 * a)
     assert CHECKS["thm1.4"].evaluate(p=5, a=1, l=0, n=5, r=0) == ("ord_5 >= 4", "ord_5 = 0")
 
 
