@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -354,8 +355,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value is a comma-separated list of integers.
+_LIST_FLAGS = ("--p", "--r", "--s", "--t", "--r-list")
+
+
+def _join_negative_lists(argv: list[str]) -> list[str]:
+    """argv with a list that starts with a negative value joined to its flag,
+    as --r=-1,0: argparse reads a separate -1,0 as an option, not a value."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _LIST_FLAGS and re.match(r"-\d", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_lists(argv))
     try:
         return args.handler(args)
     except (CliError, OSError) as err:

@@ -55,6 +55,23 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
 _direct_fleck_sum = fleck_sum_general.__wrapped__
 
 
+def _fleck_row(n: int, r: int, m: int, l_max: int) -> list[int]:
+    """[fleck_sum_general(n, r, m, l) for l in 0..l_max] in one pass over k, unmemoized.
+
+    Each k = r (mod m) adds (-1)^k binom(n, k) binom(j, l) to the l-th sum,
+    with j = (k - r)/m; binom(j, l+1) = binom(j, l) (j - l)/(l + 1) steps l,
+    and the division is exact for every integer j, negative included.
+    """
+    row = [0] * (l_max + 1)
+    for k in range(r % m, n + 1, m):
+        j = (k - r) // m
+        term = -comb(n, k) if k & 1 else comb(n, k)
+        for l in range(l_max + 1):
+            row[l] += term
+            term = term * (j - l) // (l + 1)
+    return row
+
+
 def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, int]:
     """(raw_sum, exponent, normalized) for one coefficient.
 

@@ -6,6 +6,7 @@ directions are exact integer-linear maps, so no division by p ever occurs.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -164,6 +165,15 @@ def psi_power(x: TruncPoly, p: int, a: int) -> TruncPoly:
     return x
 
 
+@lru_cache(maxsize=None)
+def _monomial_image(i: int, p: int, a: int, through: int) -> tuple[int, ...]:
+    """Coefficients 0..through of psi^a(T^i), the memo behind monomial_twisted.
+
+    Sweeps empty it at the start of each sweep, so it holds what one sweep needs.
+    """
+    return psi_power(TruncPoly.monomial(i), p, a).truncated(through).coeffs
+
+
 def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
     """psi^a applied to T^n (1+T)^(-r), exact through degree l_max and
     truncated there.
@@ -175,9 +185,12 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
 
         psi^a(T^n (1+T)^(-r)) = psi^a(T^n (1+T)^e) * (1+T)^(-r1).
 
-    The inner argument is a polynomial, so psi^a of it is exact, and the
-    final multiplication by the unit (1+T)^(-r1) is exact coefficient by
-    coefficient through l_max.
+    The inner argument is a polynomial, and psi is linear, so
+
+        psi^a(T^n (1+T)^e) = sum_j binom(e, j) psi^a(T^(n+j)),
+
+    an exact sum of memoized monomial images; the final multiplication by
+    the unit (1+T)^(-r1) is exact coefficient by coefficient through l_max.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -189,10 +202,12 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
     pa = p ** a
     r1 = -((-r) // pa)
     e = pa * r1 - r
-    inner = TruncPoly.monomial(n) * TruncPoly.one_plus_t_power(e)
-    core = psi_power(inner, p, a)
+    core = [0] * (l_max + 1)
+    for j in range(e + 1):
+        weight = comb(e, j)
+        core = [c + weight * v for c, v in zip(core, _monomial_image(n + j, p, a, l_max))]
     unit = TruncPoly.one_plus_t_power(-r1, through=l_max)
-    return (core * unit).truncated(l_max)
+    return (TruncPoly(tuple(core)) * unit).truncated(l_max)
 
 
 def projection_rule_check(x: TruncPoly, y: TruncPoly, p: int) -> bool:

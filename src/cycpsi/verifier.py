@@ -27,7 +27,7 @@ from time import perf_counter
 
 from . import coefficients
 from .coefficients import (
-    _direct_fleck_sum,
+    _fleck_row,
     fleck_sum_general,
     floor_exponent,
     index_reduction_identity,
@@ -38,7 +38,7 @@ from .coefficients import (
     totient_prime_power,
 )
 from .exactmath import INFINITE, _require_prime, binom, congruent_mod_p_power, ord_p
-from .psi_series import monomial_twisted
+from .psi_series import _monomial_image, monomial_twisted
 
 
 def delta_for(p: int) -> int:
@@ -463,7 +463,7 @@ def _eval_conj_perm(p, n, r_values):
 
 # psi-identity: coefficients of psi^a(T^n (1+T)^(-r)) equal the sign-adjusted
 # Fleck sums through degree coeff_degree. No tuple repeats another's sums, so
-# they come from the undecorated sum and leave both memos empty.
+# each tuple's row comes from one unmemoized pass and leaves both memos empty.
 
 def psi_sides(p: int, a: int, n: int, r: int, l_max: int) -> tuple[list[int], list[int]]:
     """(operator coefficients, sign-adjusted Fleck sums) of degrees 0..l_max.
@@ -472,9 +472,8 @@ def psi_sides(p: int, a: int, n: int, r: int, l_max: int) -> tuple[list[int], li
     so the two routes stay independent.
     """
     got = list(monomial_twisted(n, r, p, a, l_max).coeffs)
-    sign = -1 if n & 1 else 1
-    want = [sign * _direct_fleck_sum(n, r, p ** a, l) for l in range(l_max + 1)]
-    return got, want
+    want = _fleck_row(n, r, p ** a, l_max)
+    return got, [-v for v in want] if n & 1 else want
 
 
 def _eval_psi_identity(**params):
@@ -538,7 +537,8 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     """(checked, rows in expansion order, elapsed_ms): one shard in process, or one per pool worker.
 
     The coefficient memos are kept while sweeps run on the same grid, so
-    checks on one grid share them, and cleared when the grid changes.
+    checks on one grid share them, and cleared when the grid changes. The
+    memo of operator images is emptied at the start of every sweep.
     """
     global _last_grid
     if workers < 1:
@@ -546,6 +546,7 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     if grid != _last_grid:
         coefficients.clear_caches()
         _last_grid = grid
+    _monomial_image.cache_clear()
     start = perf_counter()
     if workers == 1:
         shards = [_shard(target, grid, 0, 1)]

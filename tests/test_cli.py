@@ -294,6 +294,42 @@ def test_workers_not_accepted_without_a_sweep(argv, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+THM1_1_DIGITS = ["verify", "thm1.1", "--p", "3", "--a", "2", "--l", "0", "--n-max", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, expected",
+    [
+        # p = 3, a = 1, l = 0, n in 0..4, r in {-1, 0}
+        (["verify", "thm1.0", "--p", "3", "--a", "1", "--l", "0", "--n-max", "4"], "--r", "-1,0",
+         '"checked": 10'),
+        (["explore", "rem1.2", "--p", "3", "--a", "1", "--l", "0", "--n-max", "4"], "--r", "-1,0",
+         '"checked": 8'),
+        # digits outside 0..p-1 are dropped: s = 0 and t = 1 over 3 rows and 11 classes
+        (THM1_1_DIGITS + ["--t", "1"], "--s", "-1,0", '"checked": 33'),
+        (THM1_1_DIGITS + ["--s", "0"], "--t", "-1,1", '"checked": 33'),
+        (["table", "--p", "3", "--a", "1", "--n-max", "2"], "--r", "-7,4", "3,1,2,-7,0,1,0,1,1\n"),
+        (["psi-check", "--p", "3", "--a", "2", "--n-max", "12", "--format", "json"], "--r-list",
+         "-5,0,7", '"checked": 39'),
+    ],
+)
+@pytest.mark.parametrize("joined", [False, True])
+def test_list_flags_take_a_negative_first_value(argv, flag, value, expected, joined, capsys):
+    # argparse alone reads "-1,0" after a space as an option and exits 2
+    tail = [f"{flag}={value}"] if joined else [flag, value]
+    code, out, err = run_cli(argv + tail, capsys)
+    assert (code, err) == (0, "")
+    assert expected in out
+
+
+@pytest.mark.parametrize("joined", [False, True])
+def test_negative_first_prime_list_reaches_the_prime_check(joined, capsys):
+    tail = ["--p=-3,3"] if joined else ["--p", "-3,3"]
+    code, out, err = run_cli(["verify", "thm1.0"] + tail, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: p must be prime, got -3\n"
+
+
 class TestPsiCheck:
     def test_single_row(self, capsys):
         code, out, _ = run_cli(

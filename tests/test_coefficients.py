@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cycpsi.coefficients as coefficients
@@ -52,6 +52,16 @@ class TestFleckSum:
             fleck_sum_general(1, 0, 0, 0)
         with pytest.raises(ValueError):
             fleck_sum_general(1, 0, 2, -1)
+
+    @given(st.integers(0, 150), st.integers(-60, 200), st.integers(1, 30), st.integers(0, 6))
+    @example(6, 20, 3, 4)  # every k has k < r, so every (k - r)/m is negative
+    @example(10, -7, 4, 6)
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_row_matches_every_sum(self, n, r, m, l_max):
+        fleck_sum_general.cache_clear()
+        row = coefficients._fleck_row(n, r, m, l_max)
+        assert fleck_sum_general.cache_info().currsize == 0  # the row stores no sum
+        assert row == [fleck_sum_general(n, r, m, l) for l in range(l_max + 1)]
 
 
 class TestNormalized:

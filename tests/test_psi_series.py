@@ -14,6 +14,7 @@ from cycpsi import (
     projection_rule_check,
     psi_apply,
     psi_power,
+    psi_series,
 )
 from oracles import fleck_oracle, psi_oracle
 
@@ -188,6 +189,32 @@ class TestMonomialTwisted:
             monomial_twisted(1, 0, 2, 0, 3)
         with pytest.raises(ValueError):
             monomial_twisted(1, 0, 2, 1, -1)
+
+
+def _twisted_direct(n: int, r: int, p: int, a: int, l_max: int) -> tuple[int, ...]:
+    """monomial_twisted's value without the memo: psi^a of the whole polynomial
+    T^n (1+T)^e, times the unit (1+T)^(-r1)."""
+    pa = p ** a
+    r1 = -((-r) // pa)
+    inner = TruncPoly.monomial(n) * TruncPoly.one_plus_t_power(pa * r1 - r)
+    unit = TruncPoly.one_plus_t_power(-r1, through=l_max)
+    return (psi_power(inner, p, a) * unit).truncated(l_max).coeffs
+
+
+class TestMonomialImageMemo:
+    @given(st.integers(0, 150), st.integers(-60, 60), oracle_primes, st.sampled_from((1, 2, 3)),
+           st.integers(0, 6))
+    @example(150, 1, 7, 3, 6)  # e = 342, the most images one tuple sums
+    @example(0, 60, 2, 1, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_route_cold_and_warm(self, n, r, p, a, l_max):
+        want = _twisted_direct(n, r, p, a, l_max)
+        images = -r % p ** a + 1  # psi^a(T^i) for i in n..n+e
+        psi_series._monomial_image.cache_clear()
+        assert monomial_twisted(n, r, p, a, l_max).coeffs == want  # cold: every image computed
+        assert monomial_twisted(n, r, p, a, l_max).coeffs == want  # warm: every image read back
+        info = psi_series._monomial_image.cache_info()
+        assert (info.misses, info.hits) == (images, images)
 
 
 class TestProjectionRule:

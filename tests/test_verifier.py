@@ -22,6 +22,7 @@ from cycpsi import coefficients, verifier
 from cycpsi.coefficients import normalized_table
 from cycpsi.verifier import CHECKS, CheckFailure, _lem3_2_exceptional, _shard, _sigma, _thm1_2_branch
 from cycpsi.exactmath import ord_p
+from cycpsi.psi_series import _monomial_image
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 
@@ -233,6 +234,17 @@ def test_psi_identity_leaves_the_sum_memo_empty():
     assert report.verdict == "pass" and report.checked > 0
     assert fleck_sum_general.cache_info().currsize == 0
     assert normalized_table.cache_info().currsize == 0
+
+
+def test_every_sweep_starts_with_an_empty_image_memo():
+    run_sweep("psi-identity", SMALL)
+    first = _monomial_image.cache_info()
+    assert first.currsize > 0
+    # the grid is the same, so the coefficient memos stay, but the images are computed again
+    run_sweep("psi-identity", SMALL)
+    assert _monomial_image.cache_info() == first
+    run_sweep("thm1.0", SMALL)
+    assert _monomial_image.cache_info().currsize == 0
 
 
 def _counting_normalized_parts(monkeypatch) -> list:
