@@ -1,8 +1,9 @@
 """Command-line front end: single coefficients, tables, verification sweeps,
 operator checks, and conjecture exploration.
 
-Exit codes: 0 all checks pass, 1 mathematical mismatch, 2 usage or
-validation error.
+Exit codes: 0 all checks pass, 1 mathematical mismatch or a bug trap hit
+during a sweep (its failure row names the trap), 2 usage or validation
+error: main maps every ValueError, the CLI's or the library's, to it.
 """
 
 import argparse
@@ -21,32 +22,21 @@ from .verifier import CHECK_IDS, CHECKS, SweepGrid, psi_sides, run_explore, run_
 OUT_DIR_ENV = "CYCPSI_OUT_DIR"
 
 
-class CliError(Exception):
-    """Invalid flags or values; mapped to exit code 2."""
-
-
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise CliError(f"{what} must be a comma-separated list of integers, got {text!r}")
+        raise ValueError(f"{what} must be a comma-separated list of integers, got {text!r}")
 
 
 def _require_workers(workers: int) -> None:
     """Refuse a pool size below 1 or above the CPU count, before any work starts."""
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
-        raise CliError(f"--workers must be between 1 and the CPU count {cpus}, got {workers}")
+        raise ValueError(f"--workers must be between 1 and the CPU count {cpus}, got {workers}")
 
 
-def _grid(**kwargs) -> SweepGrid:
-    try:
-        return SweepGrid(**kwargs)
-    except ValueError as err:
-        raise CliError(str(err))
-
-
-_GRID_DEFAULTS = _grid()
+_GRID_DEFAULTS = SweepGrid()
 
 
 def _span(args, name: str) -> tuple[int, int]:
@@ -57,7 +47,7 @@ def _span(args, name: str) -> tuple[int, int]:
     hi = getattr(args, f"{name}_max", None)
     if single is not None:
         if lo is not None or hi is not None:
-            raise CliError(
+            raise ValueError(
                 f"--{name} (fixed) cannot be combined with --{name}-min or --{name}-max (range)"
             )
         return (single, single)
@@ -84,7 +74,7 @@ def _grid_from_args(args) -> SweepGrid:
         kwargs["abs_r_max"] = args.abs_r_max
     if args.coeff_degree is not None:
         kwargs["coeff_degree"] = args.coeff_degree
-    return _grid(**kwargs)
+    return SweepGrid(**kwargs)
 
 
 def _emit(args, doc, rows: list[dict], lines: list[str]) -> None:
@@ -130,10 +120,7 @@ def _coeff_row(p: int, a: int, n: int, r: int, l: int) -> dict:
 
 def _cmd_coeff(args) -> int:
     coefficient = (args.p, args.a, args.n, args.r, args.l)
-    try:
-        row = _coeff_row(*coefficient)
-    except ValueError as err:
-        raise CliError(str(err))
+    row = _coeff_row(*coefficient)
     lines = [
         f"query: p={args.p} a={args.a} n={args.n} r={args.r} l={args.l}",
         f"raw_sum = {row['raw']}",
@@ -149,20 +136,17 @@ def _cmd_coeff(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.n_min > args.n_max:
-        raise CliError(f"n_range is empty: {args.n_min} > {args.n_max}")
+        raise ValueError(f"n_range is empty: {args.n_min} > {args.n_max}")
     r_values = _parse_int_list(args.r, "--r")
     l_values = _parse_int_list(args.l, "--l")
     if any(l < 0 for l in l_values):
-        raise CliError("l values must be >= 0")
-    try:
-        rows = [
-            _coeff_row(args.p, args.a, n, r, l)
-            for n in range(args.n_min, args.n_max + 1)
-            for r in r_values
-            for l in l_values
-        ]
-    except ValueError as err:
-        raise CliError(str(err))
+        raise ValueError("l values must be >= 0")
+    rows = [
+        _coeff_row(args.p, args.a, n, r, l)
+        for n in range(args.n_min, args.n_max + 1)
+        for r in r_values
+        for l in l_values
+    ]
     cells = [list(rows[0])] + [[str(value) for value in row.values()] for row in rows]
     widths = [max(len(line[i]) for line in cells) for i in range(len(cells[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)) for line in cells]
@@ -207,23 +191,20 @@ def _sweep(args, grid_of, run) -> int:
     exit 1 when the verdict is fail."""
     _require_workers(args.workers)
     grid = grid_of(args)
-    try:
-        report = run(grid, workers=args.workers)
-    except ValueError as err:
-        raise CliError(str(err))
+    report = run(grid, workers=args.workers)
     _emit_report(args, report)
     return 1 if report.verdict == "fail" else 0
 
 
 def _cmd_verify(args) -> int:
     if args.check not in CHECKS:
-        raise CliError(f"unknown check id {args.check!r}; valid ids: {', '.join(CHECK_IDS)}")
+        raise ValueError(f"unknown check id {args.check!r}; valid ids: {', '.join(CHECK_IDS)}")
     return _sweep(args, _grid_from_args, partial(run_sweep, args.check))
 
 
 def _cmd_explore(args) -> int:
     if args.target != "rem1.2":
-        raise CliError(f"unknown explore target {args.target!r}; valid: rem1.2")
+        raise ValueError(f"unknown explore target {args.target!r}; valid: rem1.2")
     return _sweep(args, _grid_from_args, run_explore)
 
 
@@ -232,29 +213,26 @@ def _psi_grid(args) -> SweepGrid:
     kwargs = {}
     if args.r_list is not None:
         kwargs["r_values"] = _parse_int_list(args.r_list, "--r-list")
-    return _grid(primes=(args.p,), a_range=(args.a, args.a), n_range=(0, args.n_max),
-                 coeff_degree=args.l_max, **kwargs)
+    return SweepGrid(primes=(args.p,), a_range=(args.a, args.a), n_range=(0, args.n_max),
+                     coeff_degree=args.l_max, **kwargs)
 
 
 def _cmd_psi_check(args) -> int:
     if args.a < 1:
-        raise CliError(f"a must be >= 1, got {args.a}")
+        raise ValueError(f"a must be >= 1, got {args.a}")
     if args.l_max < 0:
-        raise CliError(f"--l-max must be >= 0, got {args.l_max}")
+        raise ValueError(f"--l-max must be >= 0, got {args.l_max}")
     if args.n is None and args.n_max is None:
-        raise CliError("give --n for a single row or --n-max for a grid")
+        raise ValueError("give --n for a single row or --n-max for a grid")
     if args.n is not None and (args.n_max is not None or args.r_list is not None):
-        raise CliError("--n (single row) cannot be combined with --n-max or --r-list (grid)")
+        raise ValueError("--n (single row) cannot be combined with --n-max or --r-list (grid)")
     if args.n is None and args.r is not None:
-        raise CliError("--r (single row) cannot be combined with --n-max (grid); give --r-list")
+        raise ValueError("--r (single row) cannot be combined with --n-max (grid); give --r-list")
     if args.n is None:
         return _sweep(args, _psi_grid, partial(run_sweep, "psi-identity"))
     _require_workers(args.workers)
     r = 0 if args.r is None else args.r
-    try:
-        got, want = psi_sides(args.p, args.a, args.n, r, args.l_max)
-    except ValueError as err:
-        raise CliError(str(err))
+    got, want = psi_sides(args.p, args.a, args.n, r, args.l_max)
     match = got == want
     rows = [{"l": l, "psi": str(got[l]), "expected": str(want[l])} for l in range(args.l_max + 1)]
     lines = [
@@ -376,7 +354,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_join_negative_lists(argv))
     try:
         return args.handler(args)
-    except (CliError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

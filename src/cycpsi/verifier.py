@@ -27,8 +27,9 @@ from time import perf_counter
 
 from . import coefficients
 from .coefficients import (
+    IntegrityError,
+    _direct_fleck_sum,
     _fleck_row,
-    fleck_sum_general,
     floor_exponent,
     index_reduction_identity,
     modulus_factorization_identity,
@@ -37,7 +38,7 @@ from .coefficients import (
     t_coeff,
     totient_prime_power,
 )
-from .exactmath import INFINITE, _require_prime, binom, congruent_mod_p_power, ord_p
+from .exactmath import INFINITE, NotPIntegralError, _require_prime, binom, congruent_mod_p_power, ord_p
 from .psi_series import _monomial_image, monomial_twisted
 
 
@@ -253,10 +254,11 @@ _L_POSITIVE = _where(_L, lambda l, bound: l >= 1)
 _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
 
-# thm1.0: ord_p of every Fleck sum reaches the floor exponent.
+# thm1.0: ord_p of every Fleck sum reaches the floor exponent. Every tuple
+# is a distinct (n, r, p^a, l), so the sums are read uncached.
 
 def _eval_thm1_0(p, a, l, n, r):
-    raw = fleck_sum_general(n, r, p ** a, l)
+    raw = _direct_fleck_sum(n, r, p ** a, l)
     return _ord_at_least(raw, max(floor_exponent(p, a, n, l), 0), p)
 
 
@@ -322,17 +324,14 @@ def _eval_thm1_2(p, l, n, r, s, t):
     return "a covered branch", "no branch matched"
 
 
-# cor1.3: Lucas-type congruence for the factorial-normalized rationals,
-# with p-integrality of both sides certified first.
+# cor1.3: Lucas-type congruence for the factorial-normalized rationals;
+# congruent_mod_p_power traps a side that is not p-integral.
 
 def _eval_cor1_3(p, l, n, r):
     lhs = t_coeff(p, 2, n, r, l)
     rhs = binom(n % p, r % p) * t_coeff(p, 1, n // p, r // p, l)
     if (r % p) & 1:
         rhs = -rhs
-    for side, value in (("lhs", lhs), ("rhs", rhs)):
-        if ord_p(value, p) < 0:
-            return f"{side} {p}-integral", f"{side} = {value}"
     return _mod_p(congruent_mod_p_power(lhs, rhs, p, 1), rhs, lhs, p)
 
 
@@ -516,15 +515,21 @@ def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int,
     """(tuples evaluated, [(i, params, outcome)] for each outcome not None) over
     the tuples of target (a check id or "rem1.2") with i % workers == index.
 
-    The evaluators are looked up on each call, so rebinding CHECKS entries,
-    _expand_rem1_2 or _margin_rem1_2 (as a tracer does) takes effect.
+    A bug trap of the package (IntegrityError, NotPIntegralError) raised while
+    evaluating a tuple becomes that tuple's failure outcome, named after the
+    trap; any other exception propagates. The evaluators are looked up on
+    each call, so rebinding CHECKS entries, _expand_rem1_2 or _margin_rem1_2
+    (as a tracer does) takes effect.
     """
     check = CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2)
     checked = 0
     rows = []
     for i, params in islice(enumerate(check.expand(grid)), index, None, workers):
         checked += 1
-        outcome = check.evaluate(**params)
+        try:
+            outcome = check.evaluate(**params)
+        except (IntegrityError, NotPIntegralError) as err:
+            outcome = f"no {type(err).__name__}", str(err)
         if outcome is not None:
             rows.append((i, params, outcome))
     return checked, rows
@@ -538,7 +543,9 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
 
     The coefficient memos are kept while sweeps run on the same grid, so
     checks on one grid share them, and cleared when the grid changes. The
-    memo of operator images is emptied at the start of every sweep.
+    memo of operator images is emptied at the start of every sweep. A grid
+    that gives target no tuples raises ValueError, since a sweep that checked
+    nothing proves nothing.
     """
     global _last_grid
     if workers < 1:
@@ -553,8 +560,11 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     else:
         with multiprocessing.Pool(workers) as pool:
             shards = pool.starmap(_shard, [(target, grid, index, workers) for index in range(workers)])
+    checked = sum(checked for checked, _ in shards)
+    if checked == 0:
+        raise ValueError(f"the grid gives {target} no tuples to check")
     rows = sorted((row for _, part in shards for row in part), key=lambda row: row[0])
-    return sum(checked for checked, _ in shards), rows, int((perf_counter() - start) * 1000)
+    return checked, rows, int((perf_counter() - start) * 1000)
 
 
 def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) -> VerificationReport:
@@ -562,21 +572,19 @@ def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) ->
 
     workers > 1 spreads the shards over a process pool; the report is
     identical apart from elapsed_ms. A grid that gives the check no tuples
-    raises ValueError, since a sweep that checked nothing proves nothing.
+    raises ValueError.
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
     grid = grid if grid is not None else SweepGrid()
     checked, rows, elapsed_ms = _sweep(check_id, grid, workers)
-    if checked == 0:
-        raise ValueError(f"the grid gives {check_id} no tuples to check")
     failures = [CheckFailure(params, *outcome) for _, params, outcome in rows]
     return VerificationReport(theorem=check_id, checked=checked, failures=failures, elapsed_ms=elapsed_ms)
 
 
 # rem1.2 exploration: measures how much slack the p-power digit shift has
 # over the conjectured strengthened exponent 2a - [p == 3]. Informational:
-# the verdict is always "pass"; margins are reported, never asserted.
+# margins are reported, never asserted, so only a bug trap makes it fail.
 
 _expand_rem1_2 = _expander(
     _where(_P, lambda p, bound: p != 2),
@@ -594,16 +602,21 @@ def _margin_rem1_2(p, a, l, n, r):
 
 
 def run_explore(grid: SweepGrid | None = None, workers: int = 1) -> VerificationReport:
-    """Tabulate valuation margins for the strengthened-exponent conjecture."""
+    """Tabulate valuation margins for the strengthened-exponent conjecture.
+
+    A tuple that hits a bug trap is a failure; a grid with no tuples raises ValueError.
+    """
     grid = grid if grid is not None else SweepGrid()
     checked, rows, elapsed_ms = _sweep("rem1.2", grid, workers)
-    rows.sort(key=lambda row: row[2]["margin"])  # stable: ties stay in expansion order
+    # a bug trap's outcome is an (expected, actual) pair, not a margin; ties keep expansion order
+    failures = [CheckFailure(params, *outcome) for _, params, outcome in rows if isinstance(outcome, tuple)]
+    margins = sorted((row for row in rows if isinstance(row[2], dict)), key=lambda row: row[2]["margin"])
     extra = {
         "conjectured_exponent": "2a - [p == 3]",
-        "min_margin": str(rows[0][2]["margin"]) if rows else "infinite",
+        "min_margin": str(margins[0][2]["margin"]) if margins else "infinite",
         "infinite_margins": checked - len(rows),
-        "worst": [{"params": params, **outcome} for _, params, outcome in rows[:10]],
+        "worst": [{"params": params, **outcome} for _, params, outcome in margins[:10]],
     }
     return VerificationReport(
-        theorem="rem1.2", checked=checked, failures=[], elapsed_ms=elapsed_ms, extra=extra
+        theorem="rem1.2", checked=checked, failures=failures, elapsed_ms=elapsed_ms, extra=extra
     )

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cycpsi import cli, verifier
+from cycpsi import cli, coefficients, verifier
 from cycpsi.cli import main
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
@@ -139,6 +139,16 @@ class TestVerify:
         assert doc["failures"]
         failure = doc["failures"][0]
         assert set(failure) == {"params", "expected", "actual"}
+
+    def test_bug_trap_is_a_failure_row(self, monkeypatch, capsys):
+        # one power of p more than the theorem gives trips normalized_parts' divisibility trap
+        floor_exponent = coefficients.floor_exponent
+        monkeypatch.setattr(coefficients, "floor_exponent", lambda p, a, n, l: floor_exponent(p, a, n, l) + 1)
+        code, out, err = run_cli(["verify", "thm1.1", "--p", "3", "--n-max", "6", "--format", "json"], capsys)
+        assert (code, err) == (1, "")
+        failures = json.loads(out)["failures"]
+        assert failures and {f["expected"] for f in failures} == {"no IntegrityError"}
+        assert failures[0]["actual"].startswith("p^1 does not divide the sum")
 
     def test_unknown_id(self, capsys):
         code, _, err = run_cli(["verify", "thm9.9"], capsys)
@@ -433,6 +443,11 @@ class TestExplore:
         code, _, err = run_cli(["explore", "rem9.9"], capsys)
         assert code == 2
         assert "rem1.2" in err
+
+    def test_empty_grid_refused(self, capsys):
+        # rem1.2 keeps only p != 2
+        assert run_cli(["explore", "rem1.2", "--p", "2"], capsys) == (
+            2, "", "error: the grid gives rem1.2 no tuples to check\n")
 
 
 def test_module_entry_point():

@@ -282,7 +282,7 @@ def test_memo_is_kept_while_the_grid_stays(monkeypatch):
 
 def test_a_new_grid_starts_with_empty_memos():
     run_sweep("thm1.1", SMALL)
-    run_sweep("thm1.0", SMALL)
+    run_sweep("cor1.3", SMALL)
     assert normalized_table.cache_info().currsize > 0
     assert fleck_sum_general.cache_info().currsize > 0
     other = SweepGrid(primes=(3,), a_range=(1, 1), l_range=(0, 0), m_range=(1, 2))
@@ -298,15 +298,26 @@ def test_empty_grid_raises():
 
 
 def test_cor1_3_refuses_non_integral_sides(monkeypatch):
-    # the p-integrality pre-check reports the failure; congruent_mod_p_power would raise
+    # congruent_mod_p_power traps the non-integral side, and the sweep reports the trap
     monkeypatch.setattr(verifier, "t_coeff", lambda p, a, n, r, l: Fraction(1, p))
-    outcome = CHECKS["cor1.3"].evaluate(p=3, l=0, n=4, r=1)
-    assert outcome == ("lhs 3-integral", "lhs = 1/3")
+    report = run_sweep("cor1.3", SweepGrid(primes=(3,), n_range=(0, 4), l_range=(0, 0)))
+    assert report.verdict == "fail" and len(report.failures) == report.checked > 0
+    assert {(f.expected, f.actual) for f in report.failures} == {("no NotPIntegralError", "1/3 is not 3-integral")}
+
+
+def test_other_exceptions_propagate(monkeypatch):
+    # only the package's bug traps become failure rows; a programming error stays loud
+    def broken(**params):
+        raise ZeroDivisionError("not a bug trap")
+
+    monkeypatch.setitem(CHECKS, "thm1.5", verifier.Check(CHECKS["thm1.5"].expand, broken))
+    with pytest.raises(ZeroDivisionError, match="not a bug trap"):
+        run_sweep("thm1.5", SMALL)
 
 
 def test_valuation_failure_texts(monkeypatch):
     # a unit sum misses thm1.0's floor exponent floor((5 - 1) / 2) = 2
-    monkeypatch.setattr(verifier, "fleck_sum_general", lambda n, r, m, l: 1)
+    monkeypatch.setattr(verifier, "_direct_fleck_sum", lambda n, r, m, l: 1)
     assert CHECKS["thm1.0"].evaluate(p=3, a=1, l=0, n=5, r=0) == ("ord_3 >= 2", "ord_3 = 0")
     # a difference of 3 misses thm1.4's bound ceil(4/5 (2 ord_5(5) + 2)) = 4
     monkeypatch.setattr(verifier, "normalized", lambda p, a, n, r, l: 3 * a)
@@ -407,9 +418,8 @@ class TestExplore:
 
     def test_skips_p_equal_two(self):
         grid = SweepGrid(primes=(2,), n_range=(1, 5))
-        report = run_explore(grid)
-        assert report.checked == 0
-        assert report.extra["min_margin"] == "infinite"
+        with pytest.raises(ValueError, match=r"^the grid gives rem1\.2 no tuples to check$"):
+            run_explore(grid)
 
     @TWO_CPUS
     def test_workers_match_serial(self):
