@@ -267,7 +267,7 @@ def _add_grid_flags(sp) -> None:
     sp.add_argument("--m-max", type=int, help="multiplier bound (thm1.5) / modulus bound (lem2.2)")
     sp.add_argument("--d-max", type=int, help="outer modulus bound (lem3.1)")
     sp.add_argument("--q-max", type=int, help="inner modulus bound (lem3.1)")
-    sp.add_argument("--abs-r-max", type=int, help="|r| bound for arbitrary-modulus identities")
+    sp.add_argument("--abs-r-max", type=int, help="|r| bound for lem2.2 (lem3.1 sweeps |r| <= 2 unless --r is given)")
     sp.add_argument("--coeff-degree", type=int, help="comparison depth for psi-identity")
 
 

@@ -7,9 +7,11 @@ a filter such as a >= 2 or n = l (mod p-1) lives on the axis it tests.
 _expander turns the axes, outermost first, into the nested loops that yield
 one parameter dict per tuple, keys in axis order. The evaluator is a plain
 function of the axis names, called as evaluate(**params); it returns None
-when the statement holds there, else an (expected, actual) pair. Evaluators
-look coefficient functions up in this module at call time, never binding
-them earlier, so a tracer that rebinds those names sees every call.
+when the statement holds there, else an (expected, actual) pair, mostly
+decided from both sides by _mod_p (integers mod p), _congruent (p-integral
+rationals mod p), _exact or _ord_at_least. Evaluators look coefficient
+functions up in this module at call time, never binding them earlier, so a
+tracer that rebinds those names sees every call.
 
 Every evaluation is a pure function of its parameters, so a sweep splits
 into shards: shard k of w takes the tuples whose expansion index i has
@@ -77,8 +79,8 @@ class SweepGrid:
     negative representatives; s_values / t_values = None mean all digits
     0..p-1 and are filtered below p per prime at expansion time. m_range
     doubles as the multiplier range (thm1.5) and the modulus range (lem2.2);
-    abs_r_max bounds |r| for the arbitrary-modulus identities and
-    coeff_degree is the comparison depth for psi-identity. primes and the
+    abs_r_max bounds |r| for lem2.2 only (lem3.1 sweeps |r| <= 2 unless
+    r_values is given) and coeff_degree is the comparison depth for psi-identity. primes and the
     explicit value lists may not repeat a value, which would check a tuple twice.
     """
 
@@ -167,11 +169,25 @@ class VerificationReport:
         return doc
 
 
-def _mod_p(holds: bool, expected, actual, p: int) -> tuple[str, str] | None:
-    """None when the congruence holds, else both sides labelled mod p."""
-    if holds:
+def _sign(k: int) -> int:
+    """(-1)^k."""
+    return -1 if k & 1 else 1
+
+
+def _mod_p(lhs: int, rhs: int, p: int) -> tuple[str, str] | None:
+    """None when the integers lhs and rhs agree mod p, else (rhs, lhs) as residues mod p."""
+    if (lhs - rhs) % p == 0:
         return None
-    return f"{expected} (mod {p})", f"{actual} (mod {p})"
+    return f"{rhs % p} (mod {p})", f"{lhs % p} (mod {p})"
+
+
+def _congruent(lhs, rhs, p: int) -> tuple[str, str] | None:
+    """None when the p-integral rationals lhs and rhs agree mod p, else (rhs, lhs)
+    as written, each labelled mod p. A side that is not p-integral raises
+    NotPIntegralError."""
+    if congruent_mod_p_power(lhs, rhs, p, 1):
+        return None
+    return f"{rhs} (mod {p})", f"{lhs} (mod {p})"
 
 
 def _exact(lhs, rhs) -> tuple[str, str] | None:
@@ -275,15 +291,10 @@ def _lem3_2_exceptional(p: int, a: int, l: int, n: int, s: int) -> bool:
 def _lucas_check(corrected: bool) -> Callable[..., tuple[str, str] | None]:
     def evaluate(p, a, l, n, r, s, t):
         lhs = normalized(p, a + 1, p * n + s, p * r + t, l)
-        rhs = binom(s, t) * normalized(p, a, n, r, l)
-        if t & 1:
-            rhs = -rhs
+        rhs = _sign(t) * binom(s, t) * normalized(p, a, n, r, l)
         if corrected and _lem3_2_exceptional(p, a, l, n, s):
-            correction = normalized(p, a, n - 1, r, l) * normalized(p, 1, p * n + s, t, n - 1)
-            rhs += -correction if (n - 1) & 1 else correction
-        if (lhs - rhs) % p == 0:
-            return None
-        return f"{rhs % p} (mod {p})", f"{lhs % p} (mod {p})"
+            rhs += _sign(n - 1) * normalized(p, a, n - 1, r, l) * normalized(p, 1, p * n + s, t, n - 1)
+        return _mod_p(lhs, rhs, p)
 
     return evaluate
 
@@ -316,23 +327,18 @@ def _eval_thm1_2(p, l, n, r, s, t):
     if branch == 2:
         lhs = normalized(p, 2, p * n + s, p * r + t, l)
         if n <= l + 1:
-            return _mod_p(lhs % p == 0, 0, lhs % p, p)
+            return _mod_p(lhs, 0, p)
         u = (n - l - 1) // (p - 1)
-        sign = -1 if (s + u) & 1 else 1
-        rhs = Fraction(sign * n * binom(u - 1, l), t * binom(t - 1, s))
-        return _mod_p(congruent_mod_p_power(lhs, rhs, p, 1), rhs, lhs, p)
+        return _congruent(lhs, Fraction(_sign(s + u) * n * binom(u - 1, l), t * binom(t - 1, s)), p)
     return "a covered branch", "no branch matched"
 
 
 # cor1.3: Lucas-type congruence for the factorial-normalized rationals;
-# congruent_mod_p_power traps a side that is not p-integral.
+# _congruent traps a side that is not p-integral.
 
 def _eval_cor1_3(p, l, n, r):
     lhs = t_coeff(p, 2, n, r, l)
-    rhs = binom(n % p, r % p) * t_coeff(p, 1, n // p, r // p, l)
-    if (r % p) & 1:
-        rhs = -rhs
-    return _mod_p(congruent_mod_p_power(lhs, rhs, p, 1), rhs, lhs, p)
+    return _congruent(lhs, _sign(r % p) * binom(n % p, r % p) * t_coeff(p, 1, n // p, r // p, l), p)
 
 
 # thm1.4: valuation of <pn,pr> - <n,r> is at least ceil((p-1)/p (2 ord_p(n) + delta)).
@@ -352,17 +358,15 @@ _BOUNDARY_ROWS = _expander(_P, _A, _L, _M, _R)
 _SELF_TEST_GRID = SweepGrid(primes=(3,), a_range=(1, 1), l_range=(0, 0), m_range=(1, 4))
 
 
-def _boundary_residue(p: int, m: int, l: int) -> int:
-    rhs = binom(m - 1, l)
-    return (-rhs if (m - 1) & 1 else rhs) % p
+def _boundary_residue(m: int, l: int) -> int:
+    """(-1)^(m-1) binom(m-1, l), unreduced."""
+    return _sign(m - 1) * binom(m - 1, l)
 
 
 def _boundary_check(sign: int) -> Callable[..., tuple[str, str] | None]:
     def evaluate(p, a, l, m, r):
         n = (l + 1) * p ** (a - 1) - 1 + m * totient_prime_power(p, a)
-        actual = normalized(p, a, n, r, l) % p
-        expected = sign * _boundary_residue(p, m, l) % p
-        return _mod_p(actual == expected, expected, actual, p)
+        return _mod_p(normalized(p, a, n, r, l), sign * _boundary_residue(m, l), p)
 
     return evaluate
 
@@ -406,16 +410,11 @@ def _sigma(p: int, n: int, s: int, t: int) -> Fraction:
 def _eval_lem3_3(p, n, s, t):
     value = normalized(p, 1, p * n + s, t, n - 1)
     if s < t:
-        sign = -1 if (n + s) & 1 else 1
-        rhs = Fraction(sign * n, t * binom(t - 1, s))
-        return _mod_p(congruent_mod_p_power(value, rhs, p, 1), rhs, value, p)
+        return _congruent(value, Fraction(_sign(n + s) * n, t * binom(t - 1, s)), p)
     sigma = _sigma(p, n, s, t)
     if ord_p(sigma, p) < 1:
         return f"ord_{p}(sigma) >= 1", f"sigma = {sigma}"
-    rhs = n * binom(s, t) * sigma / p
-    if (n + t) & 1:
-        rhs = -rhs
-    return _mod_p(congruent_mod_p_power(value, rhs, p, 1), rhs, value, p)
+    return _congruent(value, _sign(n + t) * n * binom(s, t) * sigma / p, p)
 
 
 # lem4.1: depth-1 residues along rows with n = l (mod p-1); beyond n = l the
@@ -425,17 +424,14 @@ _LEM4_1_N = _where(_N, lambda n, bound: (n - bound["l"]) % (bound["p"] - 1) == 0
 
 
 def _eval_lem4_1(p, l, n, r):
-    actual = normalized(p, 1, n, r, l) % p
-    expected = 0 if n <= l else _boundary_residue(p, (n - l) // (p - 1), l)
-    return _mod_p(actual == expected, expected, actual, p)
+    expected = 0 if n <= l else _boundary_residue((n - l) // (p - 1), l)
+    return _mod_p(normalized(p, 1, n, r, l), expected, p)
 
 
 # rem2.1: the order-lowering recurrence agrees with the coefficient mod p.
 
 def _eval_rem2_1(p, a, l, n, r):
-    actual = recurrence_residue(p, a, n, r, l)
-    expected = normalized(p, a, n, r, l) % p
-    return _mod_p(actual == expected, expected, actual, p)
+    return _mod_p(recurrence_residue(p, a, n, r, l), normalized(p, a, n, r, l), p)
 
 
 # conj-perm: for qualifying n (p does not divide n, p-1 divides n-1, n != 1)

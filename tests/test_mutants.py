@@ -3,8 +3,12 @@ source of one function, and the sweeps must report it: psi-identity for the
 psi route, and a pinned set of checks for the coefficient functions."""
 
 import inspect
+from itertools import starmap
+from types import ModuleType, SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycpsi import CHECK_IDS, SweepGrid, coefficients, psi_series, run_explore, run_sweep, verifier
 
@@ -84,3 +88,157 @@ def test_catalog_catches(mutant, monkeypatch):
     reports = {c: run_sweep(c, CATALOG_GRID) for c in CATALOG_IDS}
     assert {c for c, report in reports.items() if report.verdict == "fail"} == failing
     assert run_explore(CATALOG_GRID).verdict == "fail"
+
+
+# Mutants of the verifier's own logic: each compiles a fresh copy of the
+# module with one source text replaced, so its CHECKS, evaluators and helpers
+# are all built from the mutated source, and sweeps run through that copy.
+# A mutant's pin is the set of check ids whose verdict it changes: a catalog
+# check on CATALOG_GRID that fails, or self-test (which must fail) passing.
+
+# the congruence checks that reach a verdict through _mod_p (integers) or _congruent (rationals)
+MOD_P_ROUTED = {"thm1.1", "lem3.2", "thm1.2", "thm1.5", "lem4.1", "rem2.1"}
+CONGRUENT_ROUTED = {"thm1.2", "cor1.3", "lem3.3"}
+LUCAS = {"thm1.1", "lem3.2", "thm1.2"}
+
+# name -> (verifier source text, its replacement, the checks whose verdict changes)
+VERIFIER_MUTANTS = {
+    "Lucas rhs without (-1)^t": ("rhs = _sign(t) * binom(s, t)", "rhs = binom(s, t)", LUCAS),
+    "Lucas binom(t, s)": ("_sign(t) * binom(s, t)", "_sign(t) * binom(t, s)", LUCAS),
+    "boundary residue sign flipped": ("return _sign(m - 1) * binom(m - 1, l)",
+                                      "return -_sign(m - 1) * binom(m - 1, l)", {"thm1.5", "lem4.1", "self-test"}),
+    "sigma with the odd-prime sign at p = 2": ("ratio if p == 2 else -ratio", "-ratio if p == 2 else -ratio",
+                                               {"lem3.3"}),
+    # a helper that decides on anything but its two sides breaks exactly the checks routed through it
+    "_mod_p on lhs + rhs": ("(lhs - rhs) % p", "(lhs + rhs) % p", MOD_P_ROUTED | {"self-test"}),
+    "_congruent against -rhs": ("congruent_mod_p_power(lhs, rhs, p, 1)", "congruent_mod_p_power(lhs, -rhs, p, 1)",
+                                CONGRUENT_ROUTED),
+}
+
+# psi_apply's sign flip of the odd coefficients dropped: (source text, replacement, the checks whose verdict changes)
+PSI_APPLY_MUTANT = ("[-v if i & 1 else v for i, v in enumerate(x.coeffs)]", "list(x.coeffs)", {"psi-identity"})
+
+
+def _mutated_verifier(old: str, new: str) -> ModuleType:
+    """A fresh verifier module compiled from its source with the one occurrence of old replaced by new."""
+    source = inspect.getsource(verifier)
+    assert source.count(old) == 1, old
+    module = ModuleType("cycpsi.verifier")
+    module.__package__ = "cycpsi"
+    exec(compile(source.replace(old, new), verifier.__file__, "exec"), vars(module))
+    return module
+
+
+def _verdict_changes(sweeps) -> set[str]:
+    """The ids whose verdict under sweeps (a verifier module) differs from the unmutated verifier's."""
+    changed = {c for c in CATALOG_IDS if sweeps.run_sweep(c, CATALOG_GRID).verdict == "fail"}
+    if sweeps.run_sweep("self-test").verdict == "pass":
+        changed.add("self-test")
+    return changed
+
+
+def test_unmutated_copy_changes_nothing():
+    # a copy that replaces a text by itself is the control for the table below
+    assert _verdict_changes(_mutated_verifier("def _sign(", "def _sign(")) == set()
+
+
+@pytest.mark.parametrize("mutant", VERIFIER_MUTANTS)
+def test_verifier_mutant_changes(mutant):
+    old, new, changed = VERIFIER_MUTANTS[mutant]
+    assert _verdict_changes(_mutated_verifier(old, new)) == changed
+
+
+def test_psi_apply_mutant_changes(monkeypatch):
+    old, new, changed = PSI_APPLY_MUTANT
+    # psi_power looks psi_apply up in psi_series, and every sweep empties the image memo
+    monkeypatch.setattr(psi_series, "psi_apply", _mutant(psi_series, "psi_apply", old, new))
+    assert _verdict_changes(verifier) == changed
+
+
+def test_every_check_changes_verdict_under_some_mutant():
+    caught = {"psi-identity"}  # by every mutant of PSI_ROUTE_MUTANTS
+    for table in (COEFFICIENT_MUTANTS, VERIFIER_MUTANTS, {"psi_apply": PSI_APPLY_MUTANT}):
+        for mutant in table.values():
+            caught |= mutant[-1]
+    assert caught == set(CHECK_IDS)
+
+
+class _InProcessPool:
+    """multiprocessing.Pool's starmap, run in this process one call after another."""
+
+    def __init__(self, workers: int):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def starmap(self, function, arguments):
+        return list(starmap(function, arguments))
+
+
+def _doc(report) -> dict:
+    doc = report.to_json_dict()
+    del doc["elapsed_ms"]
+    return doc
+
+
+GRIDS = st.builds(
+    SweepGrid,
+    primes=st.sampled_from([(2,), (3,), (2, 3), (5,)]),
+    a_range=st.tuples(st.just(1), st.integers(1, 2)),
+    n_range=st.tuples(st.integers(0, 2), st.integers(2, 7)),
+    l_range=st.tuples(st.just(0), st.integers(0, 2)),
+    m_range=st.tuples(st.just(1), st.integers(1, 3)),
+    d_range=st.tuples(st.just(1), st.integers(1, 2)),
+    q_range=st.tuples(st.just(1), st.integers(1, 2)),
+    abs_r_max=st.integers(0, 3),
+    coeff_degree=st.integers(0, 3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=GRIDS, target=st.sampled_from(CHECK_IDS + ("rem1.2",)), workers=st.sampled_from([2, 3]),
+       marked=st.integers(2, 4))
+def test_shard_merge_equals_the_serial_report(grid, target, workers, marked):
+    """2 or 3 shards, run in process and merged on i, give the serial report.
+    Tuples whose params print to a length divisible by marked are made to
+    fail, so the merge has to interleave failure rows from every shard."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
+        if target == "rem1.2":
+            sweep = run_explore
+        else:
+            check = verifier.CHECKS[target]
+
+            def evaluate(**params):
+                if len(repr(params)) % marked == 0:
+                    return "an unmarked tuple", repr(params)
+                return check.evaluate(**params)
+
+            mp.setitem(verifier.CHECKS, target, verifier.Check(check.expand, evaluate))
+
+            def sweep(grid, workers=1):
+                return run_sweep(target, grid, workers)
+
+        try:
+            serial = _doc(sweep(grid))
+        except ValueError as err:  # a grid that gives target no tuples
+            with pytest.raises(ValueError) as merged_err:
+                sweep(grid, workers)
+            assert str(merged_err.value) == str(err)
+            return
+        assert _doc(sweep(grid, workers)) == serial
+
+
+def test_shards_that_all_start_at_zero_break_the_merge():
+    mutated = _mutated_verifier("enumerate(check.expand(grid)), index, None, workers)",
+                                "enumerate(check.expand(grid)), 0, None, workers)")
+    mutated.multiprocessing = SimpleNamespace(Pool=_InProcessPool)
+    serial = run_sweep("self-test")
+    # every self-test tuple fails, so the failures count the tuples each shard evaluated
+    assert serial.checked == len(serial.failures) == 20
+    merged = mutated.run_sweep("self-test", workers=3)
+    assert merged.checked == len(merged.failures) == 21  # i = 0, 3, ..., 18 three times over

@@ -291,6 +291,14 @@ def test_a_new_grid_starts_with_empty_memos():
     assert fleck_sum_general.cache_info().currsize == 0
 
 
+def test_abs_r_max_bounds_lem2_2_only():
+    # lem3.1 sweeps |r| <= 2 whatever abs_r_max says; lem2.2 sweeps |r| <= abs_r_max
+    small = dict(d_range=(1, 1), q_range=(1, 1), n_range=(1, 2), l_range=(1, 1), m_range=(1, 1))
+    counts = {k: (run_sweep("lem3.1", SweepGrid(**small, abs_r_max=k)).checked,
+                  run_sweep("lem2.2", SweepGrid(**small, abs_r_max=k)).checked) for k in (0, 5)}
+    assert counts == {0: (30, 2), 5: (30, 22)}
+
+
 def test_empty_grid_raises():
     # thm1.1 keeps only a >= 2, so a_range (1, 1) gives it nothing to check
     with pytest.raises(ValueError, match=r"^the grid gives thm1\.1 no tuples to check$"):
@@ -322,6 +330,38 @@ def test_valuation_failure_texts(monkeypatch):
     # a difference of 3 misses thm1.4's bound ceil(4/5 (2 ord_5(5) + 2)) = 4
     monkeypatch.setattr(verifier, "normalized", lambda p, a, n, r, l: 3 * a)
     assert CHECKS["thm1.4"].evaluate(p=5, a=1, l=0, n=5, r=0) == ("ord_5 >= 4", "ord_5 = 0")
+
+
+# (check id, params, (expected, actual)) under the stand-in coefficients of
+# test_congruence_failure_texts: integer congruences print both residues mod p,
+# rational ones print both sides unreduced
+CONGRUENCE_FAILURES = [
+    # lhs 36, rhs (-1)^1 binom(2, 1) 22 = -44
+    ("thm1.1", dict(p=3, a=2, l=0, n=1, r=0, s=2, t=1), ("1 (mod 3)", "0 (mod 3)")),
+    # a correction row: rhs 0 plus (-1)^0 11 * 14
+    ("lem3.2", dict(p=3, a=1, l=0, n=1, r=0, s=0, t=1), ("1 (mod 3)", "0 (mod 3)")),
+    # thm1.2's explicit branch, n <= l + 1 and beyond
+    ("thm1.2", dict(p=5, l=0, n=1, r=0, s=1, t=3), ("0 (mod 5)", "2 (mod 5)")),
+    ("thm1.2", dict(p=5, l=0, n=9, r=0, s=1, t=3), ("-3/2 (mod 5)", "67 (mod 5)")),
+    ("cor1.3", dict(p=3, l=0, n=5, r=1), ("-2/7 (mod 3)", "2/7 (mod 3)")),
+    # lem3.3's two branches, s < t and s >= t
+    ("lem3.3", dict(p=5, n=1, s=1, t=3), ("1/6 (mod 5)", "17 (mod 5)")),
+    ("lem3.3", dict(p=3, n=1, s=1, t=1), ("-1 (mod 3)", "15 (mod 3)")),
+    ("thm1.5", dict(p=5, a=1, l=1, m=2, r=0), ("4 (mod 5)", "0 (mod 5)")),
+    # lem4.1 past n = l and at n <= l
+    ("lem4.1", dict(p=5, l=1, n=9, r=0), ("4 (mod 5)", "0 (mod 5)")),
+    ("lem4.1", dict(p=5, l=1, n=0, r=0), ("0 (mod 5)", "1 (mod 5)")),
+    ("rem2.1", dict(p=5, a=1, l=1, n=2, r=0), ("3 (mod 5)", "1 (mod 5)")),
+]
+
+
+def test_congruence_failure_texts(monkeypatch):
+    # stand-in coefficients that break each congruence at the tuple given
+    monkeypatch.setattr(verifier, "normalized", lambda p, a, n, r, l: 10 * a + n + 1)
+    monkeypatch.setattr(verifier, "t_coeff", lambda p, a, n, r, l: Fraction(a, 7))
+    monkeypatch.setattr(verifier, "recurrence_residue", lambda p, a, n, r, l: 1)
+    for check_id, params, outcome in CONGRUENCE_FAILURES:
+        assert CHECKS[check_id].evaluate(**params) == outcome, (check_id, params)
 
 
 def test_evaluators_resolve_names_at_call_time(monkeypatch):
