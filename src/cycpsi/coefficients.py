@@ -4,6 +4,7 @@ the exact reduction identities they satisfy."""
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .exactmath import _require_prime, binom, factorial
 
@@ -51,7 +52,7 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
 
 
 # The sum without the memo: normalized values are memoized in normalized_table
-# instead, and psi-identity never reads a sum twice.
+# instead, lem3.1's factors in their own vectors, and thm1.0 never reads a sum twice.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
 
 
@@ -172,6 +173,25 @@ def index_reduction_identity(n: int, r: int, l: int, m: int) -> tuple[int, int]:
     return left, right
 
 
+def _factorization_j_max(d: int, q: int, n: int, t: int, l: int) -> int:
+    """The last j whose first factor S_d(n,t,j) can be nonzero, -1 for an empty
+    j-sum; refuses arguments outside the statement of the identity."""
+    if d < 1 or q < 1:
+        raise ValueError(f"moduli must be positive, got d={d}, q={q}")
+    if n < 0 or l < 0:
+        raise ValueError(f"need n, l >= 0, got n={n}, l={l}")
+    if t >= d:
+        raise ValueError(f"need t < d, got t={t}, d={d}")
+    # the last contributing k is the largest k <= n with k = t (mod d)
+    return (n - t) // d if t % d <= n else -1
+
+
+def _truncation_error(j_max: int, d: int, q: int, n: int, r: int, t: int, l: int) -> IntegrityError:
+    return IntegrityError(
+        f"the j-sum does not end at j = {j_max} (d={d}, q={q}, n={n}, r={r}, t={t}, l={l})"
+    )
+
+
 def modulus_factorization_identity(
     d: int, q: int, n: int, r: int, t: int, l: int
 ) -> tuple[int, int]:
@@ -182,29 +202,50 @@ def modulus_factorization_identity(
     (k-t)/d is a nonnegative integer for every contributing k; the j-sum is
     finite and its truncation point is checked, not assumed.
     """
-    if d < 1 or q < 1:
-        raise ValueError(f"moduli must be positive, got d={d}, q={q}")
-    if n < 0 or l < 0:
-        raise ValueError(f"need n, l >= 0, got n={n}, l={l}")
-    if t >= d:
-        raise ValueError(f"need t < d, got t={t}, d={d}")
-    # the last contributing k is the largest k <= n with k = t (mod d)
-    j_max = (n - t) // d if t % d <= n else -1
+    j_max = _factorization_j_max(d, q, n, t, l)
     lhs = 0
     for j in range(j_max + 1):
         term = fleck_sum_general(n, t, d, j) * fleck_sum_general(j, r, q, l)
         lhs += -term if j & 1 else term
     # every term beyond j_max has a vanishing first factor
     if j_max >= 0 and fleck_sum_general(n, t, d, j_max + 1) != 0:
-        raise IntegrityError(
-            f"the j-sum does not end at j = {j_max} (d={d}, q={q}, n={n}, r={r}, t={t}, l={l})"
-        )
+        raise _truncation_error(j_max, d, q, n, r, t, l)
     rhs = fleck_sum_general(n, d * r + t, d * q, l)
     return lhs, rhs
 
 
+# The two factors of factorization_sides, keyed by what each depends on:
+# signed rows by (d, n, t), columns by (q, r, l). clear_caches empties both.
+_signed_rows: dict[tuple[int, int, int], list[int]] = {}
+_columns: dict[tuple[int, int, int], list[int]] = {}
+
+
+def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple[int, int]:
+    """The (lhs, rhs) of modulus_factorization_identity, the lhs as a dot product.
+
+    The row (-1)^j S_d(n,t,j) for j <= j_max depends only on (d, n, t) and
+    comes from one _fleck_row pass, whose extra entry at j_max + 1 is the
+    truncation trap. The column S_q(j,r,l) depends only on (q, r, l) and grows
+    in place to the longest row it meets. The rhs is the direct sum, so the
+    two sides share no memo.
+    """
+    j_max = _factorization_j_max(d, q, n, t, l)
+    row = _signed_rows.get((d, n, t))
+    if row is None:
+        *head, last = _fleck_row(n, t, d, j_max + 1)
+        if last:
+            raise _truncation_error(j_max, d, q, n, r, t, l)
+        row = _signed_rows[d, n, t] = [-v if j & 1 else v for j, v in enumerate(head)]
+    column = _columns.setdefault((q, r, l), [])
+    if len(column) < len(row):
+        column.extend(_direct_fleck_sum(j, r, q, l) for j in range(len(column), len(row)))
+    return sum(map(mul, row, column)), _direct_fleck_sum(n, d * r + t, d * q, l)
+
+
 def clear_caches() -> None:
-    """Drop the memoized Fleck sums and normalized coefficients; sweeps call
-    this when the grid changes, to bound memory by what one grid needs."""
+    """Drop the memoized Fleck sums, normalized coefficients and lem3.1 factors;
+    sweeps call this when the grid changes, to bound memory by what one grid needs."""
     fleck_sum_general.cache_clear()
     normalized_table.cache_clear()
+    _signed_rows.clear()
+    _columns.clear()

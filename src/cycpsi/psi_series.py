@@ -190,7 +190,7 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
         psi^a(T^n (1+T)^e) = sum_j binom(e, j) psi^a(T^(n+j)),
 
     an exact sum of memoized monomial images; the final multiplication by
-    the unit (1+T)^(-r1) is exact coefficient by coefficient through l_max.
+    the unit (1+T)^(-r1) forms only the product coefficients 0..l_max.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -206,8 +206,11 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
     for j in range(e + 1):
         weight = comb(e, j)
         core = [c + weight * v for c, v in zip(core, _monomial_image(n + j, p, a, l_max))]
-    unit = TruncPoly.one_plus_t_power(-r1, through=l_max)
-    return (TruncPoly(tuple(core)) * unit).truncated(l_max)
+    # unit[i] = binom(-r1, i), each from the one before by an exact division
+    unit = [1]
+    for i in range(l_max):
+        unit.append(unit[i] * (-r1 - i) // (i + 1))
+    return TruncPoly(tuple(sum(core[i] * unit[k - i] for i in range(k + 1)) for k in range(l_max + 1)))
 
 
 def projection_rule_check(x: TruncPoly, y: TruncPoly, p: int) -> bool:

@@ -32,9 +32,9 @@ from .coefficients import (
     IntegrityError,
     _direct_fleck_sum,
     _fleck_row,
+    factorization_sides,
     floor_exponent,
     index_reduction_identity,
-    modulus_factorization_identity,
     normalized,
     recurrence_residue,
     t_coeff,
@@ -305,7 +305,8 @@ _eval_lem3_2 = _lucas_check(corrected=True)
 
 # thm1.2: the depth-1 analogue. Branch 1 is thm1.1 at a = 1; branch 2 is
 # the explicit rational value on digits s < t. Tuples in neither branch are
-# outside the statement and are not expanded (counterexamples exist there).
+# outside the statement and are not expanded (counterexamples exist there);
+# evaluating one is a caller's error.
 
 def _thm1_2_branch(p: int, l: int, n: int, s: int, t: int) -> int:
     if n % p == 0 or (n - l - 1) % (p - 1) != 0 or s == p - 1 or (s == 2 * t and p != 2):
@@ -330,7 +331,7 @@ def _eval_thm1_2(p, l, n, r, s, t):
             return _mod_p(lhs, 0, p)
         u = (n - l - 1) // (p - 1)
         return _congruent(lhs, Fraction(_sign(s + u) * n * binom(u - 1, l), t * binom(t - 1, s)), p)
-    return "a covered branch", "no branch matched"
+    raise ValueError(f"no branch of thm1.2 covers p={p}, l={l}, n={n}, r={r}, s={s}, t={t}")
 
 
 # cor1.3: Lucas-type congruence for the factorial-normalized rationals;
@@ -388,7 +389,7 @@ _LEM3_1_T = _where(
 
 
 def _eval_lem3_1(**params):
-    return _exact(*modulus_factorization_identity(**params))
+    return _exact(*factorization_sides(**params))
 
 
 # lem3.3: explicit value of the correction coefficient <pn+s, t> at order n-1,

@@ -17,7 +17,7 @@ from cycpsi import (
     t_coeff,
     totient_prime_power,
 )
-from cycpsi.coefficients import normalized, normalized_table
+from cycpsi.coefficients import factorization_sides, normalized, normalized_table
 from oracles import fleck_oracle
 
 
@@ -276,3 +276,45 @@ class TestModulusFactorization:
         monkeypatch.setattr(coefficients, "fleck_sum_general", lambda n, r, m, l: 1)
         with pytest.raises(IntegrityError):
             modulus_factorization_identity(2, 2, 5, 0, 1, 0)
+
+
+# (d, n, t) of one signed row: t in {-2, -1, 0, d - 1}, each below d
+FACTORIZATION_ROWS = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(0, 30), st.sampled_from(sorted({-2, -1, 0, d - 1})))
+)
+
+
+class TestFactorizationSides:
+    @given(q=st.integers(1, 6), r=st.integers(-10, 10), l=st.integers(0, 3),
+           rows=st.lists(FACTORIZATION_ROWS, min_size=1, max_size=8))
+    @example(q=2, r=-3, l=1, rows=[(1, 4, 0), (1, 30, -2), (3, 12, 2)])  # a short column, then extended
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_direct_form(self, q, r, l, rows):
+        # the rows come in random order and share one column, which grows in place
+        # whenever a longer row meets it; the memos persist from example to example
+        for d, n, t in rows:
+            assert factorization_sides(d, q, n, r, t, l) == modulus_factorization_identity(d, q, n, r, t, l)
+
+    def test_a_column_grows_in_place(self):
+        factorization_sides(1, 2, 4, -3, 0, 1)
+        column = coefficients._columns[2, -3, 1]
+        assert len(column) == 5
+        factorization_sides(1, 2, 12, -3, -2, 1)
+        assert coefficients._columns[2, -3, 1] is column and len(column) == 15
+
+    def test_truncation_trap(self, monkeypatch):
+        # a row whose entry past j_max does not vanish: nothing is stored
+        monkeypatch.setattr(coefficients, "_fleck_row", lambda n, r, m, l_max: [0] * l_max + [1])
+        with pytest.raises(IntegrityError, match="does not end at j = 2"):
+            factorization_sides(2, 2, 5, 0, 1, 0)
+        assert coefficients._signed_rows == {}
+
+    def test_rejects_t_not_below_d(self):
+        with pytest.raises(ValueError, match="need t < d"):
+            factorization_sides(2, 3, 5, 0, 2, 0)
+
+    def test_clear_caches_empties_both_memos(self):
+        factorization_sides(3, 2, 10, 1, 2, 1)
+        assert coefficients._signed_rows and coefficients._columns
+        coefficients.clear_caches()
+        assert coefficients._signed_rows == {} and coefficients._columns == {}

@@ -20,6 +20,7 @@ PSI_ROUTE_MUTANTS = {
                               "_monomial_image(n + j + 1,"),
     "weight binom(e, j) as 1": (psi_series, "monomial_twisted", "weight = comb(e, j)", "weight = 1"),
     "row step (j + l)": (coefficients, "_fleck_row", "term * (j - l)", "term * (j + l)"),
+    "unit step (-r1 + i)": (psi_series, "monomial_twisted", "(-r1 - i)", "(-r1 + i)"),
 }
 
 
@@ -48,7 +49,7 @@ def test_psi_identity_catches(mutant, monkeypatch):
 CATALOG_GRID = SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 14), l_range=(0, 2), m_range=(1, 3),
                          d_range=(1, 4), q_range=(1, 4), abs_r_max=4, coeff_degree=3)
 CATALOG_IDS = [c for c in CHECK_IDS if c != "self-test"]
-# psi-identity's Fleck side is _fleck_row, so no mutant of these functions reaches it
+# psi-identity's Fleck side is _fleck_row, so no mutant of fleck_sum_general or floor_exponent reaches it
 ALL_BUT_PSI = set(CATALOG_IDS) - {"psi-identity"}
 
 # name -> (module, function, source text, its replacement, the checks that fail)
@@ -59,6 +60,10 @@ COEFFICIENT_MUTANTS = {
                            "total += term", ALL_BUT_PSI),
     "floor_exponent + 1": (coefficients, "floor_exponent", "// totient_prime_power(p, a)",
                            "// totient_prime_power(p, a) + 1", ALL_BUT_PSI - {"cor1.3", "lem2.2", "lem3.1"}),
+    # lem3.1's signed rows come from _fleck_row too
+    "row step (j + l)": (*PSI_ROUTE_MUTANTS["row step (j + l)"], {"lem3.1", "psi-identity"}),
+    "row without (-1)^j": (coefficients, "factorization_sides",
+                           "[-v if j & 1 else v for j, v in enumerate(head)]", "head", {"lem3.1"}),
 }
 
 
@@ -87,7 +92,8 @@ def test_catalog_catches(mutant, monkeypatch):
     # a bug trap is a failure row, so every sweep returns a report
     reports = {c: run_sweep(c, CATALOG_GRID) for c in CATALOG_IDS}
     assert {c for c, report in reports.items() if report.verdict == "fail"} == failing
-    assert run_explore(CATALOG_GRID).verdict == "fail"
+    # explore reads normalized coefficients, as thm1.1 does
+    assert (run_explore(CATALOG_GRID).verdict == "fail") == ("thm1.1" in failing)
 
 
 # Mutants of the verifier's own logic: each compiles a fresh copy of the

@@ -418,6 +418,11 @@ class TestThm12Branches:
                             assert not (in_one and in_two)
                             assert branch == (1 if in_one else 2 if in_two else 0)
 
+    def test_evaluating_an_uncovered_tuple_is_refused(self):
+        # s = 1, t = 0 at p = 3, n = 5 is in neither branch, so no sweep expands it
+        with pytest.raises(ValueError, match="^no branch of thm1.2 covers p=3, l=0, n=5, r=0, s=1, t=0$"):
+            CHECKS["thm1.2"].evaluate(p=3, l=0, n=5, r=0, s=1, t=0)
+
     def test_expansion_skips_uncovered(self):
         grid = SweepGrid(primes=(3,), n_range=(5, 5), l_range=(0, 0))
         tuples = list(CHECKS["thm1.2"].expand(grid))
