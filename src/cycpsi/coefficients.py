@@ -18,6 +18,8 @@ def totient_prime_power(p: int, a: int) -> int:
     return p ** (a - 1) * (p - 1)
 
 
+# remembers the pairs that pass, so each prime power is validated once; a refusal raises every time
+@lru_cache(maxsize=128)
 def _require_prime_power(p: int, a: int) -> None:
     _require_prime(p)
     if a < 1:
@@ -227,19 +229,22 @@ def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple
     comes from one _fleck_row pass, whose extra entry at j_max + 1 is the
     truncation trap. The column S_q(j,r,l) depends only on (q, r, l) and grows
     in place to the longest row it meets. The rhs is the direct sum, so the
-    two sides share no memo.
+    two sides share no memo. The arguments are validated on a row miss; on a
+    hit (d, n, t) already were, and the rhs, computed first, refuses q < 1 and
+    l < 0 before a column is made.
     """
-    j_max = _factorization_j_max(d, q, n, t, l)
     row = _signed_rows.get((d, n, t))
     if row is None:
+        j_max = _factorization_j_max(d, q, n, t, l)
         *head, last = _fleck_row(n, t, d, j_max + 1)
         if last:
             raise _truncation_error(j_max, d, q, n, r, t, l)
         row = _signed_rows[d, n, t] = [-v if j & 1 else v for j, v in enumerate(head)]
+    rhs = _direct_fleck_sum(n, d * r + t, d * q, l)
     column = _columns.setdefault((q, r, l), [])
     if len(column) < len(row):
         column.extend(_direct_fleck_sum(j, r, q, l) for j in range(len(column), len(row)))
-    return sum(map(mul, row, column)), _direct_fleck_sum(n, d * r + t, d * q, l)
+    return sum(map(mul, row, column)), rhs
 
 
 def clear_caches() -> None:

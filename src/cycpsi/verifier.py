@@ -5,13 +5,15 @@ Each check in CHECKS is declared as named axes plus an evaluator. An axis
 is a parameter name and the values it takes once the outer axes are bound;
 a filter such as a >= 2 or n = l (mod p-1) lives on the axis it tests.
 _expander turns the axes, outermost first, into the nested loops that yield
-one parameter dict per tuple, keys in axis order. The evaluator is a plain
-function of the axis names, called as evaluate(**params); it returns None
-when the statement holds there, else an (expected, actual) pair, mostly
-decided from both sides by _mod_p (integers mod p), _congruent (p-integral
-rationals mod p), _exact or _ord_at_least. Evaluators look coefficient
-functions up in this module at call time, never binding them earlier, so a
-tracer that rebinds those names sees every call.
+one tuple of values per point, in axis order, and Check keeps the axis names
+beside it. The evaluator's parameters are the axis names in axis order, and
+it is called as evaluate(*values); it returns None when the statement holds
+there, else an (expected, actual) pair, mostly decided from both sides by
+_mod_p (integers mod p), _congruent (p-integral rationals mod p), _exact or
+_ord_at_least. A report's params dict, keys in axis order, is built only for
+a tuple it keeps. Evaluators look coefficient functions up in this module at
+call time, never binding them earlier, so a tracer that rebinds those names
+sees every call.
 
 Every evaluation is a pure function of its parameters, so a sweep splits
 into shards: shard k of w takes the tuples whose expansion index i has
@@ -22,7 +24,7 @@ shard each in a pool; merging on i restores expansion order either way.
 import multiprocessing
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from time import perf_counter
@@ -207,36 +209,36 @@ def _ord_at_least(value, bound: int, p: int) -> tuple[str, str] | None:
 Axis = tuple[str, Callable[[SweepGrid, dict], Iterable]]
 
 
-def _expander(*axes: Axis) -> Callable[[SweepGrid], Iterator[dict]]:
-    """The nested loops over axes, outermost first, as an expand function.
+def _expander(*axes: Axis) -> Callable[[SweepGrid], Iterator[tuple]]:
+    """The nested loops over two or more axes, outermost first, as an expand function.
 
-    Every tuple is a fresh dict whose keys follow the order of the axes.
+    Every tuple holds one value per axis, in the order of the axes.
     """
-    *outer, (name, values) = axes
+    *outer, (_, values) = axes
 
-    def expand(grid: SweepGrid) -> Iterator[dict]:
+    def expand(grid: SweepGrid) -> Iterator[tuple]:
         for bound in _bind(grid, outer, {}):
+            prefix = tuple(bound.values())
             for value in values(grid, bound):
-                params = bound.copy()
-                params[name] = value
-                yield params
+                yield prefix + (value,)
 
     return expand
 
 
 def _bind(grid: SweepGrid, axes: list[Axis], bound: dict) -> Iterator[dict]:
-    """Bind each axis in turn and yield bound (one dict, updated in place) per combination.
+    """Bind each of axes (at least one) in turn and yield bound (one dict,
+    updated in place) per combination.
 
-    Keys enter bound on the first descent, outermost first, so their order is
-    the axis order whichever values later replace them.
+    Keys enter bound on the first descent, outermost first, so its values are
+    in axis order whichever values later replace them.
     """
-    if not axes:
-        yield bound
-        return
     (name, values), rest = axes[0], axes[1:]
     for value in values(grid, bound):
         bound[name] = value
-        yield from _bind(grid, rest, bound)
+        if rest:
+            yield from _bind(grid, rest, bound)
+        else:
+            yield bound
 
 
 def _span(name: str) -> Axis:
@@ -355,7 +357,6 @@ def _eval_thm1_4(p, a, l, n, r):
 # evaluation with the expected residue negated, on a fixed p = 3 grid (a
 # sign flip is invisible mod 2): a healthy harness reports verdict "fail".
 
-_BOUNDARY_ROWS = _expander(_P, _A, _L, _M, _R)
 _SELF_TEST_GRID = SweepGrid(primes=(3,), a_range=(1, 1), l_range=(0, 0), m_range=(1, 4))
 
 
@@ -373,11 +374,11 @@ def _boundary_check(sign: int) -> Callable[..., tuple[str, str] | None]:
 
 
 # lem2.2: exact order-lowering identity over any modulus m >= 1. Here, in
-# lem3.1 and in psi-identity the axis names are the parameter names of the
-# function that computes both sides.
+# lem3.1 and in psi-identity the axis names are the parameters, in order, of
+# the function that computes both sides.
 
-def _eval_lem2_2(**params):
-    return _exact(*index_reduction_identity(**params))
+def _eval_lem2_2(n, r, l, m):
+    return _exact(*index_reduction_identity(n, r, l, m))
 
 
 # lem3.1: exact convolution collapsing moduli d and q into dq, t < d.
@@ -388,8 +389,8 @@ _LEM3_1_T = _where(
 )
 
 
-def _eval_lem3_1(**params):
-    return _exact(*factorization_sides(**params))
+def _eval_lem3_1(d, q, n, r, t, l):
+    return _exact(*factorization_sides(d, q, n, r, t, l))
 
 
 # lem3.3: explicit value of the correction coefficient <pn+s, t> at order n-1,
@@ -472,37 +473,51 @@ def psi_sides(p: int, a: int, n: int, r: int, l_max: int) -> tuple[list[int], li
     return got, [-v for v in want] if n & 1 else want
 
 
-def _eval_psi_identity(**params):
-    return _exact(*psi_sides(**params))
+def _eval_psi_identity(p, a, n, r, l_max):
+    return _exact(*psi_sides(p, a, n, r, l_max))
 
 
 @dataclass(frozen=True)
 class Check:
-    expand: Callable[[SweepGrid], Iterator[dict]]
-    evaluate: Callable[..., tuple[str, str] | None]
+    """expand(grid) yields tuples of values, one per name in names and in that
+    order, and evaluate takes a tuple's values positionally."""
 
+    expand: Callable[[SweepGrid], Iterator[tuple]]
+    evaluate: Callable[..., tuple[str, str] | None]
+    names: tuple[str, ...]
+
+
+def _names(axes: tuple[Axis, ...]) -> tuple[str, ...]:
+    return tuple(name for name, _ in axes)
+
+
+def _check(evaluate: Callable[..., tuple[str, str] | None], *axes: Axis) -> Check:
+    """evaluate over the nested loops of axes, outermost first."""
+    return Check(_expander(*axes), evaluate, _names(axes))
+
+
+_THM1_5 = _check(_boundary_check(1), _P, _A, _L, _M, _R)
 
 CHECKS: dict[str, Check] = {
-    "thm1.0": Check(_expander(_P, _A, _L, _N, _R), _eval_thm1_0),
-    "thm1.1": Check(_expander(_P, _where(_A, lambda a, bound: a >= 2), _L, _N, _R, _S, _T),
-                    _eval_thm1_1),
-    "thm1.2": Check(_expander(_P, _L, _N, _residues_at(1), _S, _THM1_2_T), _eval_thm1_2),
-    "cor1.3": Check(_expander(_P, _L, _N, _residues_at(2)), _eval_cor1_3),
-    "thm1.4": Check(_expander(_P, _A, _L, _N_POSITIVE, _R), _eval_thm1_4),
-    "thm1.5": Check(_BOUNDARY_ROWS, _boundary_check(1)),
-    "lem2.2": Check(_expander(_N_POSITIVE, ("r", lambda grid, bound: grid.free_r(grid.abs_r_max)),
-                              _L_POSITIVE, _M), _eval_lem2_2),
-    "lem3.1": Check(_expander(_span("d"), _span("q"), _N, ("r", lambda grid, bound: grid.free_r(2)),
-                              _LEM3_1_T, _L), _eval_lem3_1),
-    "lem3.2": Check(_expander(_P, _A, _L, _N, _R, _S, _T), _eval_lem3_2),
-    "lem3.3": Check(_expander(_P, _N_POSITIVE, _where(_S, lambda s, bound: s != bound["p"] - 1), _T),
-                    _eval_lem3_3),
-    "lem4.1": Check(_expander(_P, _L, _LEM4_1_N, _residues_at(1)), _eval_lem4_1),
-    "rem2.1": Check(_expander(_P, _A, _L_POSITIVE, _N_POSITIVE, _R), _eval_rem2_1),
-    "conj-perm": Check(_expander(_P, _CONJ_PERM_N, _CONJ_PERM_R), _eval_conj_perm),
-    "psi-identity": Check(_expander(_P, _A, _N, _R, ("l_max", lambda grid, bound: (grid.coeff_degree,))),
-                          _eval_psi_identity),
-    "self-test": Check(lambda grid: _BOUNDARY_ROWS(_SELF_TEST_GRID), _boundary_check(-1)),
+    "thm1.0": _check(_eval_thm1_0, _P, _A, _L, _N, _R),
+    "thm1.1": _check(_eval_thm1_1, _P, _where(_A, lambda a, bound: a >= 2), _L, _N, _R, _S, _T),
+    "thm1.2": _check(_eval_thm1_2, _P, _L, _N, _residues_at(1), _S, _THM1_2_T),
+    "cor1.3": _check(_eval_cor1_3, _P, _L, _N, _residues_at(2)),
+    "thm1.4": _check(_eval_thm1_4, _P, _A, _L, _N_POSITIVE, _R),
+    "thm1.5": _THM1_5,
+    "lem2.2": _check(_eval_lem2_2, _N_POSITIVE, ("r", lambda grid, bound: grid.free_r(grid.abs_r_max)),
+                     _L_POSITIVE, _M),
+    "lem3.1": _check(_eval_lem3_1, _span("d"), _span("q"), _N, ("r", lambda grid, bound: grid.free_r(2)),
+                     _LEM3_1_T, _L),
+    "lem3.2": _check(_eval_lem3_2, _P, _A, _L, _N, _R, _S, _T),
+    "lem3.3": _check(_eval_lem3_3, _P, _N_POSITIVE, _where(_S, lambda s, bound: s != bound["p"] - 1), _T),
+    "lem4.1": _check(_eval_lem4_1, _P, _L, _LEM4_1_N, _residues_at(1)),
+    "rem2.1": _check(_eval_rem2_1, _P, _A, _L_POSITIVE, _N_POSITIVE, _R),
+    "conj-perm": _check(_eval_conj_perm, _P, _CONJ_PERM_N, _CONJ_PERM_R),
+    "psi-identity": _check(_eval_psi_identity, _P, _A, _N, _R,
+                           ("l_max", lambda grid, bound: (grid.coeff_degree,))),
+    "self-test": replace(_THM1_5, expand=lambda grid: _THM1_5.expand(_SELF_TEST_GRID),
+                         evaluate=_boundary_check(-1)),
 }
 
 CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
@@ -511,6 +526,7 @@ CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int, list]:
     """(tuples evaluated, [(i, params, outcome)] for each outcome not None) over
     the tuples of target (a check id or "rem1.2") with i % workers == index.
+    params maps the axis names to the tuple's values; only a kept row builds it.
 
     A bug trap of the package (IntegrityError, NotPIntegralError) raised while
     evaluating a tuple becomes that tuple's failure outcome, named after the
@@ -518,17 +534,18 @@ def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int,
     each call, so rebinding CHECKS entries, _expand_rem1_2 or _margin_rem1_2
     (as a tracer does) takes effect.
     """
-    check = CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2)
+    check = CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2, _names(_REM1_2_AXES))
+    evaluate = check.evaluate
     checked = 0
     rows = []
-    for i, params in islice(enumerate(check.expand(grid)), index, None, workers):
+    for i, values in islice(enumerate(check.expand(grid)), index, None, workers):
         checked += 1
         try:
-            outcome = check.evaluate(**params)
+            outcome = evaluate(*values)
         except (IntegrityError, NotPIntegralError) as err:
             outcome = f"no {type(err).__name__}", str(err)
         if outcome is not None:
-            rows.append((i, params, outcome))
+            rows.append((i, dict(zip(check.names, values)), outcome))
     return checked, rows
 
 
@@ -583,10 +600,8 @@ def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) ->
 # over the conjectured strengthened exponent 2a - [p == 3]. Informational:
 # margins are reported, never asserted, so only a bug trap makes it fail.
 
-_expand_rem1_2 = _expander(
-    _where(_P, lambda p, bound: p != 2),
-    _A, _L, _N_POSITIVE, _residues_at(1),
-)
+_REM1_2_AXES = (_where(_P, lambda p, bound: p != 2), _A, _L, _N_POSITIVE, _residues_at(1))
+_expand_rem1_2 = _expander(*_REM1_2_AXES)
 
 
 def _margin_rem1_2(p, a, l, n, r):

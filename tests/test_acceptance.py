@@ -22,6 +22,12 @@ from cycpsi.cli import main
 from cycpsi.verifier import CHECKS, _lem3_2_exceptional, _sigma
 
 
+def _params(check_id, grid):
+    """The tuples check_id expands on grid, each as a dict keyed by axis name."""
+    check = CHECKS[check_id]
+    return [dict(zip(check.names, values)) for values in check.expand(grid)]
+
+
 def _line(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num:02d} [{status}] {name}" + (f" ({detail})" if detail else ""))
@@ -43,7 +49,7 @@ def test_criterion_02_lucas_congruence():
     assert (5 - 1) % 2 == 0
     grid = SweepGrid(primes=(2, 3, 5), a_range=(2, 3), n_range=(0, 40), l_range=(0, 3))
     instance = {"p": 2, "a": 2, "l": 0, "n": 4, "r": 0, "s": 1, "t": 0}
-    assert any(t == instance for t in CHECKS["thm1.1"].expand(grid))
+    assert instance in _params("thm1.1", grid)
     report = run_sweep("thm1.1", grid)
     _line(2, "Lucas congruence sweep (depth >= 2)", report.verdict == "pass",
           f"checked={report.checked} failures={len(report.failures)}")
@@ -54,7 +60,7 @@ def test_criterion_03_depth_one_both_branches():
     assert 332 % 3 == 2
     grid = SweepGrid(primes=(2, 3, 5), n_range=(0, 40), l_range=(0, 3))
     instance = {"p": 3, "l": 0, "n": 5, "r": 0, "s": 0, "t": 1}
-    assert any(t == instance for t in CHECKS["thm1.2"].expand(grid))
+    assert instance in _params("thm1.2", grid)
     report = run_sweep("thm1.2", grid)
     _line(3, "depth-1 congruence sweep, both branches", report.verdict == "pass",
           f"checked={report.checked} failures={len(report.failures)}")
@@ -89,7 +95,7 @@ def test_criterion_06_sharpness_rows():
 
 def test_criterion_07_exact_identities():
     grid22 = SweepGrid(n_range=(1, 30), l_range=(1, 4), m_range=(1, 8), abs_r_max=10)
-    assert any(t["m"] == 6 for t in CHECKS["lem2.2"].expand(grid22))  # composite moduli included
+    assert any(t["m"] == 6 for t in _params("lem2.2", grid22))  # composite moduli included
     report22 = run_sweep("lem2.2", grid22)
     grid31 = SweepGrid(n_range=(0, 30), l_range=(0, 3), d_range=(1, 9), q_range=(1, 9))
     report31 = run_sweep("lem3.1", grid31)
@@ -116,8 +122,8 @@ def test_criterion_08_correction_lemmas_and_recurrence():
                     assert ord_p(_sigma(p, n, s, t), p) >= 1
     # the lem3.2 grid exercises both classification branches
     exceptional = sum(
-        1 for t in CHECKS["lem3.2"].expand(SweepGrid(primes=(3,), a_range=(1, 1),
-                                                     n_range=(0, 20), l_range=(0, 2)))
+        1 for t in _params("lem3.2", SweepGrid(primes=(3,), a_range=(1, 1),
+                                               n_range=(0, 20), l_range=(0, 2)))
         if _lem3_2_exceptional(t["p"], t["a"], t["l"], t["n"], t["s"])
     )
     assert exceptional > 0
@@ -154,7 +160,7 @@ def test_criterion_09_psi_operator_suite():
 
 def test_criterion_10_residue_permutation():
     grid = SweepGrid(primes=(3, 5, 7), n_range=(2, 40))
-    tuples = list(CHECKS["conj-perm"].expand(grid))
+    tuples = _params("conj-perm", grid)
     assert tuples and any(t["p"] == 7 for t in tuples)
     report = run_sweep("conj-perm", grid)
     _line(10, "residue permutation over t, r-independent", report.verdict == "pass",

@@ -138,6 +138,21 @@ class TestNormalizedMemo:
                 normalized(*args, 0, 0, 0)
         assert normalized_table.cache_info().currsize == 0
 
+    def test_each_prime_power_is_validated_once(self, monkeypatch):
+        checked = []
+        require_prime = coefficients._require_prime
+        monkeypatch.setattr(coefficients, "_require_prime", lambda p: checked.append(p) or require_prime(p))
+        coefficients._require_prime_power.cache_clear()
+        for n in range(5):
+            assert normalized(3, 1, n, 0, 0) == normalized_parts(3, 1, n, 0, 0)[2]
+        assert checked == [3]
+        # a refusal is not remembered: both routes refuse p = 4 every time
+        for _ in range(2):
+            for fn in (normalized_parts, normalized):
+                with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+                    fn(4, 1, 1, 0, 0)
+        assert checked == [3, 4, 4, 4, 4]
+
     def test_clear_caches_empties_both_memos(self):
         normalized(2, 1, 4, 0, 0)
         fleck_sum_general(4, 0, 2, 0)
@@ -312,6 +327,14 @@ class TestFactorizationSides:
     def test_rejects_t_not_below_d(self):
         with pytest.raises(ValueError, match="need t < d"):
             factorization_sides(2, 3, 5, 0, 2, 0)
+
+    def test_refuses_q_and_l_on_a_row_hit(self):
+        # the row of (d, n, t) = (2, 5, 1) is stored, so only the direct sums see q and l
+        factorization_sides(2, 2, 5, 0, 1, 0)
+        for q, l, message in ((0, 0, "modulus must be positive, got 0"), (2, -1, "l must be >= 0, got -1")):
+            with pytest.raises(ValueError, match=message):
+                factorization_sides(2, q, 5, 0, 1, l)
+        assert set(coefficients._columns) == {(2, 0, 0)}
 
     def test_clear_caches_empties_both_memos(self):
         factorization_sides(3, 2, 10, 1, 2, 1)

@@ -3,6 +3,7 @@ source of one function, and the sweeps must report it: psi-identity for the
 psi route, and a pinned set of checks for the coefficient functions."""
 
 import inspect
+from dataclasses import replace
 from itertools import starmap
 from types import ModuleType, SimpleNamespace
 
@@ -121,6 +122,18 @@ VERIFIER_MUTANTS = {
                                 CONGRUENT_ROUTED),
 }
 
+# Evaluators take a tuple's values positionally, so one whose parameters are out
+# of axis order reads the wrong values: (source text, its replacement, the ids
+# whose evaluator no longer names the axes in order, the checks whose verdict
+# changes). A sweep sees the swap only where the statement tells the two
+# values apart; thm1.0's bound holds with n and l swapped.
+SWAPPED_PARAMETER_MUTANTS = {
+    "thm1.0 with l and n swapped": ("def _eval_thm1_0(p, a, l, n, r):", "def _eval_thm1_0(p, a, n, l, r):",
+                                    {"thm1.0"}, set()),
+    "boundary rows with l and m swapped": ("def evaluate(p, a, l, m, r):", "def evaluate(p, a, m, l, r):",
+                                           {"thm1.5", "self-test"}, {"thm1.5"}),
+}
+
 # psi_apply's sign flip of the odd coefficients dropped: (source text, replacement, the checks whose verdict changes)
 PSI_APPLY_MUTANT = ("[-v if i & 1 else v for i, v in enumerate(x.coeffs)]", "list(x.coeffs)", {"psi-identity"})
 
@@ -152,6 +165,15 @@ def test_unmutated_copy_changes_nothing():
 def test_verifier_mutant_changes(mutant):
     old, new, changed = VERIFIER_MUTANTS[mutant]
     assert _verdict_changes(_mutated_verifier(old, new)) == changed
+
+
+@pytest.mark.parametrize("mutant", SWAPPED_PARAMETER_MUTANTS)
+def test_swapped_parameters_are_caught(mutant):
+    old, new, out_of_order, changed = SWAPPED_PARAMETER_MUTANTS[mutant]
+    sweeps = _mutated_verifier(old, new)
+    assert {c for c, check in sweeps.CHECKS.items()
+            if tuple(inspect.signature(check.evaluate).parameters) != check.names} == out_of_order
+    assert _verdict_changes(sweeps) == changed
 
 
 def test_psi_apply_mutant_changes(monkeypatch):
@@ -219,12 +241,13 @@ def test_shard_merge_equals_the_serial_report(grid, target, workers, marked):
         else:
             check = verifier.CHECKS[target]
 
-            def evaluate(**params):
+            def evaluate(*values):
+                params = dict(zip(check.names, values))
                 if len(repr(params)) % marked == 0:
                     return "an unmarked tuple", repr(params)
-                return check.evaluate(**params)
+                return check.evaluate(*values)
 
-            mp.setitem(verifier.CHECKS, target, verifier.Check(check.expand, evaluate))
+            mp.setitem(verifier.CHECKS, target, replace(check, evaluate=evaluate))
 
             def sweep(grid, workers=1):
                 return run_sweep(target, grid, workers)

@@ -1,7 +1,10 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -315,10 +318,10 @@ def test_cor1_3_refuses_non_integral_sides(monkeypatch):
 
 def test_other_exceptions_propagate(monkeypatch):
     # only the package's bug traps become failure rows; a programming error stays loud
-    def broken(**params):
+    def broken(*values):
         raise ZeroDivisionError("not a bug trap")
 
-    monkeypatch.setitem(CHECKS, "thm1.5", verifier.Check(CHECKS["thm1.5"].expand, broken))
+    monkeypatch.setitem(CHECKS, "thm1.5", replace(CHECKS["thm1.5"], evaluate=broken))
     with pytest.raises(ZeroDivisionError, match="not a bug trap"):
         run_sweep("thm1.5", SMALL)
 
@@ -362,6 +365,19 @@ def test_congruence_failure_texts(monkeypatch):
     monkeypatch.setattr(verifier, "recurrence_residue", lambda p, a, n, r, l: 1)
     for check_id, params, outcome in CONGRUENCE_FAILURES:
         assert CHECKS[check_id].evaluate(**params) == outcome, (check_id, params)
+
+
+@pytest.mark.parametrize("target", CHECK_IDS + ("rem1.2",))
+def test_evaluators_take_the_values_in_axis_order(target):
+    # _shard calls evaluate(*values), so the parameters must be the axis names in order
+    if target == "rem1.2":
+        check = verifier.Check(verifier._expand_rem1_2, verifier._margin_rem1_2,
+                               verifier._names(verifier._REM1_2_AXES))
+    else:
+        check = CHECKS[target]
+    assert tuple(inspect.signature(check.evaluate).parameters) == check.names
+    sizes = Counter(len(values) for values in check.expand(SweepGrid()))
+    assert list(sizes) == [len(check.names)]
 
 
 def test_evaluators_resolve_names_at_call_time(monkeypatch):
@@ -425,7 +441,8 @@ class TestThm12Branches:
 
     def test_expansion_skips_uncovered(self):
         grid = SweepGrid(primes=(3,), n_range=(5, 5), l_range=(0, 0))
-        tuples = list(CHECKS["thm1.2"].expand(grid))
+        check = CHECKS["thm1.2"]
+        tuples = [dict(zip(check.names, values)) for values in check.expand(grid)]
         assert all(_thm1_2_branch(t["p"], t["l"], t["n"], t["s"], t["t"]) for t in tuples)
         assert not any(t["s"] == 1 and t["t"] == 0 for t in tuples)
 
@@ -435,7 +452,8 @@ def test_lem3_2_classification_is_total():
     assert not _lem3_2_exceptional(3, 1, 0, 2, 0)
     grid = SweepGrid(primes=(3,), a_range=(1, 1), n_range=(0, 10), l_range=(0, 2))
     seen = {True: 0, False: 0}
-    for t in CHECKS["lem3.2"].expand(grid):
+    check = CHECKS["lem3.2"]
+    for t in (dict(zip(check.names, values)) for values in check.expand(grid)):
         seen[_lem3_2_exceptional(t["p"], t["a"], t["l"], t["n"], t["s"])] += 1
     assert seen[True] > 0 and seen[False] > 0
 
