@@ -99,8 +99,9 @@ def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, 
 
 
 @lru_cache(maxsize=None)
-def normalized_table(p: int, a: int) -> dict[tuple[int, int, int], int]:
-    """The memo of normalized coefficients for the prime power p^a, keyed (n, r, l).
+def normalized_table(p: int, a: int) -> dict[tuple[int, int], list[int | None]]:
+    """The memo of normalized coefficients for the prime power p^a: one row per
+    (r, l), where row[n] is the value at n, or None where none was asked for.
 
     normalized fills it; every value in it went through normalized_parts.
     """
@@ -111,9 +112,18 @@ def normalized_table(p: int, a: int) -> dict[tuple[int, int, int], int]:
 def normalized(p: int, a: int, n: int, r: int, l: int) -> int:
     """The normalized coefficient <n r>_{l,p^a}, memoized in normalized_table(p, a)."""
     table = normalized_table(p, a)
-    value = table.get((n, r, l))
-    if value is None:
-        value = table[n, r, l] = normalized_parts(p, a, n, r, l)[2]
+    row = table.get((r, l))
+    # a negative n never indexes a row: normalized_parts refuses it below
+    if row is not None and 0 <= n < len(row):
+        value = row[n]
+        if value is not None:
+            return value
+    value = normalized_parts(p, a, n, r, l)[2]
+    # the row is made only after the value passed the trap, so a refusal stores nothing
+    if row is None:
+        row = table[r, l] = []
+    row.extend([None] * (n + 1 - len(row)))  # empty when n is already inside the row
+    row[n] = value
     return value
 
 

@@ -197,10 +197,12 @@ def _exact(lhs, rhs) -> tuple[str, str] | None:
     return None if lhs == rhs else (str(rhs), str(lhs))
 
 
-def _ord_at_least(value, bound: int, p: int) -> tuple[str, str] | None:
-    """None when ord_p(value) reaches bound, else both valuations as text."""
-    v = ord_p(value, p)
-    return None if v >= bound else (f"ord_{p} >= {bound}", f"ord_{p} = {v}")
+def _ord_at_least(value: int, bound: int, p: int) -> tuple[str, str] | None:
+    """None when ord_p of the integer value reaches bound >= 0, that is when
+    p^bound divides it, else both valuations as text."""
+    if value % p ** bound == 0:
+        return None
+    return f"ord_{p} >= {bound}", f"ord_{p} = {ord_p(value, p)}"
 
 
 # Axes: values(grid, bound) gives the values of the axis' parameter, where
@@ -383,10 +385,14 @@ def _eval_lem2_2(n, r, l, m):
 
 # lem3.1: exact convolution collapsing moduli d and q into dq, t < d.
 
-_LEM3_1_T = _where(
-    ("t", lambda grid, bound: sorted({-2, -1, 0, 1, 2, bound["d"] - 1})),
-    lambda t, bound: t < bound["d"],
-)
+def _lem3_1_t(grid: SweepGrid, bound: dict) -> Iterable[int]:
+    """t over -2..2 and d - 1, each below d, in increasing order."""
+    d = bound["d"]
+    low = range(-2, min(d, 3))
+    return (*low, d - 1) if d > 3 else low
+
+
+_LEM3_1_T = ("t", _lem3_1_t)
 
 
 def _eval_lem3_1(d, q, n, r, t, l):

@@ -128,9 +128,30 @@ class TestNormalized:
 class TestNormalizedMemo:
     def test_values_and_hits(self):
         assert normalized(3, 2, 15, 1, 0) == 332
-        assert normalized_table(3, 2) == {(15, 1, 0): 332}
+        assert normalized_table(3, 2) == {(1, 0): [None] * 15 + [332]}
+        assert normalized_table(3, 2)[1, 0][15] == 332
         assert normalized(3, 2, 15, 1, 0) == 332
         assert normalized_table.cache_info().currsize == 1
+
+    def test_a_row_serves_a_smaller_n_after_a_larger_one(self):
+        assert normalized(3, 2, 15, 1, 0) == 332
+        assert normalized(3, 2, 4, 1, 0) == normalized_parts(3, 2, 4, 1, 0)[2]
+        assert normalized(3, 2, 15, 1, 0) == 332
+        row = normalized_table(3, 2)[1, 0]
+        assert len(row) == 16 and row[15] == 332 and row[4] == normalized_parts(3, 2, 4, 1, 0)[2]
+        assert [n for n, v in enumerate(row) if v is not None] == [4, 15]
+
+    def test_a_negative_n_is_refused_and_stores_nothing(self):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            normalized(3, 1, -1, 0, 0)
+        assert normalized_table(3, 1) == {}
+        # with a row in place, n = -1 must not read its last entry
+        for n in range(4):
+            normalized(3, 1, n, 0, 0)
+        before = {key: list(row) for key, row in normalized_table(3, 1).items()}
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            normalized(3, 1, -1, 0, 0)
+        assert normalized_table(3, 1) == before
 
     def test_validates_the_prime_power(self):
         for args, message in (((4, 1), "p must be prime, got 4"), ((3, 0), "a must be >= 1, got 0")):
@@ -188,7 +209,7 @@ class TestNormalizedMemo:
             want = raw // p**e if e >= 0 else raw * p ** (-e)
             if e >= 0:
                 assert raw % p**e == 0
-            assert normalized_table(p, a)[n, r, l] == normalized(p, a, n, r, l) == want
+            assert normalized_table(p, a)[r, l][n] == normalized(p, a, n, r, l) == want
             assert normalized_parts(p, a, n, r, l)[2] == want
 
 

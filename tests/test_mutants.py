@@ -120,6 +120,9 @@ VERIFIER_MUTANTS = {
     "_mod_p on lhs + rhs": ("(lhs - rhs) % p", "(lhs + rhs) % p", MOD_P_ROUTED | {"self-test"}),
     "_congruent against -rhs": ("congruent_mod_p_power(lhs, rhs, p, 1)", "congruent_mod_p_power(lhs, -rhs, p, 1)",
                                 CONGRUENT_ROUTED),
+    # _ord_at_least decides by divisibility; asking one power of p too many fails the valuation checks
+    "_ord_at_least one power too high": ("value % p ** bound == 0", "value % p ** (bound + 1) == 0",
+                                         {"thm1.0", "thm1.4"}),
 }
 
 # Evaluators take a tuple's values positionally, so one whose parameters are out

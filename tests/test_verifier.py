@@ -294,12 +294,36 @@ def test_a_new_grid_starts_with_empty_memos():
     assert fleck_sum_general.cache_info().currsize == 0
 
 
+def test_the_memo_holds_one_row_per_r_and_l():
+    run_sweep("thm1.1", SMALL)
+    stored = 0
+    # thm1.1 reads depths a and a + 1 for a >= 2
+    for p in SMALL.primes:
+        for a in (2, 3):
+            table = normalized_table(p, a)
+            assert table
+            for key, row in table.items():
+                r, l = key
+                assert type(r) is int and type(l) is int and type(row) is list
+                for n, value in enumerate(row):
+                    if value is not None:
+                        assert value == normalized_parts(p, a, n, r, l)[2]
+                        stored += 1
+    assert stored > 0
+
+
 def test_abs_r_max_bounds_lem2_2_only():
     # lem3.1 sweeps |r| <= 2 whatever abs_r_max says; lem2.2 sweeps |r| <= abs_r_max
     small = dict(d_range=(1, 1), q_range=(1, 1), n_range=(1, 2), l_range=(1, 1), m_range=(1, 1))
     counts = {k: (run_sweep("lem3.1", SweepGrid(**small, abs_r_max=k)).checked,
                   run_sweep("lem2.2", SweepGrid(**small, abs_r_max=k)).checked) for k in (0, 5)}
     assert counts == {0: (30, 2), 5: (30, 22)}
+
+
+def test_lem3_1_t_axis_is_the_small_digits_and_d_minus_1_below_d():
+    _, values = verifier._LEM3_1_T
+    for d in range(1, 13):
+        assert list(values(SweepGrid(), {"d": d})) == [t for t in sorted({-2, -1, 0, 1, 2, d - 1}) if t < d]
 
 
 def test_empty_grid_raises():
