@@ -4,7 +4,7 @@ the exact reduction identities they satisfy."""
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import mul
+from operator import mul, sub
 
 from .exactmath import _require_prime, binom, factorial
 
@@ -75,27 +75,34 @@ def _fleck_row(n: int, r: int, m: int, l_max: int) -> list[int]:
     return row
 
 
-def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, int]:
-    """(raw_sum, exponent, normalized) for one coefficient.
+def _divide(raw: int, exponent: int, p: int, a: int, n: int, r: int, l: int) -> int:
+    """raw / p^exponent, the normalized value of the sum raw of (p, a, n, r, l).
 
-    exponent = floor_exponent(p, a, n, l). When it is >= 0 the integrality
-    theorem makes raw = p^exponent * normalized exact, and a violation raises
-    IntegrityError as a bug trap; when it is negative, normalized is raw scaled
-    up by p^(-exponent).
+    When exponent >= 0 the integrality theorem makes the division exact, and a
+    remainder raises IntegrityError as a bug trap; when it is negative, raw is
+    scaled up by p^(-exponent). Every normalized value, direct or filled, comes from here.
+    """
+    if exponent < 0:
+        return raw * p ** (-exponent)
+    normalized, rem = divmod(raw, p ** exponent)
+    if rem:
+        raise IntegrityError(
+            f"p^{exponent} does not divide the sum {raw} "
+            f"(p={p}, a={a}, n={n}, r={r}, l={l})"
+        )
+    return normalized
+
+
+def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, int]:
+    """(raw_sum, exponent, normalized) for one coefficient, the sum computed directly.
+
+    exponent = floor_exponent(p, a, n, l); normalized is raw divided by
+    p^exponent through the bug trap of _divide.
     """
     _require_prime_power(p, a)
     raw = _direct_fleck_sum(n, r, p ** a, l)
     exponent = floor_exponent(p, a, n, l)
-    if exponent >= 0:
-        normalized, rem = divmod(raw, p ** exponent)
-        if rem:
-            raise IntegrityError(
-                f"p^{exponent} does not divide the sum {raw} "
-                f"(p={p}, a={a}, n={n}, r={r}, l={l})"
-            )
-    else:
-        normalized = raw * p ** (-exponent)
-    return raw, exponent, normalized
+    return raw, exponent, _divide(raw, exponent, p, a, n, r, l)
 
 
 @lru_cache(maxsize=None)
@@ -103,14 +110,98 @@ def normalized_table(p: int, a: int) -> dict[tuple[int, int], list[int | None]]:
     """The memo of normalized coefficients for the prime power p^a: one row per
     (r, l), where row[n] is the value at n, or None where none was asked for.
 
-    normalized fills it; every value in it went through normalized_parts.
+    normalized fills it; every value in it went through _divide's trap.
     """
     _require_prime_power(p, a)
     return {}
 
 
+# The fill states, one per (p, a, l): [n, raw, targets]. raw[l'][r0] is the raw
+# sum S(n, r0, p^a, l') for every l' <= l and residue r0 in [0, p^a), and
+# targets are the memo rows (r, l) the state writes when it steps, each as
+# (r, row, r % p^a, _shift(r // p^a, l)). A state keeps the sums at one n only.
+_fills: dict[tuple[int, int, int], list] = {}
+
+
+def _shift(k: int, l: int) -> tuple[int, ...]:
+    """(binom(-k, i) for i = 1..l), cut before the first zero, so a residue
+    itself (k = 0) gets the empty tuple.
+
+    By Vandermonde, S(n, r0 + k m, m, l) = S(n, r0, m, l) + sum_i binom(-k, i)
+    S(n, r0, m, l - i): every representative of a class comes from its residue.
+    """
+    coeffs = []
+    c = 1
+    for i in range(l):
+        c = c * (-k - i) // (i + 1)
+        if not c:
+            break
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
+def _target(m: int, r: int, l: int, row: list[int | None]) -> tuple:
+    return r, row, r % m, _shift(r // m, l)
+
+
+def _step(raw: list[list[int]]) -> list[list[int]]:
+    """The raw sums of a fill state at n + 1 from those at n, by Pascal's rule:
+    S(n+1, r0) = S(n, r0) - S(n, r0 - 1) at every level l', where
+    S(n, -1, m, l') = S(n, m-1, m, l') + S(n, m-1, m, l'-1) closes the row at r0 = 0."""
+    stepped = []
+    below = 0  # S(n, m-1, m, l'-1); there is no level below l' = 0
+    for level in raw:
+        last = level[-1]
+        stepped.append([level[0] - last - below, *map(sub, level[1:], level[:-1])])
+        below = last
+    return stepped
+
+
+def _fill(p: int, a: int, n: int, r: int, l: int, table: dict, fill: list | None) -> int:
+    """normalized(p, a, n, r, l) read from the (p, a, l) fill state, which is at
+    n or at n - 1; fill is None for a state not made yet, which starts at n = 0.
+
+    A state at n - 1 steps to n and writes the value at n into every row it
+    targets and into (r, l)'s. Nothing is stored, and the state does not move,
+    until every value written has passed the trap.
+    """
+    m = p ** a
+    if fill is None:
+        raw = [[0] * m for _ in range(l + 1)]
+        raw[0][0] = 1  # S(0, r0, m, l') = binom(0, l') at r0 = 0
+        fill = [0, raw, [_target(m, r_, l, row_) for (r_, l_), row_ in table.items() if l_ == l]]
+    row = table.get((r, l))
+    queried = _target(m, r, l, [] if row is None else row)
+    if n == fill[0]:
+        raw, writes = fill[1], [queried]
+    else:
+        raw, writes = _step(fill[1]), fill[2] if row is not None else [*fill[2], queried]
+    exponent = floor_exponent(p, a, n, l)
+    level = raw[l]
+    values = []
+    for r_, row_, r0, shift in writes:
+        total = level[r0]
+        for i, c in enumerate(shift, 1):
+            total += c * raw[l - i][r0]
+        values.append((row_, _divide(total, exponent, p, a, n, r_, l)))
+    for row_, value in values:
+        row_.extend([None] * (n + 1 - len(row_)))
+        row_[n] = value
+    if row is None:
+        table[r, l] = queried[1]
+        fill[2].append(queried)
+    fill[:2] = n, raw
+    _fills[p, a, l] = fill
+    return queried[1][n]
+
+
 def normalized(p: int, a: int, n: int, r: int, l: int) -> int:
-    """The normalized coefficient <n r>_{l,p^a}, memoized in normalized_table(p, a)."""
+    """The normalized coefficient <n r>_{l,p^a}, memoized in normalized_table(p, a).
+
+    A miss at the n of the (p, a, l) fill state, or one past it, is read from
+    the state (_fill); a state starts at n = 0. Every other miss, behind the
+    state or more than one step ahead of it, is normalized_parts' direct sum.
+    """
     table = normalized_table(p, a)
     row = table.get((r, l))
     # a negative n never indexes a row: normalized_parts refuses it below
@@ -118,10 +209,16 @@ def normalized(p: int, a: int, n: int, r: int, l: int) -> int:
         value = row[n]
         if value is not None:
             return value
+    fill = _fills.get((p, a, l))
+    at = fill[0] if fill is not None else 0
+    if l >= 0 and at <= n <= at + 1:
+        return _fill(p, a, n, r, l, table, fill)
     value = normalized_parts(p, a, n, r, l)[2]
     # the row is made only after the value passed the trap, so a refusal stores nothing
     if row is None:
         row = table[r, l] = []
+        if fill is not None:
+            fill[2].append(_target(p ** a, r, l, row))
     row.extend([None] * (n + 1 - len(row)))  # empty when n is already inside the row
     row[n] = value
     return value
@@ -258,9 +355,10 @@ def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple
 
 
 def clear_caches() -> None:
-    """Drop the memoized Fleck sums, normalized coefficients and lem3.1 factors;
-    sweeps call this when the grid changes, to bound memory by what one grid needs."""
+    """Drop the memoized Fleck sums, normalized coefficients, fill states and lem3.1
+    factors; sweeps call this when the grid changes, to bound memory by what one grid needs."""
     fleck_sum_general.cache_clear()
     normalized_table.cache_clear()
+    _fills.clear()
     _signed_rows.clear()
     _columns.clear()

@@ -64,7 +64,8 @@ Valuation = int | _InfiniteValuation
 factorial = math.factorial
 
 
-@lru_cache(maxsize=None)
+# bounded like _require_prime_power: a sweep asks about a handful of primes, and nothing clears it
+@lru_cache(maxsize=128)
 def is_prime(n: int) -> bool:
     """Trial-division primality check; adequate for the small moduli used here."""
     if n < 2:

@@ -213,6 +213,97 @@ class TestNormalizedMemo:
             assert normalized_parts(p, a, n, r, l)[2] == want
 
 
+# prime powers up to 125, each with p^a > 1
+FILL_MODULI = [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 1), (5, 3), (7, 2), (11, 1)]
+
+
+class TestPascalFill:
+    @given(
+        st.sampled_from(FILL_MODULI),
+        st.integers(0, 2),
+        st.lists(st.sampled_from((0, 1, 1, 1, 1, 2, 9)), max_size=300),
+        # rows (k, residue, l, first query): r = k p^a + residue % p^a, asked from the first query on
+        st.lists(st.tuples(st.integers(-5, 1), st.integers(0, 124), st.integers(0, 6), st.integers(0, 40)),
+                 min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ascending_queries_match_the_direct_route(self, prime_power, start, steps, rows):
+        coefficients.clear_caches()
+        p, a = prime_power
+        m = p ** a
+        n = start
+        for index, step in enumerate(steps):
+            n += step
+            if n > 300:
+                break
+            for k, residue, l, first in rows:
+                if index >= first:
+                    r = k * m + residue % m
+                    assert normalized(p, a, n, r, l) == normalized_parts(p, a, n, r, l)[2]
+        # the fill also wrote rows between their queries
+        for (r, l), row in normalized_table(p, a).items():
+            for n, value in enumerate(row):
+                if value is not None:
+                    assert value == normalized_parts(p, a, n, r, l)[2]
+
+    def test_a_trapped_step_raises_the_direct_text_and_stores_nothing(self, monkeypatch):
+        # the first n whose sum p^floor_exponent divides but p^(floor_exponent + 1) does not
+        n = next(n for n in range(1, 40)
+                 if floor_exponent(3, 1, n, 0) >= 0 and normalized_parts(3, 1, n, 1, 0)[2] % 3)
+        for k in range(n):
+            normalized(3, 1, k, 1, 0)
+        before = list(normalized_table(3, 1)[1, 0])
+        exponent = coefficients.floor_exponent
+        monkeypatch.setattr(coefficients, "floor_exponent", lambda p, a, n, l: exponent(p, a, n, l) + 1)
+        with pytest.raises(IntegrityError) as direct:
+            normalized_parts(3, 1, n, 1, 0)
+        assert str(direct.value).startswith(f"p^{exponent(3, 1, n, 0) + 1} does not divide the sum")
+        with pytest.raises(IntegrityError) as filled:
+            normalized(3, 1, n, 1, 0)
+        assert str(filled.value) == str(direct.value)
+        assert normalized_table(3, 1) == {(1, 0): before}
+        assert coefficients._fills[3, 1, 0][0] == n - 1
+        monkeypatch.undo()
+        assert normalized(3, 1, n, 1, 0) == normalized_parts(3, 1, n, 1, 0)[2]
+
+    def test_a_trapped_or_refused_first_step_makes_no_state(self, monkeypatch):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="^l must be >= 0, got -1$"):
+                normalized(3, 1, n, 0, -1)
+        # S(1, 0, 3, 0) = 1, which p^5 does not divide
+        monkeypatch.setattr(coefficients, "floor_exponent", lambda p, a, n, l: 5)
+        with pytest.raises(IntegrityError, match=r"^p\^5 does not divide the sum 1 \(p=3, a=1, n=1, r=0, l=0\)$"):
+            normalized(3, 1, 1, 0, 0)
+        assert normalized_table(3, 1) == {} and coefficients._fills == {}
+
+    def test_only_a_miss_at_or_one_past_the_state_is_filled(self, monkeypatch):
+        calls = []
+        direct = coefficients.normalized_parts
+        monkeypatch.setattr(coefficients, "normalized_parts", lambda *args: calls.append(args) or direct(*args))
+        # an isolated query far from n = 0 is one direct sum and makes no state
+        normalized(5, 3, 10_000, 7, 2)
+        assert calls == [(5, 3, 10_000, 7, 2)] and coefficients._fills == {}
+        for n in (0, 1, 2, 2, 3):
+            normalized(3, 2, n, 4, 1)
+        # a new row at the state's n, one past it, behind it, and two past it
+        for n, r in ((3, 5), (4, 6), (2, 7), (6, 4)):
+            normalized(3, 2, n, r, 1)
+        assert calls[1:] == [(3, 2, 2, 7, 1), (3, 2, 6, 4, 1)]
+        # the step to 4 wrote every row the state held; rows made since are written from the next step on
+        rows = normalized_table(3, 2)
+        assert [n for n, v in enumerate(rows[4, 1]) if v is not None] == [0, 1, 2, 3, 4, 6]
+        assert [n for n, v in enumerate(rows[5, 1]) if v is not None] == [3, 4]
+        assert [n for n, v in enumerate(rows[7, 1]) if v is not None] == [2]
+        normalized(3, 2, 5, 4, 1)
+        assert calls[3:] == [] and [n for n, v in enumerate(rows[7, 1]) if v is not None] == [2, 5]
+
+    def test_clear_caches_drops_the_states(self):
+        normalized(2, 1, 1, 0, 0)
+        assert coefficients._fills
+        coefficients.clear_caches()
+        assert coefficients._fills == {}
+
+
 class TestTCoeff:
     @pytest.mark.parametrize(
         "p, a, n, r, l, expected",

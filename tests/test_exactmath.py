@@ -107,3 +107,10 @@ def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(-3)
+
+
+def test_is_prime_memo_is_bounded():
+    # nothing clears it, so a long-lived process asking about many moduli must not grow it without end
+    for n in range(1000):
+        is_prime(n)
+    assert is_prime.cache_info().maxsize == 128 and is_prime.cache_info().currsize <= 128

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycpsi import CHECK_IDS, SweepGrid, coefficients, psi_series, run_explore, run_sweep, verifier
+from cycpsi import (CHECK_IDS, IntegrityError, SweepGrid, coefficients, normalized_parts, psi_series, run_explore,
+                    run_sweep, verifier)
+from cycpsi.coefficients import normalized
 
 SMALL = SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 8), coeff_degree=3)
 
@@ -52,20 +54,38 @@ CATALOG_GRID = SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 14), l_range
 CATALOG_IDS = [c for c in CHECK_IDS if c != "self-test"]
 # psi-identity's Fleck side is _fleck_row, so no mutant of fleck_sum_general or floor_exponent reaches it
 ALL_BUT_PSI = set(CATALOG_IDS) - {"psi-identity"}
+NORMALIZED_READERS = ALL_BUT_PSI - {"thm1.0", "cor1.3", "lem2.2", "lem3.1"}
+
+# The checks whose reads on CATALOG_GRID are values the Pascal fill wrote, or direct sums with
+# no term in range (r % p^a > n), so no mutant of the direct sum reaches them.
+FILLED = {"thm1.1", "thm1.5", "lem4.1"}
 
 # name -> (module, function, source text, its replacement, the checks that fail)
 COEFFICIENT_MUTANTS = {
+    # the term it drops, k = r for 0 <= r < m, is 0 at l >= 1; lem3.3's l = 0 values are filled
     "sum from k = r % m + m": (coefficients, "fleck_sum_general", "range(r % m, n + 1, m)",
-                               "range(r % m + m, n + 1, m)", ALL_BUT_PSI),
+                               "range(r % m + m, n + 1, m)", ALL_BUT_PSI - FILLED - {"lem3.3"}),
     "sum without (-1)^k": (coefficients, "fleck_sum_general", "total += -term if k & 1 else term",
-                           "total += term", ALL_BUT_PSI),
+                           "total += term", ALL_BUT_PSI - FILLED),
     "floor_exponent + 1": (coefficients, "floor_exponent", "// totient_prime_power(p, a)",
                            "// totient_prime_power(p, a) + 1", ALL_BUT_PSI - {"cor1.3", "lem2.2", "lem3.1"}),
     # lem3.1's signed rows come from _fleck_row too
     "row step (j + l)": (*PSI_ROUTE_MUTANTS["row step (j + l)"], {"lem3.1", "psi-identity"}),
     "row without (-1)^j": (coefficients, "factorization_sides",
                            "[-v if j & 1 else v for j, v in enumerate(head)]", "head", {"lem3.1"}),
+    # the Pascal fill of the normalized memo
+    "fill step S(n-1, r-1) - S(n-1, r)": (coefficients, "_step", "map(sub, level[1:], level[:-1])",
+                                          "map(sub, level[:-1], level[1:])", NORMALIZED_READERS),
+    "fill boundary term + S(n-1, m-1, l-1)": (coefficients, "_step", "level[0] - last - below",
+                                              "level[0] - last + below",
+                                              NORMALIZED_READERS - {"thm1.1", "conj-perm"}),
+    # binom(-k, i) for i >= 1 multiplies a sum that p^(e+1) divides, so no verdict sees it;
+    # test_the_differential_route_catches_fill_mutants does
+    "fill shift step (-k + i)": (coefficients, "_shift", "c * (-k - i)", "c * (-k + i)", set()),
 }
+# explore fails only on a bug trap, which these mutants spring in its reads
+TRAPPED_IN_EXPLORE = {"sum from k = r % m + m", "sum without (-1)^k", "floor_exponent + 1",
+                      "fill step S(n-1, r-1) - S(n-1, r)"}
 
 
 def _rebind_everywhere(monkeypatch, module, name: str, mutant) -> None:
@@ -93,8 +113,26 @@ def test_catalog_catches(mutant, monkeypatch):
     # a bug trap is a failure row, so every sweep returns a report
     reports = {c: run_sweep(c, CATALOG_GRID) for c in CATALOG_IDS}
     assert {c for c, report in reports.items() if report.verdict == "fail"} == failing
-    # explore reads normalized coefficients, as thm1.1 does
-    assert (run_explore(CATALOG_GRID).verdict == "fail") == ("thm1.1" in failing)
+    assert (run_explore(CATALOG_GRID).verdict == "fail") == (mutant in TRAPPED_IN_EXPLORE)
+
+
+FILL_MUTANTS = [name for name, spec in COEFFICIENT_MUTANTS.items() if spec[1] in ("_step", "_shift")]
+
+
+@pytest.mark.parametrize("mutant", FILL_MUTANTS)
+def test_the_differential_route_catches_fill_mutants(mutant, monkeypatch):
+    module, name, old, new, _ = COEFFICIENT_MUTANTS[mutant]
+    _rebind_everywhere(monkeypatch, module, name, _mutant(module, name, old, new))
+    # at m = 3, r = -7 and -1 lie 3 and 1 moduli below their residues; l = 2 reads two shift coefficients
+    wrong = set()
+    for n in range(30):
+        for r in (-7, -1, 0, 2):
+            try:
+                if normalized(3, 1, n, r, 2) != normalized_parts(3, 1, n, r, 2)[2]:
+                    wrong.add(r)
+            except IntegrityError:
+                wrong.add(r)
+    assert wrong
 
 
 # Mutants of the verifier's own logic: each compiles a fresh copy of the
