@@ -243,12 +243,12 @@ def recurrence_residue(p: int, a: int, n: int, r: int, l: int) -> int:
         raise ValueError(f"recurrence needs l >= 1, got {l}")
     if n < 1:
         raise ValueError(f"recurrence needs n >= 1, got {n}")
-    pa = p ** a
+    pa, base = p ** a, p ** (a - 1)
     phi = totient_prime_power(p, a)
-    threshold = (n - (l + 1) * p ** (a - 1)) % phi
+    threshold = (n - (l + 1) * base) % phi
     acc = 0
     for j in range(n):
-        if (j - p ** (a - 1)) % phi >= threshold:
+        if (j - base) % phi >= threshold:
             acc -= (
                 comb(n, j)
                 * normalized(p, a, j, r, 0)
@@ -348,7 +348,7 @@ def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple
             raise _truncation_error(j_max, d, q, n, r, t, l)
         row = _signed_rows[d, n, t] = [-v if j & 1 else v for j, v in enumerate(head)]
     rhs = _direct_fleck_sum(n, d * r + t, d * q, l)
-    column = _columns.setdefault((q, r, l), [])
+    column = _columns.get((q, r, l)) or _columns.setdefault((q, r, l), [])  # a list only on a miss
     if len(column) < len(row):
         column.extend(_direct_fleck_sum(j, r, q, l) for j in range(len(column), len(row)))
     return sum(map(mul, row, column)), rhs

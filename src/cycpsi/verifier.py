@@ -2,10 +2,11 @@
 congruence in the catalog, producing machine-readable reports.
 
 Each check in CHECKS is declared as named axes plus an evaluator. An axis
-is a parameter name and the values it takes once the outer axes are bound;
-a filter such as a >= 2 or n = l (mod p-1) lives on the axis it tests.
-_expander turns the axes, outermost first, into the nested loops that yield
-one tuple of values per point, in axis order, and Check keeps the axis names
+is a parameter name, the outer axes it reads, and the values it takes once
+those are bound; a filter such as a >= 2 or n = l (mod p-1) lives on the axis
+it tests. _expander binds the outer axes up to the last one that an inner
+axis reads and, per binding, yields one tuple of values per point, in axis
+order, from itertools.product over the inner axes; Check keeps the axes
 beside it. The evaluator's parameters are the axis names in axis order, and
 it is called as evaluate(*values); it returns None when the statement holds
 there, else an (expected, actual) pair, mostly decided from both sides by
@@ -26,7 +27,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, product
 from time import perf_counter
 
 from . import coefficients
@@ -205,42 +206,41 @@ def _ord_at_least(value: int, bound: int, p: int) -> tuple[str, str] | None:
     return f"ord_{p} >= {bound}", f"ord_{p} = {ord_p(value, p)}"
 
 
-# Axes: values(grid, bound) gives the values of the axis' parameter, where
-# bound maps the names of the outer axes to their current values.
+# Axes: (name, reads, values), where values(grid, bound) gives the values of
+# the axis' parameter, bound maps the names of the outer axes to their current
+# values, and reads names the outer axes that values looks up in bound.
 
-Axis = tuple[str, Callable[[SweepGrid, dict], Iterable]]
+Axis = tuple[str, tuple[str, ...], Callable[[SweepGrid, dict], Iterable]]
+
+
+def _names(axes: tuple[Axis, ...]) -> tuple[str, ...]:
+    return tuple(axis[0] for axis in axes)
+
+
+def _split(axes: tuple[Axis, ...]) -> int:
+    """How many leading axes are bound before the product: up to the last one an axis reads."""
+    names = _names(axes)
+    return max((names.index(name) + 1 for _, reads, _ in axes for name in reads), default=0)
 
 
 def _expander(*axes: Axis) -> Callable[[SweepGrid], Iterator[tuple]]:
-    """The nested loops over two or more axes, outermost first, as an expand function.
-
-    Every tuple holds one value per axis, in the order of the axes.
-    """
-    *outer, (_, values) = axes
+    """The tuples of axes, outermost first, one value per axis, in the order of nested
+    loops, as an expand function: per binding of the outer axes (by their own
+    expander), itertools.product over the inner axes, which read none of each other."""
+    split = _split(axes)
+    inner = axes[split:]
+    if not split:
+        return lambda grid: product(*(values(grid, {}) for _, _, values in inner))
+    outer, bind = _names(axes[:split]), _expander(*axes[:split])
 
     def expand(grid: SweepGrid) -> Iterator[tuple]:
-        for bound in _bind(grid, outer, {}):
-            prefix = tuple(bound.values())
-            for value in values(grid, bound):
-                yield prefix + (value,)
+        def products(prefix: tuple) -> Iterator[tuple]:
+            bound = dict(zip(outer, prefix))
+            return product(*zip(prefix), *(values(grid, bound) for _, _, values in inner))
+
+        return chain.from_iterable(map(products, bind(grid)))
 
     return expand
-
-
-def _bind(grid: SweepGrid, axes: list[Axis], bound: dict) -> Iterator[dict]:
-    """Bind each of axes (at least one) in turn and yield bound (one dict,
-    updated in place) per combination.
-
-    Keys enter bound on the first descent, outermost first, so its values are
-    in axis order whichever values later replace them.
-    """
-    (name, values), rest = axes[0], axes[1:]
-    for value in values(grid, bound):
-        bound[name] = value
-        if rest:
-            yield from _bind(grid, rest, bound)
-        else:
-            yield bound
 
 
 def _span(name: str) -> Axis:
@@ -251,25 +251,25 @@ def _span(name: str) -> Axis:
         first, last = getattr(grid, field)
         return range(first, last + 1)
 
-    return name, values
+    return name, (), values
 
 
-def _where(axis: Axis, keep: Callable[[int, dict], bool]) -> Axis:
-    """axis restricted to the values v for which keep(v, bound) holds."""
-    name, values = axis
-    return name, lambda grid, bound: [v for v in values(grid, bound) if keep(v, bound)]
+def _where(axis: Axis, keep: Callable[[int, dict], bool], reads: tuple[str, ...] = ()) -> Axis:
+    """axis restricted to the values v for which keep(v, bound) holds; keep reads the outer axes in reads."""
+    name, axis_reads, values = axis
+    return name, axis_reads + reads, lambda grid, bound: [v for v in values(grid, bound) if keep(v, bound)]
 
 
 def _residues_at(depth: int) -> Axis:
     """r over the residue system mod p^depth, for checks stated at one depth."""
-    return "r", lambda grid, bound: grid.residues(bound["p"], depth)
+    return "r", ("p",), lambda grid, bound: grid.residues(bound["p"], depth)
 
 
-_P = ("p", lambda grid, bound: grid.primes)
+_P = ("p", (), lambda grid, bound: grid.primes)
 _A, _L, _N, _M = _span("a"), _span("l"), _span("n"), _span("m")
-_R = ("r", lambda grid, bound: grid.residues(bound["p"], bound["a"]))
-_S = ("s", lambda grid, bound: grid.digits(bound["p"], grid.s_values))
-_T = ("t", lambda grid, bound: grid.digits(bound["p"], grid.t_values))
+_R = ("r", ("p", "a"), lambda grid, bound: grid.residues(bound["p"], bound["a"]))
+_S = ("s", ("p",), lambda grid, bound: grid.digits(bound["p"], grid.s_values))
+_T = ("t", ("p",), lambda grid, bound: grid.digits(bound["p"], grid.t_values))
 _L_POSITIVE = _where(_L, lambda l, bound: l >= 1)
 _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
@@ -321,7 +321,7 @@ def _thm1_2_branch(p: int, l: int, n: int, s: int, t: int) -> int:
 
 
 _THM1_2_T = _where(
-    _T, lambda t, bound: _thm1_2_branch(bound["p"], bound["l"], bound["n"], bound["s"], t)
+    _T, lambda t, bound: _thm1_2_branch(bound["p"], bound["l"], bound["n"], bound["s"], t), ("l", "n", "s")
 )
 
 
@@ -392,7 +392,7 @@ def _lem3_1_t(grid: SweepGrid, bound: dict) -> Iterable[int]:
     return (*low, d - 1) if d > 3 else low
 
 
-_LEM3_1_T = ("t", _lem3_1_t)
+_LEM3_1_T = ("t", ("d",), _lem3_1_t)
 
 
 def _eval_lem3_1(d, q, n, r, t, l):
@@ -428,7 +428,7 @@ def _eval_lem3_3(p, n, s, t):
 # lem4.1: depth-1 residues along rows with n = l (mod p-1); beyond n = l the
 # row is the m-th boundary row of thm1.5 at a = 1, m = (n-l)/(p-1).
 
-_LEM4_1_N = _where(_N, lambda n, bound: (n - bound["l"]) % (bound["p"] - 1) == 0)
+_LEM4_1_N = _where(_N, lambda n, bound: (n - bound["l"]) % (bound["p"] - 1) == 0, ("p", "l"))
 
 
 def _eval_lem4_1(p, l, n, r):
@@ -447,9 +447,9 @@ def _eval_rem2_1(p, a, l, n, r):
 # permutation of 1..p-1. One work unit per (p, n).
 
 _CONJ_PERM_N = _where(
-    _N, lambda n, bound: n != 1 and n % bound["p"] and (n - 1) % (bound["p"] - 1) == 0
+    _N, lambda n, bound: n != 1 and n % bound["p"] and (n - 1) % (bound["p"] - 1) == 0, ("p",)
 )
-_CONJ_PERM_R = ("r_values", lambda grid, bound: [list(grid.residues(bound["p"], 2))])
+_CONJ_PERM_R = ("r_values", ("p",), lambda grid, bound: [list(grid.residues(bound["p"], 2))])
 
 
 def _eval_conj_perm(p, n, r_values):
@@ -485,21 +485,21 @@ def _eval_psi_identity(p, a, n, r, l_max):
 
 @dataclass(frozen=True)
 class Check:
-    """expand(grid) yields tuples of values, one per name in names and in that
-    order, and evaluate takes a tuple's values positionally."""
+    """expand(grid) yields tuples of values, one per axis and in axis order,
+    and evaluate takes a tuple's values positionally."""
 
     expand: Callable[[SweepGrid], Iterator[tuple]]
     evaluate: Callable[..., tuple[str, str] | None]
-    names: tuple[str, ...]
+    axes: tuple[Axis, ...]
 
-
-def _names(axes: tuple[Axis, ...]) -> tuple[str, ...]:
-    return tuple(name for name, _ in axes)
+    @property
+    def names(self) -> tuple[str, ...]:
+        return _names(self.axes)
 
 
 def _check(evaluate: Callable[..., tuple[str, str] | None], *axes: Axis) -> Check:
-    """evaluate over the nested loops of axes, outermost first."""
-    return Check(_expander(*axes), evaluate, _names(axes))
+    """evaluate over the tuples of axes, outermost first."""
+    return Check(_expander(*axes), evaluate, axes)
 
 
 _THM1_5 = _check(_boundary_check(1), _P, _A, _L, _M, _R)
@@ -511,17 +511,17 @@ CHECKS: dict[str, Check] = {
     "cor1.3": _check(_eval_cor1_3, _P, _L, _N, _residues_at(2)),
     "thm1.4": _check(_eval_thm1_4, _P, _A, _L, _N_POSITIVE, _R),
     "thm1.5": _THM1_5,
-    "lem2.2": _check(_eval_lem2_2, _N_POSITIVE, ("r", lambda grid, bound: grid.free_r(grid.abs_r_max)),
+    "lem2.2": _check(_eval_lem2_2, _N_POSITIVE, ("r", (), lambda grid, bound: grid.free_r(grid.abs_r_max)),
                      _L_POSITIVE, _M),
-    "lem3.1": _check(_eval_lem3_1, _span("d"), _span("q"), _N, ("r", lambda grid, bound: grid.free_r(2)),
+    "lem3.1": _check(_eval_lem3_1, _span("d"), _span("q"), _N, ("r", (), lambda grid, bound: grid.free_r(2)),
                      _LEM3_1_T, _L),
     "lem3.2": _check(_eval_lem3_2, _P, _A, _L, _N, _R, _S, _T),
-    "lem3.3": _check(_eval_lem3_3, _P, _N_POSITIVE, _where(_S, lambda s, bound: s != bound["p"] - 1), _T),
+    "lem3.3": _check(_eval_lem3_3, _P, _N_POSITIVE, _where(_S, lambda s, bound: s != bound["p"] - 1, ("p",)), _T),
     "lem4.1": _check(_eval_lem4_1, _P, _L, _LEM4_1_N, _residues_at(1)),
     "rem2.1": _check(_eval_rem2_1, _P, _A, _L_POSITIVE, _N_POSITIVE, _R),
     "conj-perm": _check(_eval_conj_perm, _P, _CONJ_PERM_N, _CONJ_PERM_R),
     "psi-identity": _check(_eval_psi_identity, _P, _A, _N, _R,
-                           ("l_max", lambda grid, bound: (grid.coeff_degree,))),
+                           ("l_max", (), lambda grid, bound: (grid.coeff_degree,))),
     "self-test": replace(_THM1_5, expand=lambda grid: _THM1_5.expand(_SELF_TEST_GRID),
                          evaluate=_boundary_check(-1)),
 }
@@ -540,8 +540,8 @@ def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int,
     each call, so rebinding CHECKS entries, _expand_rem1_2 or _margin_rem1_2
     (as a tracer does) takes effect.
     """
-    check = CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2, _names(_REM1_2_AXES))
-    evaluate = check.evaluate
+    check = CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2, _REM1_2_AXES)
+    evaluate, names = check.evaluate, check.names
     checked = 0
     rows = []
     for i, values in islice(enumerate(check.expand(grid)), index, None, workers):
@@ -551,7 +551,7 @@ def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int,
         except (IntegrityError, NotPIntegralError) as err:
             outcome = f"no {type(err).__name__}", str(err)
         if outcome is not None:
-            rows.append((i, dict(zip(check.names, values)), outcome))
+            rows.append((i, dict(zip(names, values)), outcome))
     return checked, rows
 
 

@@ -43,3 +43,30 @@ def psi_oracle(coeffs, p: int) -> list[int]:
     ]
     top = d // p
     return [sum(binom_product(jp, j) * c[p * jp] for jp in range(top + 1)) for j in range(top + 1)]
+
+
+def nested_expand(axes, grid):
+    """The tuples of a check's axes (name, reads, values), outermost first, by
+    the nested loops the verifier expanded with before it took products: one
+    tuple per point, one value per axis, in axis order."""
+    *outer, (_, _, values) = axes
+    for bound in _bind(grid, outer, {}):
+        prefix = tuple(bound.values())
+        for value in values(grid, bound):
+            yield prefix + (value,)
+
+
+def _bind(grid, axes, bound: dict):
+    """Bind each of axes (at least one) in turn and yield bound (one dict,
+    updated in place) per combination.
+
+    Keys enter bound on the first descent, outermost first, so its values are
+    in axis order whichever values later replace them.
+    """
+    (name, _, values), rest = axes[0], axes[1:]
+    for value in values(grid, bound):
+        bound[name] = value
+        if rest:
+            yield from _bind(grid, rest, bound)
+        else:
+            yield bound

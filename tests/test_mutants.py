@@ -82,6 +82,9 @@ COEFFICIENT_MUTANTS = {
     # binom(-k, i) for i >= 1 multiplies a sum that p^(e+1) divides, so no verdict sees it;
     # test_the_differential_route_catches_fill_mutants does
     "fill shift step (-k + i)": (coefficients, "_shift", "c * (-k - i)", "c * (-k + i)", set()),
+    "fill shift step (k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (k - i)", set()),
+    "fill shift step (-k - i - 1)": (coefficients, "_shift", "c * (-k - i)", "c * (-k - i - 1)", set()),
+    "fill shift step (1 - k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (1 - k - i)", set()),
 }
 # explore fails only on a bug trap, which these mutants spring in its reads
 TRAPPED_IN_EXPLORE = {"sum from k = r % m + m", "sum without (-1)^k", "floor_exponent + 1",

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,8 @@ from cycpsi.coefficients import normalized_table
 from cycpsi.verifier import CHECKS, CheckFailure, _lem3_2_exceptional, _shard, _sigma, _thm1_2_branch
 from cycpsi.exactmath import ord_p
 from cycpsi.psi_series import _monomial_image
+from oracles import nested_expand
+from test_mutants import CATALOG_GRID
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 
@@ -328,9 +332,98 @@ def test_abs_r_max_bounds_lem2_2_only():
 
 
 def test_lem3_1_t_axis_is_the_small_digits_and_d_minus_1_below_d():
-    _, values = verifier._LEM3_1_T
+    name, reads, values = verifier._LEM3_1_T
+    assert (name, reads) == ("t", ("d",))
     for d in range(1, 13):
         assert list(values(SweepGrid(), {"d": d})) == [t for t in sorted({-2, -1, 0, 1, 2, d - 1}) if t < d]
+
+
+def _targets() -> dict:
+    """Every check id and rem1.2, each as (expand, axes, the grid that expand(grid) actually sweeps)."""
+    out = {c: (check.expand, check.axes, None) for c, check in CHECKS.items()}
+    out["self-test"] = (CHECKS["self-test"].expand, CHECKS["self-test"].axes, verifier._SELF_TEST_GRID)
+    out["rem1.2"] = (verifier._expand_rem1_2, verifier._REM1_2_AXES, None)
+    return out
+
+
+# the acceptance grids of tests/test_acceptance.py, each with the checks it is swept for
+ACCEPTANCE_GRIDS = [
+    (("thm1.0",), SweepGrid(primes=(2, 3, 5, 7), a_range=(1, 3), n_range=(0, 120), l_range=(0, 4))),
+    (("thm1.1",), SweepGrid(primes=(2, 3, 5), a_range=(2, 3), n_range=(0, 40), l_range=(0, 3))),
+    (("thm1.2", "lem4.1"), SweepGrid(primes=(2, 3, 5), n_range=(0, 40), l_range=(0, 3))),
+    (("cor1.3",), SweepGrid(primes=(2, 3, 5), n_range=(0, 60), l_range=(0, 3))),
+    (("thm1.4",), SweepGrid(primes=(2, 3, 5), a_range=(1, 2), n_range=(1, 40), l_range=(0, 2))),
+    (("thm1.5",), SweepGrid(primes=(2, 3, 5), a_range=(1, 2), l_range=(0, 3), m_range=(1, 6))),
+    (("lem2.2",), SweepGrid(n_range=(1, 30), l_range=(1, 4), m_range=(1, 8), abs_r_max=10)),
+    (("lem3.1",), SweepGrid(n_range=(0, 30), l_range=(0, 3), d_range=(1, 9), q_range=(1, 9))),
+    (("lem3.2",), SweepGrid(primes=(2, 3, 5), a_range=(1, 2), n_range=(0, 20), l_range=(0, 2))),
+    (("lem3.3",), SweepGrid(primes=(2, 3, 5), n_range=(1, 20))),
+    (("rem2.1",), SweepGrid(primes=(2, 3, 5), a_range=(1, 2), n_range=(1, 30), l_range=(1, 3))),
+    (("psi-identity",), SweepGrid(primes=(2, 3, 5), a_range=(1, 2), n_range=(0, 30),
+                                  r_values=tuple(range(-6, 7)), coeff_degree=4)),
+    (("conj-perm",), SweepGrid(primes=(3, 5, 7), n_range=(2, 40))),
+]
+ALL_TARGETS = tuple(CHECK_IDS) + ("rem1.2",)
+# explicit value lists: s = 3, 4 and t = 5, 6 are no digits of p = 2 or 3, so some bindings expand to nothing
+LISTED = dict(primes=(2, 3, 5, 7), a_range=(1, 2), n_range=(0, 6), l_range=(0, 2), m_range=(1, 3),
+              d_range=(1, 4), q_range=(1, 3), abs_r_max=2, coeff_degree=2)
+EXPANSION_GRIDS = [
+    (ALL_TARGETS, SweepGrid()),
+    (ALL_TARGETS, CATALOG_GRID),
+    *ACCEPTANCE_GRIDS,
+    (ALL_TARGETS, SweepGrid(**LISTED, r_values=(-4, 0, 1, 9), s_values=(0, 3, 4), t_values=(1, 5, 6))),
+    (ALL_TARGETS, SweepGrid(**LISTED, r_values=(7,), s_values=(3, 4), t_values=(5, 6))),
+]
+
+
+@pytest.mark.parametrize("targets, grid", EXPANSION_GRIDS)
+def test_products_expand_as_the_nested_loops(targets, grid):
+    # the expanders take products over the inner axes; the oracle binds every axis in turn
+    missing = object()
+    for target in targets:
+        expand, axes, fixed = _targets()[target]
+        pairs = zip_longest(expand(grid), nested_expand(axes, fixed or grid), fillvalue=missing)
+        assert all(got == want for got, want in pairs), target
+
+
+class _Declared(Mapping):
+    """An outer binding that refuses every name its axis did not declare."""
+
+    def __init__(self, bound: dict, reads: tuple[str, ...]):
+        self.bound, self.reads = bound, reads
+
+    def __getitem__(self, name):
+        if name not in self.reads:
+            raise AssertionError(f"an axis reads {name} without declaring it")
+        return self.bound[name]
+
+    def __iter__(self):
+        raise AssertionError("an axis iterates over its binding")
+
+    def __len__(self):
+        raise AssertionError("an axis measures its binding")
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_every_axis_reads_only_what_it_declares(target):
+    expand, axes, fixed = _targets()[target]
+    grid = fixed or SMALL
+    names = verifier._names(axes)
+    seen = set()
+    for values in expand(grid):
+        for depth, (_, reads, axis_values) in enumerate(axes):
+            assert set(reads) <= set(names[:depth]), (target, depth)
+            prefix = values[:depth]
+            if (depth, prefix) not in seen:
+                seen.add((depth, prefix))
+                bound = dict(zip(names, prefix))
+                assert list(axis_values(grid, _Declared(bound, reads))) == list(axis_values(grid, bound))
+
+
+def test_expansion_binds_up_to_the_last_axis_an_inner_axis_reads():
+    # thm1.1's r reads (p, a); thm1.2's t is filtered on (p, l, n, s); lem2.2 reads nothing; lem3.1's t reads d
+    splits = {c: verifier._split(CHECKS[c].axes) for c in ("thm1.1", "thm1.2", "lem2.2", "lem3.1")}
+    assert splits == {"thm1.1": 2, "thm1.2": 5, "lem2.2": 0, "lem3.1": 1}
 
 
 def test_empty_grid_raises():
@@ -402,8 +495,7 @@ def test_congruence_failure_texts(monkeypatch):
 def test_evaluators_take_the_values_in_axis_order(target):
     # _shard calls evaluate(*values), so the parameters must be the axis names in order
     if target == "rem1.2":
-        check = verifier.Check(verifier._expand_rem1_2, verifier._margin_rem1_2,
-                               verifier._names(verifier._REM1_2_AXES))
+        check = verifier.Check(verifier._expand_rem1_2, verifier._margin_rem1_2, verifier._REM1_2_AXES)
     else:
         check = CHECKS[target]
     assert tuple(inspect.signature(check.evaluate).parameters) == check.names
