@@ -17,7 +17,6 @@ from .coefficients import (
     fleck_sum_general,
     floor_exponent,
     index_reduction_identity,
-    modulus_factorization_identity,
     normalized_parts,
     recurrence_residue,
     t_coeff,
@@ -57,7 +56,6 @@ __all__ = [
     "fleck_sum_general",
     "floor_exponent",
     "index_reduction_identity",
-    "modulus_factorization_identity",
     "normalized_parts",
     "recurrence_residue",
     "t_coeff",

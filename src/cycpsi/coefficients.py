@@ -106,21 +106,20 @@ def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, 
 
 
 @lru_cache(maxsize=None)
-def normalized_table(p: int, a: int) -> dict[tuple[int, int], list[int | None]]:
-    """The memo of normalized coefficients for the prime power p^a: one row per
-    (r, l), where row[n] is the value at n, or None where none was asked for.
+def normalized_table(p: int, a: int, l: int) -> list:
+    """The memo of normalized coefficients <n r>_{l,p^a} for one (p, a, l): the
+    record [n, raw, rows], made at n = 0 on the first query.
 
-    normalized fills it; every value in it went through _divide's trap.
+    raw[l'][r0] is the raw sum S(n, r0, p^a, l') for every l' <= l and every
+    residue r0 <= min(n, p^a - 1); a larger residue has no term k <= n. rows
+    maps r to (r, row, r % p^a, _shift(r // p^a, l)), where row[n] is the
+    value at n, or None where none was asked for. normalized fills it; every
+    value in it went through _divide's trap.
     """
     _require_prime_power(p, a)
-    return {}
-
-
-# The fill states, one per (p, a, l): [n, raw, targets]. raw[l'][r0] is the raw
-# sum S(n, r0, p^a, l') for every l' <= l and residue r0 in [0, p^a), and
-# targets are the memo rows (r, l) the state writes when it steps, each as
-# (r, row, r % p^a, _shift(r // p^a, l)). A state keeps the sums at one n only.
-_fills: dict[tuple[int, int, int], list] = {}
+    if l < 0:
+        raise ValueError(f"l must be >= 0, got {l}")
+    return [0, [[1], *([0] for _ in range(l))], {}]  # S(0, 0, m, l') = binom(0, l')
 
 
 def _shift(k: int, l: int) -> tuple[int, ...]:
@@ -140,85 +139,85 @@ def _shift(k: int, l: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _target(m: int, r: int, l: int, row: list[int | None]) -> tuple:
-    return r, row, r % m, _shift(r // m, l)
+def _target(m: int, r: int, l: int) -> tuple:
+    return r, [], r % m, _shift(r // m, l)
 
 
-def _step(raw: list[list[int]]) -> list[list[int]]:
-    """The raw sums of a fill state at n + 1 from those at n, by Pascal's rule:
+def _step(raw: list[list[int]], m: int) -> list[list[int]]:
+    """The raw sums of a record at n + 1 from those at n, by Pascal's rule:
     S(n+1, r0) = S(n, r0) - S(n, r0 - 1) at every level l', where
-    S(n, -1, m, l') = S(n, m-1, m, l') + S(n, m-1, m, l'-1) closes the row at r0 = 0."""
+    S(n, -1, m, l') = S(n, m-1, m, l') + S(n, m-1, m, l'-1) closes the row at r0 = 0.
+
+    While a level holds fewer than m residues, S(n, m-1) has no term, so the
+    boundary term is 0, and the level grows by S(n+1, n+1) = -S(n, n).
+    """
     stepped = []
     below = 0  # S(n, m-1, m, l'-1); there is no level below l' = 0
     for level in raw:
-        last = level[-1]
-        stepped.append([level[0] - last - below, *map(sub, level[1:], level[:-1])])
+        full = len(level) == m
+        last = level[-1] if full else 0
+        step = [level[0] - last - below, *map(sub, level[1:], level[:-1])]
+        if not full:
+            step.append(-level[-1])
+        stepped.append(step)
         below = last
     return stepped
 
 
-def _fill(p: int, a: int, n: int, r: int, l: int, table: dict, fill: list | None) -> int:
-    """normalized(p, a, n, r, l) read from the (p, a, l) fill state, which is at
-    n or at n - 1; fill is None for a state not made yet, which starts at n = 0.
+def _fill(p: int, a: int, n: int, r: int, l: int, record: list, target: tuple | None) -> int:
+    """normalized(p, a, n, r, l) read from the raw sums of its record, which
+    are at n or at n - 1; target is r's entry in the record, None for a new row.
 
-    A state at n - 1 steps to n and writes the value at n into every row it
-    targets and into (r, l)'s. Nothing is stored, and the state does not move,
-    until every value written has passed the trap.
+    Sums at n - 1 step to n, and the value at n is written into every row the
+    record holds and into r's. Nothing is stored, and the record does not
+    move, until every value written has passed the trap.
     """
     m = p ** a
-    if fill is None:
-        raw = [[0] * m for _ in range(l + 1)]
-        raw[0][0] = 1  # S(0, r0, m, l') = binom(0, l') at r0 = 0
-        fill = [0, raw, [_target(m, r_, l, row_) for (r_, l_), row_ in table.items() if l_ == l]]
-    row = table.get((r, l))
-    queried = _target(m, r, l, [] if row is None else row)
-    if n == fill[0]:
-        raw, writes = fill[1], [queried]
+    rows = record[2]
+    queried = target or _target(m, r, l)
+    if n == record[0]:
+        raw, writes = record[1], [queried]
     else:
-        raw, writes = _step(fill[1]), fill[2] if row is not None else [*fill[2], queried]
+        raw, writes = _step(record[1], m), rows.values() if target else [*rows.values(), queried]
     exponent = floor_exponent(p, a, n, l)
     level = raw[l]
     values = []
     for r_, row_, r0, shift in writes:
-        total = level[r0]
-        for i, c in enumerate(shift, 1):
-            total += c * raw[l - i][r0]
+        total = 0  # the empty sum of a residue r0 > n
+        if r0 < len(level):
+            total = level[r0]
+            for i, c in enumerate(shift, 1):
+                total += c * raw[l - i][r0]
         values.append((row_, _divide(total, exponent, p, a, n, r_, l)))
     for row_, value in values:
         row_.extend([None] * (n + 1 - len(row_)))
         row_[n] = value
-    if row is None:
-        table[r, l] = queried[1]
-        fill[2].append(queried)
-    fill[:2] = n, raw
-    _fills[p, a, l] = fill
+    rows[r] = queried
+    record[:2] = n, raw
     return queried[1][n]
 
 
 def normalized(p: int, a: int, n: int, r: int, l: int) -> int:
-    """The normalized coefficient <n r>_{l,p^a}, memoized in normalized_table(p, a).
+    """The normalized coefficient <n r>_{l,p^a}, memoized in normalized_table(p, a, l).
 
-    A miss at the n of the (p, a, l) fill state, or one past it, is read from
-    the state (_fill); a state starts at n = 0. Every other miss, behind the
-    state or more than one step ahead of it, is normalized_parts' direct sum.
+    A miss at the record's n, or one past it, is read from its raw sums
+    (_fill); a record starts at n = 0. Every other miss, behind the record or
+    more than one step ahead of it, is normalized_parts' direct sum.
     """
-    table = normalized_table(p, a)
-    row = table.get((r, l))
+    record = normalized_table(p, a, l)
+    target = record[2].get(r)
     # a negative n never indexes a row: normalized_parts refuses it below
-    if row is not None and 0 <= n < len(row):
-        value = row[n]
+    if target is not None and 0 <= n < len(target[1]):
+        value = target[1][n]
         if value is not None:
             return value
-    fill = _fills.get((p, a, l))
-    at = fill[0] if fill is not None else 0
-    if l >= 0 and at <= n <= at + 1:
-        return _fill(p, a, n, r, l, table, fill)
+    if record[0] <= n <= record[0] + 1:
+        return _fill(p, a, n, r, l, record, target)
     value = normalized_parts(p, a, n, r, l)[2]
     # the row is made only after the value passed the trap, so a refusal stores nothing
-    if row is None:
-        row = table[r, l] = []
-        if fill is not None:
-            fill[2].append(_target(p ** a, r, l, row))
+    if target is None:
+        target = record[2][r] = _target(p ** a, r, l)
+    row = target[1]
     row.extend([None] * (n + 1 - len(row)))  # empty when n is already inside the row
     row[n] = value
     return value
@@ -301,28 +300,6 @@ def _truncation_error(j_max: int, d: int, q: int, n: int, r: int, t: int, l: int
     )
 
 
-def modulus_factorization_identity(
-    d: int, q: int, n: int, r: int, t: int, l: int
-) -> tuple[int, int]:
-    """Both sides of the exact convolution collapsing moduli d and q into dq.
-
-    lhs = sum_j (-1)^j S_d(n,t,j) S_q(j,r,l), rhs = S_dq(n, dr+t, l), where
-    S_m(n,c,i) is the general Fleck sum. Requires t < d so the inner index
-    (k-t)/d is a nonnegative integer for every contributing k; the j-sum is
-    finite and its truncation point is checked, not assumed.
-    """
-    j_max = _factorization_j_max(d, q, n, t, l)
-    lhs = 0
-    for j in range(j_max + 1):
-        term = fleck_sum_general(n, t, d, j) * fleck_sum_general(j, r, q, l)
-        lhs += -term if j & 1 else term
-    # every term beyond j_max has a vanishing first factor
-    if j_max >= 0 and fleck_sum_general(n, t, d, j_max + 1) != 0:
-        raise _truncation_error(j_max, d, q, n, r, t, l)
-    rhs = fleck_sum_general(n, d * r + t, d * q, l)
-    return lhs, rhs
-
-
 # The two factors of factorization_sides, keyed by what each depends on:
 # signed rows by (d, n, t), columns by (q, r, l). clear_caches empties both.
 _signed_rows: dict[tuple[int, int, int], list[int]] = {}
@@ -330,7 +307,8 @@ _columns: dict[tuple[int, int, int], list[int]] = {}
 
 
 def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple[int, int]:
-    """The (lhs, rhs) of modulus_factorization_identity, the lhs as a dot product.
+    """Both sides of the exact convolution collapsing moduli d and q into dq, for t < d:
+    lhs = sum_j (-1)^j S_d(n,t,j) S_q(j,r,l) as a dot product, rhs = S_dq(n, dr+t, l).
 
     The row (-1)^j S_d(n,t,j) for j <= j_max depends only on (d, n, t) and
     comes from one _fleck_row pass, whose extra entry at j_max + 1 is the
@@ -355,10 +333,10 @@ def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple
 
 
 def clear_caches() -> None:
-    """Drop the memoized Fleck sums, normalized coefficients, fill states and lem3.1
-    factors; sweeps call this when the grid changes, to bound memory by what one grid needs."""
+    """Drop the memoized Fleck sums, normalized records (rows and raw sums together)
+    and lem3.1 factors; sweeps call this when the grid changes, to bound memory by
+    what one grid needs."""
     fleck_sum_general.cache_clear()
     normalized_table.cache_clear()
-    _fills.clear()
     _signed_rows.clear()
     _columns.clear()

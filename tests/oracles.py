@@ -3,8 +3,11 @@
 Deliberately naive and separate from the library: binomials come from the
 literal falling product divided by k!, and the alternating sums iterate k
 over a window wider than [0, n] so the finite-support property is exercised
-rather than assumed.
+rather than assumed. modulus_factorization_identity is the direct form of
+lem3.1's convolution, which the library computes as a dot product.
 """
+
+from cycpsi.coefficients import _factorization_j_max, _truncation_error, fleck_sum_general
 
 
 def binom_product(x: int, k: int) -> int:
@@ -70,3 +73,24 @@ def _bind(grid, axes, bound: dict):
             yield from _bind(grid, rest, bound)
         else:
             yield bound
+
+
+def modulus_factorization_identity(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple[int, int]:
+    """Both sides of the exact convolution collapsing moduli d and q into dq,
+    each sum term by term, with factorization_sides' validation and error texts.
+
+    lhs = sum_j (-1)^j S_d(n,t,j) S_q(j,r,l), rhs = S_dq(n, dr+t, l), where
+    S_m(n,c,i) is the general Fleck sum. Requires t < d so the inner index
+    (k-t)/d is a nonnegative integer for every contributing k; the j-sum is
+    finite and its truncation point is checked, not assumed.
+    """
+    j_max = _factorization_j_max(d, q, n, t, l)
+    lhs = 0
+    for j in range(j_max + 1):
+        term = fleck_sum_general(n, t, d, j) * fleck_sum_general(j, r, q, l)
+        lhs += -term if j & 1 else term
+    # every term beyond j_max has a vanishing first factor
+    if j_max >= 0 and fleck_sum_general(n, t, d, j_max + 1) != 0:
+        raise _truncation_error(j_max, d, q, n, r, t, l)
+    rhs = fleck_sum_general(n, d * r + t, d * q, l)
+    return lhs, rhs

@@ -1,3 +1,5 @@
+import copy
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -5,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cycpsi.coefficients as coefficients
+import oracles
 from cycpsi import (
     IntegrityError,
     fleck_sum_general,
     floor_exponent,
     index_reduction_identity,
-    modulus_factorization_identity,
     normalized_parts,
     ord_p,
     recurrence_residue,
@@ -18,7 +20,7 @@ from cycpsi import (
     totient_prime_power,
 )
 from cycpsi.coefficients import factorization_sides, normalized, normalized_table
-from oracles import fleck_oracle
+from oracles import fleck_oracle, modulus_factorization_identity
 
 
 class TestFleckSum:
@@ -122,14 +124,14 @@ class TestNormalized:
         monkeypatch.setattr(coefficients, "_direct_fleck_sum", lambda n, r, m, l: 7)
         with pytest.raises(IntegrityError):
             normalized(3, 1, 11, 1, 0)
-        assert normalized_table(3, 1) == {}
+        assert normalized_table(3, 1, 0) == [0, [[1]], {}]
 
 
 class TestNormalizedMemo:
     def test_values_and_hits(self):
         assert normalized(3, 2, 15, 1, 0) == 332
-        assert normalized_table(3, 2) == {(1, 0): [None] * 15 + [332]}
-        assert normalized_table(3, 2)[1, 0][15] == 332
+        assert normalized_table(3, 2, 0) == [0, [[1]], {1: (1, [None] * 15 + [332], 1, ())}]
+        assert normalized_table(3, 2, 0)[2][1][1][15] == 332
         assert normalized(3, 2, 15, 1, 0) == 332
         assert normalized_table.cache_info().currsize == 1
 
@@ -137,21 +139,21 @@ class TestNormalizedMemo:
         assert normalized(3, 2, 15, 1, 0) == 332
         assert normalized(3, 2, 4, 1, 0) == normalized_parts(3, 2, 4, 1, 0)[2]
         assert normalized(3, 2, 15, 1, 0) == 332
-        row = normalized_table(3, 2)[1, 0]
+        row = normalized_table(3, 2, 0)[2][1][1]
         assert len(row) == 16 and row[15] == 332 and row[4] == normalized_parts(3, 2, 4, 1, 0)[2]
         assert [n for n, v in enumerate(row) if v is not None] == [4, 15]
 
     def test_a_negative_n_is_refused_and_stores_nothing(self):
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             normalized(3, 1, -1, 0, 0)
-        assert normalized_table(3, 1) == {}
+        assert normalized_table(3, 1, 0) == [0, [[1]], {}]
         # with a row in place, n = -1 must not read its last entry
         for n in range(4):
             normalized(3, 1, n, 0, 0)
-        before = {key: list(row) for key, row in normalized_table(3, 1).items()}
+        before = copy.deepcopy(normalized_table(3, 1, 0))
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             normalized(3, 1, -1, 0, 0)
-        assert normalized_table(3, 1) == before
+        assert normalized_table(3, 1, 0) == before
 
     def test_validates_the_prime_power(self):
         for args, message in (((4, 1), "p must be prime, got 4"), ((3, 0), "a must be >= 1, got 0")):
@@ -209,7 +211,7 @@ class TestNormalizedMemo:
             want = raw // p**e if e >= 0 else raw * p ** (-e)
             if e >= 0:
                 assert raw % p**e == 0
-            assert normalized_table(p, a)[r, l][n] == normalized(p, a, n, r, l) == want
+            assert normalized_table(p, a, l)[2][r][1][n] == normalized(p, a, n, r, l) == want
             assert normalized_parts(p, a, n, r, l)[2] == want
 
 
@@ -241,10 +243,16 @@ class TestPascalFill:
                     r = k * m + residue % m
                     assert normalized(p, a, n, r, l) == normalized_parts(p, a, n, r, l)[2]
         # the fill also wrote rows between their queries
-        for (r, l), row in normalized_table(p, a).items():
-            for n, value in enumerate(row):
-                if value is not None:
-                    assert value == normalized_parts(p, a, n, r, l)[2]
+        for l in {l for _, _, l, _ in rows}:
+            at, raw, targets = normalized_table(p, a, l)
+            for r, (r_, row, r0, shift) in targets.items():
+                assert (r_, r0, shift) == (r, r % m, coefficients._shift(r // m, l))
+                for n, value in enumerate(row):
+                    if value is not None:
+                        assert value == normalized_parts(p, a, n, r, l)[2]
+            # the raw sums of every level at the record's n, for the residues r0 <= min(n, m - 1) only
+            assert raw == [[coefficients._direct_fleck_sum(at, r0, m, i) for r0 in range(min(at + 1, m))]
+                           for i in range(l + 1)]
 
     def test_a_trapped_step_raises_the_direct_text_and_stores_nothing(self, monkeypatch):
         # the first n whose sum p^floor_exponent divides but p^(floor_exponent + 1) does not
@@ -252,7 +260,8 @@ class TestPascalFill:
                  if floor_exponent(3, 1, n, 0) >= 0 and normalized_parts(3, 1, n, 1, 0)[2] % 3)
         for k in range(n):
             normalized(3, 1, k, 1, 0)
-        before = list(normalized_table(3, 1)[1, 0])
+        before = copy.deepcopy(normalized_table(3, 1, 0))
+        assert before[0] == n - 1 and list(before[2]) == [1]
         exponent = coefficients.floor_exponent
         monkeypatch.setattr(coefficients, "floor_exponent", lambda p, a, n, l: exponent(p, a, n, l) + 1)
         with pytest.raises(IntegrityError) as direct:
@@ -261,8 +270,8 @@ class TestPascalFill:
         with pytest.raises(IntegrityError) as filled:
             normalized(3, 1, n, 1, 0)
         assert str(filled.value) == str(direct.value)
-        assert normalized_table(3, 1) == {(1, 0): before}
-        assert coefficients._fills[3, 1, 0][0] == n - 1
+        # the rows, the raw sums and the record's n are as before
+        assert normalized_table(3, 1, 0) == before
         monkeypatch.undo()
         assert normalized(3, 1, n, 1, 0) == normalized_parts(3, 1, n, 1, 0)[2]
 
@@ -270,19 +279,24 @@ class TestPascalFill:
         for n in (0, 1):
             with pytest.raises(ValueError, match="^l must be >= 0, got -1$"):
                 normalized(3, 1, n, 0, -1)
+        assert normalized_table.cache_info().currsize == 0
         # S(1, 0, 3, 0) = 1, which p^5 does not divide
         monkeypatch.setattr(coefficients, "floor_exponent", lambda p, a, n, l: 5)
         with pytest.raises(IntegrityError, match=r"^p\^5 does not divide the sum 1 \(p=3, a=1, n=1, r=0, l=0\)$"):
             normalized(3, 1, 1, 0, 0)
-        assert normalized_table(3, 1) == {} and coefficients._fills == {}
+        # the record is still at n = 0 with l + 1 integers and no rows
+        assert normalized_table(3, 1, 0) == [0, [[1]], {}]
+        assert normalized_table.cache_info().currsize == 1
 
     def test_only_a_miss_at_or_one_past_the_state_is_filled(self, monkeypatch):
         calls = []
         direct = coefficients.normalized_parts
         monkeypatch.setattr(coefficients, "normalized_parts", lambda *args: calls.append(args) or direct(*args))
-        # an isolated query far from n = 0 is one direct sum and makes no state
+        # an isolated query far from n = 0 is one direct sum and leaves the record's sums at n = 0
         normalized(5, 3, 10_000, 7, 2)
-        assert calls == [(5, 3, 10_000, 7, 2)] and coefficients._fills == {}
+        assert calls == [(5, 3, 10_000, 7, 2)]
+        record = normalized_table(5, 3, 2)
+        assert record[:2] == [0, [[1], [0], [0]]] and list(record[2]) == [7]
         for n in (0, 1, 2, 2, 3):
             normalized(3, 2, n, 4, 1)
         # a new row at the state's n, one past it, behind it, and two past it
@@ -290,18 +304,46 @@ class TestPascalFill:
             normalized(3, 2, n, r, 1)
         assert calls[1:] == [(3, 2, 2, 7, 1), (3, 2, 6, 4, 1)]
         # the step to 4 wrote every row the state held; rows made since are written from the next step on
-        rows = normalized_table(3, 2)
-        assert [n for n, v in enumerate(rows[4, 1]) if v is not None] == [0, 1, 2, 3, 4, 6]
-        assert [n for n, v in enumerate(rows[5, 1]) if v is not None] == [3, 4]
-        assert [n for n, v in enumerate(rows[7, 1]) if v is not None] == [2]
+        rows = {r: row for r, row, _, _ in normalized_table(3, 2, 1)[2].values()}
+        assert [n for n, v in enumerate(rows[4]) if v is not None] == [0, 1, 2, 3, 4, 6]
+        assert [n for n, v in enumerate(rows[5]) if v is not None] == [3, 4]
+        assert [n for n, v in enumerate(rows[7]) if v is not None] == [2]
         normalized(3, 2, 5, 4, 1)
-        assert calls[3:] == [] and [n for n, v in enumerate(rows[7, 1]) if v is not None] == [2, 5]
+        assert calls[3:] == [] and [n for n, v in enumerate(rows[7]) if v is not None] == [2, 5]
 
     def test_clear_caches_drops_the_states(self):
         normalized(2, 1, 1, 0, 0)
-        assert coefficients._fills
+        assert normalized_table(2, 1, 0)[0] == 1
         coefficients.clear_caches()
-        assert coefficients._fills == {}
+        assert normalized_table.cache_info().currsize == 0
+        assert normalized_table(2, 1, 0) == [0, [[1]], {}]
+
+    def test_a_record_holds_only_the_residues_up_to_its_n(self):
+        # raw sums for all p^a (l + 1) = 4,121,204 residues from n = 0 would peak at ~31 MiB here
+        tracemalloc.start()
+        try:
+            assert normalized(101, 3, 0, 0, 3) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert normalized_table(101, 3, 3)[:2] == [0, [[1], [0], [0], [0]]]
+
+    def test_a_bare_cache_clear_drops_the_rows_and_their_sums_together(self, monkeypatch):
+        # the tracer empties the memo by normalized_table.cache_clear() alone
+        for n in range(41):
+            normalized(3, 1, n, 2, 1)
+        orphan = copy.deepcopy(normalized_table(3, 1, 1))
+        old_row = normalized_table(3, 1, 1)[2][2][1]
+        normalized_table.cache_clear()
+        calls = []
+        direct = coefficients.normalized_parts
+        monkeypatch.setattr(coefficients, "normalized_parts", lambda *args: calls.append(args) or direct(*args))
+        for n in range(41):
+            assert normalized(3, 1, n, 2, 1) == direct(3, 1, n, 2, 1)[2]
+        assert calls == []
+        # the new record filled a new row; the dropped one was not written again
+        assert normalized_table(3, 1, 1)[2][2][1] is not old_row and old_row == orphan[2][2][1]
 
 
 class TestTCoeff:
@@ -400,7 +442,7 @@ class TestModulusFactorization:
 
     def test_truncation_trap(self, monkeypatch):
         # a first factor that never vanishes: the j-sum cannot end at j_max
-        monkeypatch.setattr(coefficients, "fleck_sum_general", lambda n, r, m, l: 1)
+        monkeypatch.setattr(oracles, "fleck_sum_general", lambda n, r, m, l: 1)
         with pytest.raises(IntegrityError):
             modulus_factorization_identity(2, 2, 5, 0, 1, 0)
 

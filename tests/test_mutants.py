@@ -79,6 +79,8 @@ COEFFICIENT_MUTANTS = {
     "fill boundary term + S(n-1, m-1, l-1)": (coefficients, "_step", "level[0] - last - below",
                                               "level[0] - last + below",
                                               NORMALIZED_READERS - {"thm1.1", "conj-perm"}),
+    # a level holds the residues r0 <= n only, and grows by S(n+1, n+1) = -S(n, n) until it has p^a
+    "fill growth S(n+1, n+1) = S(n, n)": (coefficients, "_step", "-level[-1]", "level[-1]", NORMALIZED_READERS),
     # binom(-k, i) for i >= 1 multiplies a sum that p^(e+1) divides, so no verdict sees it;
     # test_the_differential_route_catches_fill_mutants does
     "fill shift step (-k + i)": (coefficients, "_shift", "c * (-k - i)", "c * (-k + i)", set()),
@@ -88,7 +90,7 @@ COEFFICIENT_MUTANTS = {
 }
 # explore fails only on a bug trap, which these mutants spring in its reads
 TRAPPED_IN_EXPLORE = {"sum from k = r % m + m", "sum without (-1)^k", "floor_exponent + 1",
-                      "fill step S(n-1, r-1) - S(n-1, r)"}
+                      "fill step S(n-1, r-1) - S(n-1, r)", "fill growth S(n+1, n+1) = S(n, n)"}
 
 
 def _rebind_everywhere(monkeypatch, module, name: str, mutant) -> None:

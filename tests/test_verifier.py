@@ -301,25 +301,25 @@ def test_a_new_grid_starts_with_empty_memos():
     assert fleck_sum_general.cache_info().currsize > 0
     other = SweepGrid(primes=(3,), a_range=(1, 1), l_range=(0, 0), m_range=(1, 2))
     run_sweep("thm1.5", other)
-    assert normalized_table.cache_info().currsize == 1  # only the table thm1.5 filled
+    assert normalized_table.cache_info().currsize == 1  # only the (3, 1, 0) record thm1.5 filled
     assert fleck_sum_general.cache_info().currsize == 0
 
 
 def test_the_memo_holds_one_row_per_r_and_l():
     run_sweep("thm1.1", SMALL)
     stored = 0
-    # thm1.1 reads depths a and a + 1 for a >= 2
+    # thm1.1 reads depths a and a + 1 for a >= 2, at every l of the grid
     for p in SMALL.primes:
         for a in (2, 3):
-            table = normalized_table(p, a)
-            assert table
-            for key, row in table.items():
-                r, l = key
-                assert type(r) is int and type(l) is int and type(row) is list
-                for n, value in enumerate(row):
-                    if value is not None:
-                        assert value == normalized_parts(p, a, n, r, l)[2]
-                        stored += 1
+            for l in range(SMALL.l_range[0], SMALL.l_range[1] + 1):
+                at, raw, rows = normalized_table(p, a, l)
+                assert rows and len(raw) == l + 1
+                for r, (r_, row, r0, shift) in rows.items():
+                    assert type(r) is int and r_ == r and r0 == r % p**a and type(row) is list
+                    for n, value in enumerate(row):
+                        if value is not None:
+                            assert value == normalized_parts(p, a, n, r, l)[2]
+                            stored += 1
     assert stored > 0
 
 
