@@ -3,9 +3,7 @@ the Frobenius/psi operator pair, and sweep verification of their
 Lucas-type congruences."""
 
 from .exactmath import (
-    INFINITE,
     NotPIntegralError,
-    Valuation,
     binom,
     congruent_mod_p_power,
     factorial,
@@ -44,9 +42,7 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITE",
     "NotPIntegralError",
-    "Valuation",
     "binom",
     "congruent_mod_p_power",
     "factorial",

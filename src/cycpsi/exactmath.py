@@ -1,4 +1,10 @@
-"""Exact integer and rational primitives: generalized binomials, p-adic valuations, congruences."""
+"""Exact integer and rational primitives: generalized binomials, p-adic
+valuations of nonzero values, congruences.
+
+Every zero-sensitive question (is a bound on a valuation met, do two values
+agree mod p^e) is decided by divisibility, so ord_p is needed only for a
+nonzero value and refuses 0.
+"""
 
 import math
 from fractions import Fraction
@@ -9,66 +15,16 @@ class NotPIntegralError(ValueError):
     """A rational with negative p-adic valuation reached a mod-p congruence test."""
 
 
-class _InfiniteValuation:
-    """Marker for ord_p(0): larger than every finite valuation, absorbing under addition."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _InfiniteValuation)
-
-    def __gt__(self, other):
-        return not isinstance(other, _InfiniteValuation)
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, _InfiniteValuation)
-
-    def __hash__(self):
-        return hash("_InfiniteValuation")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _InfiniteValuation):
-            raise ArithmeticError("infinite - infinite is undefined")
-        return self
-
-    def __repr__(self):
-        return "INFINITE"
-
-    def __reduce__(self):
-        # pickle round-trips to the module singleton, so identity checks
-        # survive crossing a process pool
-        return (_infinite_instance, ())
-
-
-def _infinite_instance() -> "_InfiniteValuation":
-    return INFINITE
-
-
-INFINITE = _InfiniteValuation()
-
-# Finite valuations are plain nonnegative ints (negative for rationals with
-# p in the denominator); INFINITE stands in for ord_p(0).
-Valuation = int | _InfiniteValuation
-
 factorial = math.factorial
 
 
-# bounded like _require_prime_power: a sweep asks about a handful of primes, and nothing clears it
-@lru_cache(maxsize=128)
+# bounded like _require_prime_power: a sweep asks about a handful of primes, and nothing clears it;
+# typed, so 3.0 is not read back as the entry of 3
+@lru_cache(maxsize=128, typed=True)
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; adequate for the small moduli used here."""
-    if n < 2:
+    """Trial-division primality check; adequate for the small moduli used here.
+    Only an int can be prime."""
+    if not isinstance(n, int) or n < 2:
         return False
     if n < 4:
         return True
@@ -103,11 +59,11 @@ def binom(x: int, k: int) -> int:
     return -value if k & 1 else value
 
 
-def ord_p(x: int | Fraction, p: int) -> Valuation:
-    """p-adic valuation of an integer or rational; INFINITE for zero."""
+def ord_p(x: int | Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero integer or rational; 0 is refused with ValueError."""
     _require_prime(p)
     if x == 0:
-        return INFINITE
+        raise ValueError(f"ord_{p} needs a nonzero value, got 0")
     if isinstance(x, Fraction):
         return _ord_nonzero(x.numerator, p) - _ord_nonzero(x.denominator, p)
     return _ord_nonzero(x, p)
@@ -125,16 +81,16 @@ def _ord_nonzero(x: int, p: int) -> int:
 def congruent_mod_p_power(
     x: int | Fraction, y: int | Fraction, p: int, e: int
 ) -> bool:
-    """Whether two p-integral rationals agree modulo p^e.
+    """Whether two p-integral rationals agree modulo p^e: p^e divides the
+    numerator of x - y, whose reduced denominator p does not divide.
 
-    Formalized as ord_p(x - y) >= e. Arguments with p in the denominator are
-    rejected with NotPIntegralError rather than reported as incongruent.
+    Arguments with p in the reduced denominator are rejected with
+    NotPIntegralError rather than reported as incongruent.
     """
     _require_prime(p)
     if e < 1:
         raise ValueError(f"exponent must be positive, got {e}")
     for v in (x, y):
-        if ord_p(v, p) < 0:
+        if v.denominator % p == 0:
             raise NotPIntegralError(f"{v} is not {p}-integral")
-    return ord_p(Fraction(x) - Fraction(y), p) >= e
-
+    return (x - y).numerator % p ** e == 0

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .exactmath import _require_prime, binom
+from .exactmath import _require_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,24 +34,10 @@ class TruncPoly:
         return cls((0,))
 
     @classmethod
-    def one(cls) -> "TruncPoly":
-        return cls((1,))
-
-    @classmethod
     def monomial(cls, n: int, c: int = 1) -> "TruncPoly":
         if n < 0:
             raise ValueError(f"degree must be >= 0, got {n}")
         return cls((0,) * n + (c,))
-
-    @classmethod
-    def one_plus_t_power(cls, e: int, through: int | None = None) -> "TruncPoly":
-        """(1+T)^e. For e < 0 the series is infinite, so a truncation degree
-        is required; coefficients are the generalized binomials binom(e, i)."""
-        if through is None:
-            if e < 0:
-                raise ValueError("negative exponent needs a truncation degree")
-            through = e
-        return cls(tuple(binom(e, i) for i in range(through + 1)))
 
     @property
     def degree_bound(self) -> int:
@@ -70,9 +56,6 @@ class TruncPoly:
         if not isinstance(other, TruncPoly):
             return NotImplemented
         return self._stripped() == other._stripped()
-
-    def __hash__(self):
-        return hash(self._stripped())
 
     def __add__(self, other):
         if isinstance(other, int):

@@ -43,7 +43,7 @@ from .coefficients import (
     t_coeff,
     totient_prime_power,
 )
-from .exactmath import INFINITE, NotPIntegralError, _require_prime, binom, congruent_mod_p_power, ord_p
+from .exactmath import NotPIntegralError, _require_prime, binom, congruent_mod_p_power, ord_p
 from .psi_series import _monomial_image, monomial_twisted
 
 
@@ -400,7 +400,7 @@ def _eval_lem3_1(d, q, n, r, t, l):
 
 
 # lem3.3: explicit value of the correction coefficient <pn+s, t> at order n-1,
-# plus the independent divisibility of the auxiliary sigma by p.
+# plus the independent divisibility by p of the auxiliary sigma's numerator (sigma may be 0).
 
 def _sigma(p: int, n: int, s: int, t: int) -> Fraction:
     num = 1
@@ -420,7 +420,7 @@ def _eval_lem3_3(p, n, s, t):
     if s < t:
         return _congruent(value, Fraction(_sign(n + s) * n, t * binom(t - 1, s)), p)
     sigma = _sigma(p, n, s, t)
-    if ord_p(sigma, p) < 1:
+    if sigma.numerator % p:
         return f"ord_{p}(sigma) >= 1", f"sigma = {sigma}"
     return _congruent(value, _sign(n + t) * n * binom(s, t) * sigma / p, p)
 
@@ -612,10 +612,10 @@ _expand_rem1_2 = _expander(*_REM1_2_AXES)
 
 def _margin_rem1_2(p, a, l, n, r):
     diff = normalized(p, a + 1, p ** a * n, p * r, l) - normalized(p, a, p ** (a - 1) * n, r, l)
+    if diff == 0:
+        return None
     target = 2 * a - (1 if p == 3 else 0)
     observed = ord_p(diff, p)
-    if observed is INFINITE:
-        return None
     return {"target": target, "observed": observed, "margin": observed - target}
 
 

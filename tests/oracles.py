@@ -3,9 +3,13 @@
 Deliberately naive and separate from the library: binomials come from the
 literal falling product divided by k!, and the alternating sums iterate k
 over a window wider than [0, n] so the finite-support property is exercised
-rather than assumed. modulus_factorization_identity is the direct form of
-lem3.1's convolution, which the library computes as a dot product.
+rather than assumed. Congruences of rationals come from valuations counted
+by dividing p out of numerator and denominator. modulus_factorization_identity
+is the direct form of lem3.1's convolution, which the library computes as a
+dot product.
 """
+
+from fractions import Fraction
 
 from cycpsi.coefficients import _factorization_j_max, _truncation_error, fleck_sum_general
 
@@ -22,6 +26,34 @@ def binom_product(x: int, k: int) -> int:
     q, rem = divmod(num, den)
     assert rem == 0, f"product {num} not divisible by {den}"
     return q
+
+
+def one_plus_t_power(e: int, through: int) -> list[int]:
+    """Coefficients 0..through of (1+T)^e, the binomials binom(e, i) by the
+    falling product; for e < 0 the series is infinite and this is its head."""
+    return [binom_product(e, i) for i in range(through + 1)]
+
+
+def valuation(x: Fraction, p: int) -> int:
+    """ord_p of a nonzero rational: the factors p of its numerator less those of its denominator."""
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def congruent_by_valuation(x, y, p: int, e: int) -> bool | None:
+    """Whether the rationals x and y agree mod p^e, as ord_p(x - y) >= e with
+    ord_p(0) above every bound; None when a side has negative valuation."""
+    x, y = Fraction(x), Fraction(y)
+    if any(v != 0 and valuation(v, p) < 0 for v in (x, y)):
+        return None
+    return x == y or valuation(x - y, p) >= e
 
 
 def fleck_oracle(n: int, r: int, m: int, l: int) -> int:

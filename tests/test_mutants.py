@@ -1,6 +1,7 @@
 """Mutants of the package. Each one rewrites one expression in the real
 source of one function, and the sweeps must report it: psi-identity for the
-psi route, and a pinned set of checks for the coefficient functions."""
+psi route, and a pinned set of checks for the coefficient functions and
+the congruence test."""
 
 import inspect
 from dataclasses import replace
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycpsi import (CHECK_IDS, IntegrityError, SweepGrid, coefficients, normalized_parts, psi_series, run_explore,
-                    run_sweep, verifier)
+from cycpsi import (CHECK_IDS, IntegrityError, SweepGrid, coefficients, exactmath, normalized_parts, psi_series,
+                    run_explore, run_sweep, verifier)
 from cycpsi.coefficients import normalized
 
 SMALL = SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 8), coeff_degree=3)
@@ -87,6 +88,11 @@ COEFFICIENT_MUTANTS = {
     "fill shift step (k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (k - i)", set()),
     "fill shift step (-k - i - 1)": (coefficients, "_shift", "c * (-k - i)", "c * (-k - i - 1)", set()),
     "fill shift step (1 - k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (1 - k - i)", set()),
+    # the congruence _congruent calls: p^e divides the numerator of x - y, which is 0 when the sides agree
+    "congruence numerator mod p^(e+1)": (exactmath, "congruent_mod_p_power", "(x - y).numerator % p ** e",
+                                         "(x - y).numerator % p ** (e + 1)", {"thm1.2", "cor1.3", "lem3.3"}),
+    "congruence refuses a zero difference": (exactmath, "congruent_mod_p_power", "(x - y).numerator % p ** e",
+                                             "((x - y).numerator or 1) % p ** e", {"thm1.2", "cor1.3", "lem3.3"}),
 }
 # explore fails only on a bug trap, which these mutants spring in its reads
 TRAPPED_IN_EXPLORE = {"sum from k = r % m + m", "sum without (-1)^k", "floor_exponent + 1",
@@ -159,6 +165,9 @@ VERIFIER_MUTANTS = {
                                       "return -_sign(m - 1) * binom(m - 1, l)", {"thm1.5", "lem4.1", "self-test"}),
     "sigma with the odd-prime sign at p = 2": ("ratio if p == 2 else -ratio", "-ratio if p == 2 else -ratio",
                                                {"lem3.3"}),
+    # p must divide sigma's numerator, and no more: some sigma has valuation 1, and some is 0
+    "sigma test mod p^2": ("sigma.numerator % p", "sigma.numerator % p ** 2", {"lem3.3"}),
+    "sigma test refuses sigma = 0": ("sigma.numerator % p", "(sigma.numerator or 1) % p", {"lem3.3"}),
     # a helper that decides on anything but its two sides breaks exactly the checks routed through it
     "_mod_p on lhs + rhs": ("(lhs - rhs) % p", "(lhs + rhs) % p", MOD_P_ROUTED | {"self-test"}),
     "_congruent against -rhs": ("congruent_mod_p_power(lhs, rhs, p, 1)", "congruent_mod_p_power(lhs, -rhs, p, 1)",

@@ -41,8 +41,8 @@ def test_package_has_no_assert_statements():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: phi_apply(TruncPoly.one(), 4),
-        lambda: psi_apply(TruncPoly.one(), 4),
+        lambda: phi_apply(TruncPoly.of([1]), 4),
+        lambda: psi_apply(TruncPoly.of([1]), 4),
         lambda: monomial_twisted(1, 0, 4, 1, 2),
         lambda: normalized_parts(4, 1, 1, 0, 0),
         lambda: t_coeff(4, 1, 1, 0, 0),
