@@ -140,10 +140,6 @@ def _shift(k: int, l: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _target(m: int, r: int, l: int) -> tuple:
-    return r, [], r % m, _shift(r // m, l)
-
-
 def _step(raw: list[list[int]], m: int) -> list[list[int]]:
     """The raw sums of a record at n + 1 from those at n, by Pascal's rule:
     S(n+1, r0) = S(n, r0) - S(n, r0 - 1) at every level l', where
@@ -165,63 +161,59 @@ def _step(raw: list[list[int]], m: int) -> list[list[int]]:
     return stepped
 
 
-def _fill(p: int, a: int, n: int, r: int, l: int, record: list, target: tuple | None) -> int:
-    """normalized(p, a, n, r, l) read from the raw sums of its record, which
-    are at n or at n - 1; target is r's entry in the record, None for a new row.
+def _fill(p: int, a: int, n: int, l: int, raw: list[list[int]], targets) -> list[tuple[list, int]]:
+    """[(row, value)] for each target (r, row, r0, shift) of a record: the
+    normalized value at n, read from raw, the record's sums at n.
 
-    Sums at n - 1 step to n, and the value at n is written into every row the
-    record holds and into r's. Nothing is stored, and the record does not
-    move, until every value written has passed the trap.
+    Stores nothing; every value has passed _divide's trap when it returns.
     """
-    m = p ** a
-    rows = record[2]
-    queried = target or _target(m, r, l)
-    if n == record[0]:
-        raw, writes = record[1], [queried]
-    else:
-        raw, writes = _step(record[1], m), rows.values() if target else [*rows.values(), queried]
     exponent = floor_exponent(p, a, n, l)
     level = raw[l]
     values = []
-    for r_, row_, r0, shift in writes:
+    for r, row, r0, shift in targets:
         total = 0  # the empty sum of a residue r0 > n
         if r0 < len(level):
             total = level[r0]
             for i, c in enumerate(shift, 1):
                 total += c * raw[l - i][r0]
-        values.append((row_, _divide(total, exponent, p, a, n, r_, l)))
-    for row_, value in values:
-        row_.extend([None] * (n + 1 - len(row_)))
-        row_[n] = value
-    rows[r] = queried
-    record[:2] = n, raw
-    return queried[1][n]
+        values.append((row, _divide(total, exponent, p, a, n, r, l)))
+    return values
 
 
 def normalized(p: int, a: int, n: int, r: int, l: int) -> int:
     """The normalized coefficient <n r>_{l,p^a}, memoized in normalized_table(p, a, l).
 
-    A miss at the record's n, or one past it, is read from its raw sums
-    (_fill); a record starts at n = 0. Every other miss, behind the record or
-    more than one step ahead of it, is normalized_parts' direct sum.
+    A miss comes from one of three sources: at the record's n, _fill reads
+    its raw sums; one past it, _step advances the sums and _fill writes the
+    value at n + 1 into every row the record holds, plus r's; anywhere else,
+    behind the record or more than one step ahead, normalized_parts sums it
+    directly. A record starts at n = 0. The values are stored, r's row is
+    registered and the record moves only after every value passed the trap.
     """
     record = normalized_table(p, a, l)
-    target = record[2].get(r)
+    rows = record[2]
+    target = rows.get(r)
     # a negative n never indexes a row: normalized_parts refuses it below
     if target is not None and 0 <= n < len(target[1]):
         value = target[1][n]
         if value is not None:
             return value
-    if record[0] <= n <= record[0] + 1:
-        return _fill(p, a, n, r, l, record, target)
-    value = normalized_parts(p, a, n, r, l)[2]
-    # the row is made only after the value passed the trap, so a refusal stores nothing
+    m = p ** a
     if target is None:
-        target = record[2][r] = _target(p ** a, r, l)
-    row = target[1]
-    row.extend([None] * (n + 1 - len(row)))  # empty when n is already inside the row
-    row[n] = value
-    return value
+        target = r, [], r % m, _shift(r // m, l)
+    if n == record[0]:
+        writes = _fill(p, a, n, l, record[1], [target])
+    elif n == record[0] + 1:
+        raw = _step(record[1], m)
+        writes = _fill(p, a, n, l, raw, {**rows, r: target}.values())
+        record[:2] = n, raw
+    else:
+        writes = [(target[1], normalized_parts(p, a, n, r, l)[2])]
+    for row, value in writes:
+        row.extend([None] * (n + 1 - len(row)))  # empty when n is already inside the row
+        row[n] = value
+    rows[r] = target
+    return target[1][n]
 
 
 def t_coeff(p: int, a: int, n: int, r: int, l: int) -> Fraction:

@@ -1,8 +1,11 @@
 """The cyclotomic Frobenius/psi operator pair on integer power series in T.
 
-Frobenius substitutes (1+T)^p - 1 for T. Its one-sided inverse psi extracts
-the component x_0 of x = sum_{i<p} (1+T)^i phi(x_i); on polynomials both
-directions are exact integer-linear maps, so no division by p ever occurs.
+Frobenius phi substitutes (1+T)^p - 1 for T. Its one-sided inverse psi
+extracts the component x_0 of x = sum_{i<p} (1+T)^i phi(x_i). The two are
+mirrors in the basis S = 1+T (_s_basis): phi(S^i) = S^(p i), so phi spreads
+the S-coefficients to every p-th place and psi keeps every p-th one. Both
+directions are Taylor shifts by integer additions only, so on polynomials
+they are exact and no division by p ever occurs.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ class TruncPoly:
 
     The tuple length records the tracked degree bound; trailing zeros are
     allowed and ignored by equality, which compares the underlying
-    polynomials. All arithmetic here is exact over the integers.
+    polynomials. Its one operation is the exact product of two polynomials.
     """
 
     coeffs: tuple[int, ...]
@@ -57,29 +60,7 @@ class TruncPoly:
             return NotImplemented
         return self._stripped() == other._stripped()
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = TruncPoly((other,))
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return TruncPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(size)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = TruncPoly((other,))
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, TruncPoly):
             return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -89,8 +70,6 @@ class TruncPoly:
                     out[i + j] += a * b
         return TruncPoly(tuple(out))
 
-    __rmul__ = __mul__
-
     def truncated(self, through: int) -> "TruncPoly":
         """Coefficients 0..through, padding with zeros beyond the stored bound."""
         if through < 0:
@@ -99,16 +78,6 @@ class TruncPoly:
 
     def __repr__(self):
         return f"TruncPoly({list(self.coeffs)!r})"
-
-
-def phi_apply(x: TruncPoly, p: int) -> TruncPoly:
-    """Frobenius: substitute (1+T)^p - 1 for T, exactly. Degree grows p-fold."""
-    _require_prime(p)
-    u = TruncPoly(tuple(comb(p, i) for i in range(p + 1))) - 1
-    acc = TruncPoly.zero()
-    for c in reversed(x.coeffs):
-        acc = acc * u + c
-    return acc.truncated(max(p * x.degree_bound, 0))
 
 
 def _shift_by_one(coeffs: list[int]) -> list[int]:
@@ -123,20 +92,40 @@ def _shift_by_one(coeffs: list[int]) -> list[int]:
     return shifted
 
 
+def _s_basis(coeffs) -> list[int]:
+    """The coefficients c of x in powers of S = 1+T, x(T) = sum_i c_i S^i.
+
+    They are those of x(S-1), a shift by -1, done as a shift by +1 between
+    two sign flips of the odd coefficients.
+    """
+    shifted = _shift_by_one([-v if i & 1 else v for i, v in enumerate(coeffs)])
+    return [-v if i & 1 else v for i, v in enumerate(shifted)]
+
+
+def phi_apply(x: TruncPoly, p: int) -> TruncPoly:
+    """Frobenius: substitute (1+T)^p - 1 for T, exactly. Degree grows p-fold.
+
+    The mirror of psi_apply: phi(S^i) = S^(p i), so x = sum_i c_i S^i maps to
+    sum_i c_i S^(p i), whose T-coefficients are a shift by +1 of c spread to
+    every p-th place. Additions only, like psi_apply.
+    """
+    _require_prime(p)
+    c = _s_basis(x.coeffs)
+    spread = [0] * (p * len(c) - p + 1)
+    spread[::p] = c
+    return TruncPoly(tuple(_shift_by_one(spread)))
+
+
 def psi_apply(x: TruncPoly, p: int) -> TruncPoly:
     """Extract x_0 from x = sum_{i=0}^{p-1} (1+T)^i phi(x_i).
 
-    Two Taylor shifts by integer additions only, writing S = 1+T:
-      1. T-basis to S-basis: the coefficients c of x(S-1) are a shift by -1,
-         done as a shift by +1 between two sign flips of the odd coefficients.
-      2. S^(i + p j) = S^i phi((1+T)^j) with i < p lies in the x_i part, so
-         x_0 = sum_j c_(p j) (1+T)^j, the shift by +1 of c_0, c_p, c_2p, ...
-    The output has degree bound floor(D/p).
+    Two Taylor shifts by integer additions only, writing S = 1+T: _s_basis
+    gives x = sum_k c_k S^k, and S^(i + p j) = S^i phi((1+T)^j) with i < p
+    lies in the x_i part, so x_0 = sum_j c_(p j) (1+T)^j, the shift by +1
+    of c_0, c_p, c_2p, ... The output has degree bound floor(D/p).
     """
     _require_prime(p)
-    c = _shift_by_one([-v if i & 1 else v for i, v in enumerate(x.coeffs)])
-    row = [-v if (p * j) & 1 else v for j, v in enumerate(c[::p])]
-    return TruncPoly(tuple(_shift_by_one(row)))
+    return TruncPoly(tuple(_shift_by_one(_s_basis(x.coeffs)[::p])))
 
 
 def psi_power(x: TruncPoly, p: int, a: int) -> TruncPoly:

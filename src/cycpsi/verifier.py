@@ -591,11 +591,11 @@ def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) ->
     """Expand the grid for one check, evaluate every tuple, and report.
 
     workers > 1 spreads the shards over a process pool; the report is
-    identical apart from elapsed_ms. A grid that gives the check no tuples
-    raises ValueError.
+    identical apart from elapsed_ms. An unknown check id, and a grid that
+    gives the check no tuples, raise ValueError; the CLI prints the text.
     """
     if check_id not in CHECKS:
-        raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
+        raise ValueError(f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}")
     grid = grid if grid is not None else SweepGrid()
     checked, rows, elapsed_ms = _sweep(check_id, grid, workers)
     failures = [CheckFailure(params, *outcome) for _, params, outcome in rows]

@@ -6,7 +6,8 @@ over a window wider than [0, n] so the finite-support property is exercised
 rather than assumed. Congruences of rationals come from valuations counted
 by dividing p out of numerator and denominator. modulus_factorization_identity
 is the direct form of lem3.1's convolution, which the library computes as a
-dot product.
+dot product. Polynomials here are coefficient lists, and phi is Horner's
+substitution, where the library takes Taylor shifts through the basis 1+T.
 """
 
 from fractions import Fraction
@@ -78,6 +79,31 @@ def psi_oracle(coeffs, p: int) -> list[int]:
     ]
     top = d // p
     return [sum(binom_product(jp, j) * c[p * jp] for jp in range(top + 1)) for j in range(top + 1)]
+
+
+def poly_add(x, y) -> list[int]:
+    """The coefficientwise sum of two coefficient lists, the shorter padded with zeros."""
+    size = max(len(x), len(y))
+    return [(x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0) for i in range(size)]
+
+
+def poly_mul(x, y) -> list[int]:
+    """The product of two coefficient lists by the schoolbook rule."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+def phi_by_substitution(coeffs, p: int) -> list[int]:
+    """phi by Horner's rule: x(u) with u = (1+T)^p - 1, as (...(a_D u + a_(D-1)) u
+    + ...) u + a_0, cut to the p D + 1 coefficients of degree p D."""
+    u = poly_add(one_plus_t_power(p, p), [-1])
+    acc = [0]
+    for c in reversed(coeffs):
+        acc = poly_add(poly_mul(acc, u), [c])
+    return acc[:p * (len(coeffs) - 1) + 1]
 
 
 def nested_expand(axes, grid):

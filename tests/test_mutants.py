@@ -189,8 +189,9 @@ SWAPPED_PARAMETER_MUTANTS = {
                                            {"thm1.5", "self-test"}, {"thm1.5"}),
 }
 
-# psi_apply's sign flip of the odd coefficients dropped: (source text, replacement, the checks whose verdict changes)
-PSI_APPLY_MUTANT = ("[-v if i & 1 else v for i, v in enumerate(x.coeffs)]", "list(x.coeffs)", {"psi-identity"})
+# the first sign flip of the odd coefficients dropped from _s_basis, the S-basis kernel that psi_apply and
+# phi_apply share: (source text, replacement, the checks whose verdict changes)
+PSI_APPLY_MUTANT = ("[-v if i & 1 else v for i, v in enumerate(coeffs)]", "list(coeffs)", {"psi-identity"})
 
 
 def _mutated_verifier(old: str, new: str) -> ModuleType:
@@ -233,8 +234,8 @@ def test_swapped_parameters_are_caught(mutant):
 
 def test_psi_apply_mutant_changes(monkeypatch):
     old, new, changed = PSI_APPLY_MUTANT
-    # psi_power looks psi_apply up in psi_series, and every sweep empties the image memo
-    monkeypatch.setattr(psi_series, "psi_apply", _mutant(psi_series, "psi_apply", old, new))
+    # psi_apply looks _s_basis up in psi_series, and every sweep empties the image memo
+    monkeypatch.setattr(psi_series, "_s_basis", _mutant(psi_series, "_s_basis", old, new))
     assert _verdict_changes(verifier) == changed
 
 

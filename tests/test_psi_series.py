@@ -16,7 +16,7 @@ from cycpsi import (
     psi_power,
     psi_series,
 )
-from oracles import fleck_oracle, one_plus_t_power, psi_oracle
+from oracles import fleck_oracle, one_plus_t_power, phi_by_substitution, poly_add, psi_oracle
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=10).map(TruncPoly.of)
 small_primes = st.sampled_from((2, 3, 5))
@@ -25,6 +25,14 @@ oracle_primes = st.sampled_from((2, 3, 5, 7))
 wide_coeffs = st.integers(0, 120).flatmap(
     lambda d: st.lists(st.integers(-10**12, 10**12), min_size=d + 1, max_size=d + 1)
 )
+# phi's output has p D + 1 coefficients and its oracle is quadratic in them, so degree 0..30
+phi_coeffs = st.integers(0, 30).flatmap(
+    lambda d: st.lists(st.integers(-10**12, 10**12), min_size=d + 1, max_size=d + 1)
+)
+
+
+def _sum(x: TruncPoly, y: TruncPoly) -> TruncPoly:
+    return TruncPoly.of(poly_add(x.coeffs, y.coeffs))
 
 
 class TestTruncPoly:
@@ -40,12 +48,11 @@ class TestTruncPoly:
         assert x.coeff(-1) == 0
 
     def test_arithmetic(self):
+        # the product is TruncPoly's one operation; sums are the oracle's, on coefficient lists
         x = TruncPoly.of([1, 1])
-        assert x + x == TruncPoly.of([2, 2])
-        assert x - x == TruncPoly.zero()
-        assert 3 * x == TruncPoly.of([3, 3])
+        assert _sum(x, x) == TruncPoly.of([2, 2])
         assert x * x == TruncPoly.of([1, 2, 1])
-        assert x + 1 == TruncPoly.of([2, 1])
+        assert x * TruncPoly.zero() == TruncPoly.zero()
 
     def test_truncated(self):
         x = TruncPoly.of([1, 2, 3])
@@ -76,11 +83,19 @@ class TestPhi:
         y = TruncPoly.of([0, 4, 1, 1])
         for p in (2, 3):
             assert phi_apply(x * y, p) == phi_apply(x, p) * phi_apply(y, p)
-            assert phi_apply(x + y, p) == phi_apply(x, p) + phi_apply(y, p)
+            assert phi_apply(_sum(x, y), p) == _sum(phi_apply(x, p), phi_apply(y, p))
 
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError):
             phi_apply(TruncPoly.of([1]), 6)
+
+    @given(phi_coeffs, oracle_primes)
+    @example([0, 1], 7)
+    @example([1] + [0] * 20, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_substitution_oracle(self, coeffs, p):
+        # .coeffs keeps trailing zeros, so the output length p D + 1 is compared too
+        assert phi_apply(TruncPoly.of(coeffs), p).coeffs == tuple(phi_by_substitution(coeffs, p))
 
 
 class TestPsi:
@@ -101,7 +116,7 @@ class TestPsi:
 
     @given(small_polys, small_polys, small_primes)
     def test_additive(self, x, y, p):
-        assert psi_apply(x + y, p) == psi_apply(x, p) + psi_apply(y, p)
+        assert psi_apply(_sum(x, y), p) == _sum(psi_apply(x, p), psi_apply(y, p))
 
     @given(small_polys, small_primes)
     @settings(max_examples=60)
@@ -274,11 +289,12 @@ class TestOperatorRouteIndependence:
         assert _package_imports("verifier") == {"coefficients", "exactmath", "psi_series"}
 
     def test_psi_apply_calls_no_binomial(self):
+        # phi and psi are additions-only Taylor shifts through the S-basis kernel
         functions = {
             node.name: node for node in _module_tree("psi_series").body
             if isinstance(node, ast.FunctionDef)
         }
-        for name in ("psi_apply", "_shift_by_one"):
+        for name in ("psi_apply", "phi_apply", "_s_basis", "_shift_by_one"):
             called = {
                 getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 for node in ast.walk(functions[name]) if isinstance(node, ast.Call)

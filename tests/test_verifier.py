@@ -131,8 +131,10 @@ def test_self_test_fails():
 
 
 def test_unknown_id_rejected():
-    with pytest.raises(ValueError):
+    # the CLI has no check of its own: `cycpsi verify thm9.9` prints this text
+    with pytest.raises(ValueError) as err:
         run_sweep("thm9.9", SMALL)
+    assert str(err.value) == f"unknown check id 'thm9.9'; valid ids: {', '.join(CHECK_IDS)}"
 
 
 def test_deterministic_reports():
