@@ -55,7 +55,8 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
 
 
 # The sum without the memo: normalized values are memoized in normalized_table
-# instead, lem3.1's factors in their own vectors, and thm1.0 never reads a sum twice.
+# instead, lem3.1's factors in their own vectors, and thm1.0 reads its residues
+# from _fleck_residues' rows and sums each other representative once.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
 
 
@@ -73,6 +74,20 @@ def _fleck_row(n: int, r: int, m: int, l_max: int) -> list[int]:
         for l in range(l_max + 1):
             row[l] += term
             term = term * (j - l) // (l + 1)
+    return row
+
+
+def _fleck_residues(n: int, m: int, l: int) -> list[int]:
+    """[fleck_sum_general(n, r0, m, l) for r0 in 0..min(n, m - 1)] in one pass over k, unmemoized;
+    a larger residue has no term k <= n.
+
+    Each k adds (-1)^k binom(n, k) binom(k // m, l) to the sum of its residue
+    k % m. The k below l m are skipped: binom(j, l) = 0 for 0 <= j < l.
+    """
+    row = [0] * min(n + 1, m)
+    for k in range(l * m, n + 1):
+        c = comb(n, k) * comb(k // m, l)
+        row[k % m] += -c if k & 1 else c
     return row
 
 

@@ -27,6 +27,10 @@ class TruncPoly:
 
     coeffs: tuple[int, ...]
 
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("a TruncPoly needs at least one coefficient")
+
     @classmethod
     def of(cls, values) -> "TruncPoly":
         coeffs = tuple(int(v) for v in values)

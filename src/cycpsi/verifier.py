@@ -34,6 +34,7 @@ from . import coefficients
 from .coefficients import (
     IntegrityError,
     _direct_fleck_sum,
+    _fleck_residues,
     _fleck_row,
     factorization_sides,
     floor_exponent,
@@ -274,12 +275,27 @@ _L_POSITIVE = _where(_L, lambda l, bound: l >= 1)
 _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
 
-# thm1.0: ord_p of every Fleck sum reaches the floor exponent. Every tuple
-# is a distinct (n, r, p^a, l), so the sums are read uncached.
+# thm1.0: ord_p of every Fleck sum reaches the floor exponent. r is the
+# innermost axis, so one _fleck_residues pass gives the sums of every residue
+# of a binding (p, a, l, n); _thm1_0_rows keeps the last binding's row and
+# bound, and _sweep empties it at the start of every sweep. Every other
+# representative is summed directly, so thm1.0 also checks fleck_sum_general.
+
+_thm1_0_rows: dict[tuple[int, int, int, int], tuple[list[int], int, int]] = {}
+
 
 def _eval_thm1_0(p, a, l, n, r):
-    raw = _direct_fleck_sum(n, r, p ** a, l)
-    return _ord_at_least(raw, max(floor_exponent(p, a, n, l), 0), p)
+    entry = _thm1_0_rows.get((p, a, l, n))
+    if entry is None:
+        _thm1_0_rows.clear()
+        m = p ** a
+        entry = _thm1_0_rows[p, a, l, n] = _fleck_residues(n, m, l), max(floor_exponent(p, a, n, l), 0), m
+    row, bound, m = entry
+    if 0 <= r < m:
+        raw = row[r] if r <= n else 0  # a residue past n has no term k <= n
+    else:
+        raw = _direct_fleck_sum(n, r, m, l)
+    return _ord_at_least(raw, bound, p)
 
 
 # thm1.1 and lem3.2: <pn+s, pr+t> at depth a+1 against (-1)^t binom(s,t) <n,r>
@@ -563,9 +579,9 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
 
     The coefficient memos are kept while sweeps run on the same grid, so
     checks on one grid share them, and cleared when the grid changes. The
-    memo of operator images is emptied at the start of every sweep. A grid
-    that gives target no tuples raises ValueError, since a sweep that checked
-    nothing proves nothing.
+    memo of operator images and thm1.0's row are emptied at the start of
+    every sweep. A grid that gives target no tuples raises ValueError, since
+    a sweep that checked nothing proves nothing.
     """
     global _last_grid
     if workers < 1:
@@ -574,6 +590,7 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
         coefficients.clear_caches()
         _last_grid = grid
     _monomial_image.cache_clear()
+    _thm1_0_rows.clear()
     start = perf_counter()
     if workers == 1:
         shards = [_shard(target, grid, 0, 1)]

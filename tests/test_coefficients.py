@@ -64,6 +64,17 @@ class TestFleckSum:
         assert fleck_sum_general.cache_info().currsize == 0  # the row stores no sum
         assert row == [fleck_sum_general(n, r, m, l) for l in range(l_max + 1)]
 
+    @given(st.integers(0, 60), st.integers(1, 90), st.integers(0, 6))
+    @example(5, 3, 2)  # l m > n: every sum is empty
+    @example(4, 9, 0)  # m > n + 1: the residues 5..8 have no term
+    @example(20, 4, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_residue_row_matches_the_oracle(self, n, m, l):
+        row = coefficients._fleck_residues(n, m, l)
+        assert len(row) == min(n + 1, m)
+        assert row == [fleck_oracle(n, r0, m, l) for r0 in range(len(row))]
+        assert all(fleck_oracle(n, r0, m, l) == 0 for r0 in range(len(row), m))
+
 
 class TestNormalized:
     @pytest.mark.parametrize(

@@ -74,6 +74,11 @@ COEFFICIENT_MUTANTS = {
     "row step (j + l)": (*PSI_ROUTE_MUTANTS["row step (j + l)"], {"lem3.1", "psi-identity"}),
     "row without (-1)^j": (coefficients, "factorization_sides",
                            "[-v if j & 1 else v for j, v in enumerate(head)]", "head", {"lem3.1"}),
+    # thm1.0's rows of every residue of a binding; no other check reads them
+    "residues without (-1)^k": (coefficients, "_fleck_residues", "row[k % m] += -c if k & 1 else c",
+                                "row[k % m] += c", {"thm1.0"}),
+    "residues from k = l m + 1": (coefficients, "_fleck_residues", "range(l * m, n + 1)",
+                                  "range(l * m + 1, n + 1)", {"thm1.0"}),
     # the Pascal fill of the normalized memo
     "fill step S(n-1, r-1) - S(n-1, r)": (coefficients, "_step", "map(sub, level[1:], level[:-1])",
                                           "map(sub, level[:-1], level[1:])", NORMALIZED_READERS),

@@ -41,6 +41,11 @@ class TestTruncPoly:
         assert TruncPoly.of([1, 2, 0, 0]).degree_bound == 3
         assert TruncPoly.of([0]) == TruncPoly.of([0, 0, 0])
 
+    def test_refuses_an_empty_tuple(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            TruncPoly(())
+        assert TruncPoly.of([]) == TruncPoly.of([0]) and TruncPoly.of([]).coeffs == (0,)
+
     def test_coeff_beyond_bound_is_zero(self):
         x = TruncPoly.of([3, 1])
         assert x.coeff(0) == 3

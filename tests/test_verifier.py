@@ -24,10 +24,10 @@ from cycpsi import (
     run_sweep,
 )
 from cycpsi import coefficients, verifier
-from cycpsi.coefficients import normalized_table
+from cycpsi.coefficients import floor_exponent, normalized_table
 from cycpsi.verifier import CHECKS, CheckFailure, _lem3_2_exceptional, _shard, _sigma, _thm1_2_branch
 from cycpsi.psi_series import _monomial_image
-from oracles import nested_expand
+from oracles import fleck_oracle, nested_expand
 from test_mutants import CATALOG_GRID
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
@@ -255,6 +255,42 @@ def test_every_sweep_starts_with_an_empty_image_memo():
     assert _monomial_image.cache_info().currsize == 0
 
 
+# thm1.0 reads the residues 0 <= r < p^a from one row per binding and sums every
+# other representative directly: negative classes, and classes at or above p^a
+THM1_0_GRIDS = [
+    SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 14), l_range=(0, 3),
+              r_values=(-10, -4, -1, 0, 1, 2, 4, 8, 9, 25)),
+    # mod 25 the residues 3, 7 and 24 lie past n for the small n, where they have no term
+    SweepGrid(primes=(5,), a_range=(1, 2), n_range=(0, 30), l_range=(0, 2), r_values=(-26, -1, 0, 3, 7, 24, 25, 31)),
+]
+
+
+@pytest.mark.parametrize("grid", THM1_0_GRIDS)
+def test_thm1_0_matches_an_evaluator_on_the_oracle(grid, monkeypatch):
+    def oracle_outcome(p, a, l, n, r):
+        return verifier._ord_at_least(fleck_oracle(n, r, p ** a, l), max(floor_exponent(p, a, n, l), 0), p)
+
+    tuples = list(CHECKS["thm1.0"].expand(grid))
+    assert any(r < 0 for *_, r in tuples) and any(r >= p ** a for p, a, *_, r in tuples)
+    assert [oracle_outcome(*values) for values in tuples] == [None] * len(tuples)
+    assert run_sweep("thm1.0", grid).verdict == "pass"
+    # a stand-in verdict that fails every tuple with its sum and bound exposes what each tuple read
+    monkeypatch.setattr(verifier, "_ord_at_least", lambda value, bound, p: (bound, value))
+    failures = run_sweep("thm1.0", grid).failures
+    assert [(f.expected, f.actual) for f in failures] == [oracle_outcome(*values) for values in tuples]
+
+
+def test_a_sweep_after_the_row_kernel_is_patched_sees_the_patch(monkeypatch):
+    # one binding (p, a, l, n) = (3, 1, 0, 5), so each sweep starts at the binding the last one ended on
+    grid = SweepGrid(primes=(3,), a_range=(1, 1), l_range=(0, 0), n_range=(5, 5), r_values=(0, 1, 2))
+    assert run_sweep("thm1.0", grid).verdict == "pass"
+    # unit sums miss the floor exponent floor((5 - 1) / 2) = 2
+    monkeypatch.setattr(verifier, "_fleck_residues", lambda n, m, l: [1] * min(n + 1, m))
+    assert len(run_sweep("thm1.0", grid).failures) == 3
+    monkeypatch.undo()
+    assert run_sweep("thm1.0", grid).verdict == "pass"
+
+
 def _counting_normalized_parts(monkeypatch) -> list:
     """Count the calls that reach normalized_parts, i.e. the memo misses."""
     calls = []
@@ -452,9 +488,12 @@ def test_other_exceptions_propagate(monkeypatch):
 
 
 def test_valuation_failure_texts(monkeypatch):
-    # a unit sum misses thm1.0's floor exponent floor((5 - 1) / 2) = 2
-    monkeypatch.setattr(verifier, "_direct_fleck_sum", lambda n, r, m, l: 1)
+    # a unit sum misses thm1.0's floor exponent floor((5 - 1) / 2) = 2, read from the row at r = 0
+    monkeypatch.setattr(verifier, "_fleck_residues", lambda n, m, l: [1] * min(n + 1, m))
     assert CHECKS["thm1.0"].evaluate(p=3, a=1, l=0, n=5, r=0) == ("ord_3 >= 2", "ord_3 = 0")
+    # and summed directly at the negative representative r = -1
+    monkeypatch.setattr(verifier, "_direct_fleck_sum", lambda n, r, m, l: 1)
+    assert CHECKS["thm1.0"].evaluate(p=3, a=1, l=0, n=5, r=-1) == ("ord_3 >= 2", "ord_3 = 0")
     # a difference of 3 misses thm1.4's bound ceil(4/5 (2 ord_5(5) + 2)) = 4
     monkeypatch.setattr(verifier, "normalized", lambda p, a, n, r, l: 3 * a)
     assert CHECKS["thm1.4"].evaluate(p=5, a=1, l=0, n=5, r=0) == ("ord_5 >= 4", "ord_5 = 0")
