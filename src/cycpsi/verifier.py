@@ -17,17 +17,25 @@ call time, never binding them earlier, so a tracer that rebinds those names
 sees every call.
 
 Every evaluation is a pure function of its parameters, so a sweep splits
-into shards: shard k of w takes the tuples whose expansion index i has
-i % w == k. One worker runs the single shard in process, w > 1 workers one
-shard each in a pool; merging on i restores expansion order either way.
+into shards of whole blocks. A block is one binding of the axes before n
+(before m where n is a function of m), and at least of the outermost axis,
+so one process evaluates every n of a block, in order. The memos that step
+along n (normalized records per (p, a, l), thm1.0's rows per (p, a, l, n),
+psi images per (p, a)) are then built by the workers whose blocks read them,
+not by every worker. _plan deals the blocks, largest first, to the
+least-loaded of at most w shards, and a shard numbers a tuple i = its block's
+first expansion index + its place in the block. A lone shard runs in
+process, more run one each in a pool; merging on i restores expansion order.
 """
 
 import multiprocessing
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Collection, Iterable, Iterator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import accumulate, chain, product
+from math import prod
+from operator import itemgetter
 from time import perf_counter
 
 from . import coefficients
@@ -208,10 +216,11 @@ def _ord_at_least(value: int, bound: int, p: int) -> tuple[str, str] | None:
 
 
 # Axes: (name, reads, values), where values(grid, bound) gives the values of
-# the axis' parameter, bound maps the names of the outer axes to their current
-# values, and reads names the outer axes that values looks up in bound.
+# the axis' parameter as a collection, bound maps the names of the outer axes to
+# their current values, and reads names the outer axes that values looks up in bound.
 
-Axis = tuple[str, tuple[str, ...], Callable[[SweepGrid, dict], Iterable]]
+Axis = tuple[str, tuple[str, ...], Callable[[SweepGrid, dict], Collection]]
+Block = tuple[int, int, tuple]  # (start, size, binding) of a block in a shard
 
 
 def _names(axes: tuple[Axis, ...]) -> tuple[str, ...]:
@@ -224,22 +233,60 @@ def _split(axes: tuple[Axis, ...]) -> int:
     return max((names.index(name) + 1 for _, reads, _ in axes for name in reads), default=0)
 
 
-def _expander(*axes: Axis) -> Callable[[SweepGrid], Iterator[tuple]]:
-    """The tuples of axes, outermost first, one value per axis, in the order of nested
-    loops, as an expand function: per binding of the outer axes (by their own
-    expander), itertools.product over the inner axes, which read none of each other."""
-    split = _split(axes)
-    inner = axes[split:]
-    if not split:
-        return lambda grid: product(*(values(grid, {}) for _, _, values in inner))
-    outer, bind = _names(axes[:split]), _expander(*axes[:split])
+def _block_depth(axes: tuple[Axis, ...]) -> int:
+    """How many leading axes bind a block: those before n, or before m where n is a
+    function of m, and at least the outermost one."""
+    return max(1, next(k for k, name in enumerate(_names(axes)) if name in ("n", "m")))
 
-    def expand(grid: SweepGrid) -> Iterator[tuple]:
-        def products(prefix: tuple) -> Iterator[tuple]:
-            bound = dict(zip(outer, prefix))
-            return product(*zip(prefix), *(values(grid, bound) for _, _, values in inner))
 
-        return chain.from_iterable(map(products, bind(grid)))
+def _products(axes: tuple[Axis, ...], depth: int = 0) -> tuple[Callable, Callable]:
+    """(expand, count) over the tuples of axes, outermost first, that extend prefix, a
+    binding of the first depth axes: expand(grid, prefix) yields them in the order of
+    nested loops, and count(grid, prefix) counts them with no tuple built. Per binding
+    of the axes up to the last one an axis reads (bound the same way), or of the
+    first depth axes if more, itertools.product over the inner axes, which read
+    none of each other."""
+    split = max(_split(axes), depth)
+    outer, inner = _names(axes[:split]), axes[split:]
+
+    def columns(grid: SweepGrid, binding: tuple) -> list[Collection]:
+        bound = dict(zip(outer, binding))
+        return [values(grid, bound) for _, _, values in inner]
+
+    if split == depth:
+        return (lambda grid, prefix: product(*zip(prefix), *columns(grid, prefix)),
+                lambda grid, prefix: prod(map(len, columns(grid, prefix))))
+    bind, _ = _products(axes[:split], depth)
+    key = itemgetter(*(k for k, name in enumerate(outer) if any(name in reads for _, reads, _ in inner)))
+
+    def bindings(grid: SweepGrid, prefix: tuple) -> Iterator[tuple[tuple, list[Collection]]]:
+        """(binding, its columns) per binding, the columns built once per value of what they
+        read: thm1.2's t reads (p, l, n, s) but is bound per (p, l, n, r, s)."""
+        memo = {}
+        for binding in bind(grid, prefix):
+            read = key(binding)
+            held = memo.get(read)
+            if held is None:
+                held = memo[read] = columns(grid, binding)
+            yield binding, held
+
+    return (lambda grid, prefix: chain.from_iterable(
+                product(*zip(binding), *held) for binding, held in bindings(grid, prefix)),
+            lambda grid, prefix: sum(prod(map(len, held)) for _, held in bindings(grid, prefix)))
+
+
+def _expander(*axes: Axis) -> Callable[..., Iterator[tuple]]:
+    """The tuples of axes, one value per axis, in the order of nested loops, as an
+    expand function: expand(grid, block) yields those of one block binding, and
+    expand(grid) those of every block."""
+    depth = _block_depth(axes)
+    bindings, _ = _products(axes[:depth])
+    within, _ = _products(axes, depth)
+
+    def expand(grid: SweepGrid, block: tuple | None = None) -> Iterator[tuple]:
+        if block is None:
+            return chain.from_iterable(within(grid, block) for block in bindings(grid, ()))
+        return within(grid, block)
 
     return expand
 
@@ -501,10 +548,10 @@ def _eval_psi_identity(p, a, n, r, l_max):
 
 @dataclass(frozen=True)
 class Check:
-    """expand(grid) yields tuples of values, one per axis and in axis order,
-    and evaluate takes a tuple's values positionally."""
+    """expand(grid, block=None) yields tuples of values, one per axis and in
+    axis order, and evaluate takes a tuple's values positionally."""
 
-    expand: Callable[[SweepGrid], Iterator[tuple]]
+    expand: Callable[..., Iterator[tuple]]
     evaluate: Callable[..., tuple[str, str] | None]
     axes: tuple[Axis, ...]
 
@@ -512,13 +559,23 @@ class Check:
     def names(self) -> tuple[str, ...]:
         return _names(self.axes)
 
+    def blocks(self, grid: SweepGrid) -> list[tuple[tuple, int]]:
+        """(binding, tuple count) of every block of grid, in expansion order, with no tuple built."""
+        depth = _block_depth(self.axes)
+        bindings, _ = _products(self.axes[:depth])
+        _, count = _products(self.axes, depth)
+        return [(block, count(grid, block)) for block in bindings(grid, ())]
+
 
 def _check(evaluate: Callable[..., tuple[str, str] | None], *axes: Axis) -> Check:
     """evaluate over the tuples of axes, outermost first."""
     return Check(_expander(*axes), evaluate, axes)
 
 
-_THM1_5 = _check(_boundary_check(1), _P, _A, _L, _M, _R)
+_THM1_5_AXES = (_P, _A, _L, _M, _R)
+# self-test reads _SELF_TEST_GRID whatever grid a sweep passes, in expansion and block plan alike
+_SELF_TEST_AXES = tuple((name, reads, lambda grid, bound, values=values: values(_SELF_TEST_GRID, bound))
+                        for name, reads, values in _THM1_5_AXES)
 
 CHECKS: dict[str, Check] = {
     "thm1.0": _check(_eval_thm1_0, _P, _A, _L, _N, _R),
@@ -526,7 +583,7 @@ CHECKS: dict[str, Check] = {
     "thm1.2": _check(_eval_thm1_2, _P, _L, _N, _residues_at(1), _S, _THM1_2_T),
     "cor1.3": _check(_eval_cor1_3, _P, _L, _N, _residues_at(2)),
     "thm1.4": _check(_eval_thm1_4, _P, _A, _L, _N_POSITIVE, _R),
-    "thm1.5": _THM1_5,
+    "thm1.5": _check(_boundary_check(1), *_THM1_5_AXES),
     "lem2.2": _check(_eval_lem2_2, _N_POSITIVE, ("r", (), lambda grid, bound: grid.free_r(grid.abs_r_max)),
                      _L_POSITIVE, _M),
     "lem3.1": _check(_eval_lem3_1, _span("d"), _span("q"), _N, ("r", (), lambda grid, bound: grid.free_r(2)),
@@ -538,17 +595,41 @@ CHECKS: dict[str, Check] = {
     "conj-perm": _check(_eval_conj_perm, _P, _CONJ_PERM_N, _CONJ_PERM_R),
     "psi-identity": _check(_eval_psi_identity, _P, _A, _N, _R,
                            ("l_max", (), lambda grid, bound: (grid.coeff_degree,))),
-    "self-test": replace(_THM1_5, expand=lambda grid: _THM1_5.expand(_SELF_TEST_GRID),
-                         evaluate=_boundary_check(-1)),
+    "self-test": _check(_boundary_check(-1), *_SELF_TEST_AXES),
 }
 
 CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 
 
-def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int, list]:
+def _check_of(target: str) -> Check:
+    """The check of target, a check id or "rem1.2", as CHECKS and _expand_rem1_2 bind it now."""
+    return CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2, _REM1_2_AXES)
+
+
+def _plan(blocks: list[tuple[tuple, int]], workers: int) -> list[list[Block]]:
+    """The nonempty blocks, given as (binding, size) in expansion order, dealt to at
+    most workers shards as (start, size, binding), where start is the expansion
+    index of the block's first tuple: largest first (ties in expansion order),
+    each to the least-loaded shard (the first among equals). A shard lists its
+    blocks in expansion order, no shard is empty, and no two shards' loads
+    differ by more than the largest block."""
+    starts = accumulate((size for _, size in blocks), initial=0)
+    dealt = sorted(((start, size, block) for (block, size), start in zip(blocks, starts) if size),
+                   key=lambda entry: -entry[1])
+    shards = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for entry in dealt:
+        k = loads.index(min(loads))
+        shards[k].append(entry)
+        loads[k] += entry[1]
+    return [sorted(shard) for shard in shards if shard]
+
+
+def _shard(target: str, grid: SweepGrid, owned: list[Block]) -> tuple[int, list]:
     """(tuples evaluated, [(i, params, outcome)] for each outcome not None) over
-    the tuples of target (a check id or "rem1.2") with i % workers == index.
-    params maps the axis names to the tuple's values; only a kept row builds it.
+    the blocks of target (a check id or "rem1.2") in owned, one shard of _plan,
+    each expanded by the check's expand and numbered from its start. params
+    maps the axis names to the tuple's values; only a kept row builds it.
 
     A bug trap of the package (IntegrityError, NotPIntegralError) raised while
     evaluating a tuple becomes that tuple's failure outcome, named after the
@@ -556,18 +637,19 @@ def _shard(target: str, grid: SweepGrid, index: int, workers: int) -> tuple[int,
     each call, so rebinding CHECKS entries, _expand_rem1_2 or _margin_rem1_2
     (as a tracer does) takes effect.
     """
-    check = CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2, _REM1_2_AXES)
+    check = _check_of(target)
     evaluate, names = check.evaluate, check.names
     checked = 0
     rows = []
-    for i, values in islice(enumerate(check.expand(grid)), index, None, workers):
-        checked += 1
-        try:
-            outcome = evaluate(*values)
-        except (IntegrityError, NotPIntegralError) as err:
-            outcome = f"no {type(err).__name__}", str(err)
-        if outcome is not None:
-            rows.append((i, dict(zip(names, values)), outcome))
+    for start, _, block in owned:
+        for i, values in enumerate(check.expand(grid, block), start):
+            checked += 1
+            try:
+                outcome = evaluate(*values)
+            except (IntegrityError, NotPIntegralError) as err:
+                outcome = f"no {type(err).__name__}", str(err)
+            if outcome is not None:
+                rows.append((i, dict(zip(names, values)), outcome))
     return checked, rows
 
 
@@ -575,13 +657,15 @@ _last_grid: SweepGrid | None = None
 
 
 def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
-    """(checked, rows in expansion order, elapsed_ms): one shard in process, or one per pool worker.
+    """(checked, rows in expansion order, elapsed_ms): the blocks of target dealt
+    by _plan to at most workers shards. A lone shard runs in process, more run
+    one each in a pool, so a pool starts no process that would own no block.
 
     The coefficient memos are kept while sweeps run on the same grid, so
     checks on one grid share them, and cleared when the grid changes. The
     memo of operator images and thm1.0's row are emptied at the start of
-    every sweep. A grid that gives target no tuples raises ValueError, since
-    a sweep that checked nothing proves nothing.
+    every sweep. A grid that gives target no tuples raises ValueError before
+    any evaluation, since a sweep that checked nothing proves nothing.
     """
     global _last_grid
     if workers < 1:
@@ -592,14 +676,15 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     _monomial_image.cache_clear()
     _thm1_0_rows.clear()
     start = perf_counter()
-    if workers == 1:
-        shards = [_shard(target, grid, 0, 1)]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            shards = pool.starmap(_shard, [(target, grid, index, workers) for index in range(workers)])
-    checked = sum(checked for checked, _ in shards)
-    if checked == 0:
+    plan = _plan(_check_of(target).blocks(grid), workers)
+    if not plan:
         raise ValueError(f"the grid gives {target} no tuples to check")
+    if len(plan) == 1:
+        shards = [_shard(target, grid, plan[0])]
+    else:
+        with multiprocessing.Pool(len(plan)) as pool:
+            shards = pool.starmap(_shard, [(target, grid, owned) for owned in plan])
+    checked = sum(checked for checked, _ in shards)
     rows = sorted((row for _, part in shards for row in part), key=lambda row: row[0])
     return checked, rows, int((perf_counter() - start) * 1000)
 

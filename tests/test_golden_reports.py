@@ -106,6 +106,14 @@ def test_pooled_report_unchanged(grid_name, target):
     assert report_digest(target, GRIDS[grid_name], 2) == DIGESTS[(grid_name, target)]
 
 
+@pytest.mark.parametrize("grid", [SweepGrid(), GRIDS["small"]], ids=["default", "small"])
+@pytest.mark.parametrize("target", TARGETS)
+def test_two_and_three_workers_give_the_serial_report(grid, target):
+    # shards of whole blocks; self-test, one block, and any shard left without a block start no process
+    serial = report_digest(target, grid, 1)
+    assert [report_digest(target, grid, workers) for workers in (2, 3)] == [serial, serial]
+
+
 def test_reverse_order_in_one_process():
     # later targets read coefficients that earlier ones memoized on the same grid
     for grid_name in sorted(GRIDS):

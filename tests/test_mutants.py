@@ -323,12 +323,21 @@ def test_shard_merge_equals_the_serial_report(grid, target, workers, marked):
         assert _doc(sweep(grid, workers)) == serial
 
 
-def test_shards_that_all_start_at_zero_break_the_merge():
-    mutated = _mutated_verifier("enumerate(check.expand(grid)), index, None, workers)",
-                                "enumerate(check.expand(grid)), 0, None, workers)")
+def test_shards_that_all_start_at_zero_break_the_merge(monkeypatch):
+    mutated = _mutated_verifier("enumerate(check.expand(grid, block), start)", "enumerate(check.expand(grid, block))")
     mutated.multiprocessing = SimpleNamespace(Pool=_InProcessPool)
-    serial = run_sweep("self-test")
-    # every self-test tuple fails, so the failures count the tuples each shard evaluated
-    assert serial.checked == len(serial.failures) == 20
-    merged = mutated.run_sweep("self-test", workers=3)
-    assert merged.checked == len(merged.failures) == 21  # i = 0, 3, ..., 18 three times over
+    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
+    # self-test's evaluator on thm1.5's axes fails every tuple at p = 3, l = 0, so the failures
+    # list the tuples; a = 1 and a = 2 are blocks of 20 and 44 tuples, one per shard
+    for sweeps in (verifier, mutated):
+        monkeypatch.setitem(sweeps.CHECKS, "thm1.5",
+                            replace(sweeps.CHECKS["thm1.5"], evaluate=sweeps._boundary_check(-1)))
+    grid = SweepGrid(primes=(3,), a_range=(1, 2), l_range=(0, 0), m_range=(1, 4))
+    serial = run_sweep("thm1.5", grid)
+    assert serial.checked == len(serial.failures) == 64
+    assert run_sweep("thm1.5", grid, workers=2).failures == serial.failures
+    merged = mutated.run_sweep("thm1.5", grid, workers=2)
+    assert merged.checked == serial.checked
+    # every block starts at i = 0, so the a = 2 block's 0..43 interleave with the a = 1 block's 0..19
+    assert sorted(map(repr, merged.failures)) == sorted(map(repr, serial.failures))
+    assert [f.params["a"] for f in merged.failures[:4]] == [2, 1, 2, 1]

@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +29,7 @@ from cycpsi.coefficients import floor_exponent, normalized_table
 from cycpsi.verifier import CHECKS, CheckFailure, _lem3_2_exceptional, _shard, _sigma, _thm1_2_branch
 from cycpsi.psi_series import _monomial_image
 from oracles import fleck_oracle, nested_expand
-from test_mutants import CATALOG_GRID
+from test_mutants import CATALOG_GRID, _doc, _InProcessPool
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 
@@ -203,13 +204,18 @@ def test_pool_start_methods_match_serial(method, tmp_path):
 
 
 def merged_shards(target, grid, workers=3):
-    """Every shard of target run in process, as pool workers would run them, merged on i."""
-    shards = [_shard(target, grid, index, workers) for index in range(workers)]
-    for index, (checked, rows) in enumerate(shards):
-        assert checked > 0
-        assert all(i % workers == index for i, _, _ in rows)
+    """Every shard of target's plan run in process, as pool workers would run them, merged on i.
+    The shards' index sets are disjoint and cover 0..checked-1, and every row a shard keeps is its own."""
+    plan = verifier._plan(verifier._check_of(target).blocks(grid), workers)
+    shards = [_shard(target, grid, owned) for owned in plan]
+    indices = [{i for start, size, _ in owned for i in range(start, start + size)} for owned in plan]
+    checked = sum(checked for checked, _ in shards)
+    assert sorted(i for owned in indices for i in owned) == list(range(checked))
+    for owned, (count, rows) in zip(indices, shards):
+        assert count == len(owned)
+        assert all(i in owned for i, _, _ in rows)
     rows = sorted((row for _, part in shards for row in part), key=lambda row: row[0])
-    return sum(checked for checked, _ in shards), rows
+    return checked, rows
 
 
 def test_three_shards_merge_to_the_serial_report():
@@ -226,6 +232,77 @@ def test_three_shards_merge_to_the_serial_report():
     assert checked - len(rows) == serial.extra["infinite_margins"] > 0
     worst = sorted(rows, key=lambda row: row[2]["margin"])[:10]
     assert [{"params": params, **outcome} for _, params, outcome in worst] == serial.extra["worst"]
+
+
+# every memo steps along n inside one binding of a check's block axes; thm1.5 and self-test reach n through m
+BLOCK_AXES = {
+    "thm1.0": ("p", "a", "l"), "thm1.1": ("p", "a", "l"), "thm1.2": ("p", "l"), "cor1.3": ("p", "l"),
+    "thm1.4": ("p", "a", "l"), "thm1.5": ("p", "a", "l"), "lem2.2": ("n",), "lem3.1": ("d", "q"),
+    "lem3.2": ("p", "a", "l"), "lem3.3": ("p",), "lem4.1": ("p", "l"), "rem2.1": ("p", "a", "l"),
+    "conj-perm": ("p",), "psi-identity": ("p", "a"), "self-test": ("p", "a", "l"), "rem1.2": ("p", "a", "l"),
+}
+
+
+def test_blocks_bind_the_axes_before_n():
+    checks = {target: verifier._check_of(target) for target in ALL_TARGETS}
+    assert {target: check.names[:verifier._block_depth(check.axes)] for target, check in checks.items()} == BLOCK_AXES
+
+
+def test_two_thm1_0_shards_build_each_row_once(monkeypatch):
+    grid = ACCEPTANCE_GRIDS[0][1]
+    calls = []
+
+    def counted(n, m, l):
+        calls.append((n, m, l))
+        return coefficients._fleck_residues(n, m, l)
+
+    monkeypatch.setattr(verifier, "_fleck_residues", counted)
+    blocks = CHECKS["thm1.0"].blocks(grid)
+    checked, built = [], []
+    for owned in verifier._plan(blocks, 2):
+        verifier._thm1_0_rows.clear()  # as every sweep leaves it for its workers
+        calls.clear()
+        count, rows = _shard("thm1.0", grid, owned)
+        assert rows == []
+        checked.append(count)
+        built.append(len(calls))
+    # one row per binding (p, a, l, n); under i % 2 shards each worker built all 7,260
+    assert sum(built) == 4 * 3 * 5 * 121 == 7_260
+    assert sum(checked) == 381_150
+    # the largest block is (7, 3, l): 121 values of n times 7^3 + 2 residues
+    assert max(size for _, size in blocks) == 121 * (7 ** 3 + 2) == 41_745
+    assert abs(checked[0] - checked[1]) <= 41_745
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_psi_identity_shards_build_each_image_once(workers):
+    run_sweep("psi-identity")
+    serial = _monomial_image.cache_info().misses
+    misses = 0
+    for owned in verifier._plan(CHECKS["psi-identity"].blocks(SweepGrid()), workers):
+        _monomial_image.cache_clear()  # each pool worker starts from the emptied memo
+        _shard("psi-identity", SweepGrid(), owned)
+        misses += _monomial_image.cache_info().misses
+    assert misses == serial > 0
+
+
+def test_shards_without_a_block_start_no_process(monkeypatch):
+    sizes = []
+
+    class RecordingPool(_InProcessPool):
+        def __init__(self, workers: int):
+            sizes.append(workers)
+
+    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=RecordingPool))
+    serial = _doc(run_sweep("self-test"))
+    assert serial["verdict"] == "fail"
+    for workers in (2, 3):
+        assert _doc(run_sweep("self-test", workers=workers)) == serial
+    assert sizes == []  # self-test is one block, so one shard runs in process
+    # thm1.5 at p = 3, l = 0 is two blocks, a = 1 and a = 2
+    grid = SweepGrid(primes=(3,), a_range=(1, 2), l_range=(0, 0), m_range=(1, 4))
+    assert _doc(run_sweep("thm1.5", grid, workers=3)) == _doc(run_sweep("thm1.5", grid))
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -421,6 +498,14 @@ def test_products_expand_as_the_nested_loops(targets, grid):
         expand, axes, fixed = _targets()[target]
         pairs = zip_longest(expand(grid), nested_expand(axes, fixed or grid), fillvalue=missing)
         assert all(got == want for got, want in pairs), target
+
+
+@pytest.mark.parametrize("targets, grid", EXPANSION_GRIDS)
+def test_block_sizes_count_what_each_block_expands_to(targets, grid):
+    for target in targets:
+        check = verifier._check_of(target)
+        blocks = check.blocks(grid)
+        assert [sum(1 for _ in check.expand(grid, block)) for block, _ in blocks] == [n for _, n in blocks], target
 
 
 class _Declared(Mapping):
