@@ -2,15 +2,16 @@
 congruence in the catalog, producing machine-readable reports.
 
 Each check in CHECKS is declared as named axes plus an evaluator. An axis
-is a parameter name, the outer axes it reads, and the values it takes once
-those are bound; a filter such as a >= 2 or n = l (mod p-1) lives on the axis
-it tests. _expander binds the outer axes up to the last one that an inner
-axis reads and, per binding, yields one tuple of values per point, in axis
-order, from itertools.product over the inner axes; Check keeps the axes
-beside it. The evaluator's parameters are the axis names in axis order, and
-it is called as evaluate(*values); it returns None when the statement holds
-there, else an (expected, actual) pair, mostly decided from both sides by
-_mod_p (integers mod p), _congruent (p-integral rationals mod p), _exact or
+is a parameter name and the values it takes; a filter such as a >= 2 or
+n = l (mod p-1) lives on the axis it tests. A block axis (one that binds a
+block, below) reads no axis and an inner axis reads only block axes, so
+_expander yields a block's tuples, one value per axis in axis order, from
+one itertools.product over the inner axes; thm1.2, whose valid tuples
+depend on its digits and its row together, filters that expansion. The
+evaluator's parameters are the axis names in axis order, and it is called
+as evaluate(*values); it returns None when the statement holds there, else
+an (expected, actual) pair, mostly decided from both sides by _mod_p
+(integers mod p), _congruent (p-integral rationals mod p), _exact or
 _ord_at_least. A report's params dict, keys in axis order, is built only for
 a tuple it keeps. Evaluators look coefficient functions up in this module at
 call time, never binding them earlier, so a tracer that rebinds those names
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from math import prod
-from operator import itemgetter
 from time import perf_counter
 
 from . import coefficients
@@ -215,22 +215,17 @@ def _ord_at_least(value: int, bound: int, p: int) -> tuple[str, str] | None:
     return f"ord_{p} >= {bound}", f"ord_{p} = {ord_p(value, p)}"
 
 
-# Axes: (name, reads, values), where values(grid, bound) gives the values of
-# the axis' parameter as a collection, bound maps the names of the outer axes to
-# their current values, and reads names the outer axes that values looks up in bound.
+# Axes: (name, values), where values(grid, bound) gives the values of the axis'
+# parameter as a collection and bound maps names of outer axes to their values.
+# A block axis (one before n, or before m, per _block_depth) reads no axis, and an
+# inner axis reads only block axes: an axis that reads more raises KeyError.
 
-Axis = tuple[str, tuple[str, ...], Callable[[SweepGrid, dict], Collection]]
+Axis = tuple[str, Callable[[SweepGrid, dict], Collection]]
 Block = tuple[int, int, tuple]  # (start, size, binding) of a block in a shard
 
 
 def _names(axes: tuple[Axis, ...]) -> tuple[str, ...]:
-    return tuple(axis[0] for axis in axes)
-
-
-def _split(axes: tuple[Axis, ...]) -> int:
-    """How many leading axes are bound before the product: up to the last one an axis reads."""
-    names = _names(axes)
-    return max((names.index(name) + 1 for _, reads, _ in axes for name in reads), default=0)
+    return tuple(name for name, _ in axes)
 
 
 def _block_depth(axes: tuple[Axis, ...]) -> int:
@@ -239,56 +234,30 @@ def _block_depth(axes: tuple[Axis, ...]) -> int:
     return max(1, next(k for k, name in enumerate(_names(axes)) if name in ("n", "m")))
 
 
-def _products(axes: tuple[Axis, ...], depth: int = 0) -> tuple[Callable, Callable]:
-    """(expand, count) over the tuples of axes, outermost first, that extend prefix, a
-    binding of the first depth axes: expand(grid, prefix) yields them in the order of
-    nested loops, and count(grid, prefix) counts them with no tuple built. Per binding
-    of the axes up to the last one an axis reads (bound the same way), or of the
-    first depth axes if more, itertools.product over the inner axes, which read
-    none of each other."""
-    split = max(_split(axes), depth)
-    outer, inner = _names(axes[:split]), axes[split:]
-
-    def columns(grid: SweepGrid, binding: tuple) -> list[Collection]:
-        bound = dict(zip(outer, binding))
-        return [values(grid, bound) for _, _, values in inner]
-
-    if split == depth:
-        return (lambda grid, prefix: product(*zip(prefix), *columns(grid, prefix)),
-                lambda grid, prefix: prod(map(len, columns(grid, prefix))))
-    bind, _ = _products(axes[:split], depth)
-    key = itemgetter(*(k for k, name in enumerate(outer) if any(name in reads for _, reads, _ in inner)))
-
-    def bindings(grid: SweepGrid, prefix: tuple) -> Iterator[tuple[tuple, list[Collection]]]:
-        """(binding, its columns) per binding, the columns built once per value of what they
-        read: thm1.2's t reads (p, l, n, s) but is bound per (p, l, n, r, s)."""
-        memo = {}
-        for binding in bind(grid, prefix):
-            read = key(binding)
-            held = memo.get(read)
-            if held is None:
-                held = memo[read] = columns(grid, binding)
-            yield binding, held
-
-    return (lambda grid, prefix: chain.from_iterable(
-                product(*zip(binding), *held) for binding, held in bindings(grid, prefix)),
-            lambda grid, prefix: sum(prod(map(len, held)) for _, held in bindings(grid, prefix)))
-
-
-def _expander(*axes: Axis) -> Callable[..., Iterator[tuple]]:
-    """The tuples of axes, one value per axis, in the order of nested loops, as an
-    expand function: expand(grid, block) yields those of one block binding, and
-    expand(grid) those of every block."""
+def _expander(*axes: Axis) -> tuple[Callable[..., Iterator[tuple]], Callable]:
+    """(expand, blocks) over the tuples of axes, one value per axis, in the order of
+    nested loops. expand(grid, block) yields those of one block binding, by
+    itertools.product over the inner axes, and expand(grid) those of every block;
+    blocks(grid) gives (binding, tuple count) of every block, with no tuple built."""
     depth = _block_depth(axes)
-    bindings, _ = _products(axes[:depth])
-    within, _ = _products(axes, depth)
+    outer, inner = _names(axes[:depth]), axes[depth:]
+
+    def bindings(grid: SweepGrid) -> Iterator[tuple]:
+        return product(*(values(grid, {}) for _, values in axes[:depth]))
+
+    def columns(grid: SweepGrid, block: tuple) -> list[Collection]:
+        bound = dict(zip(outer, block))
+        return [values(grid, bound) for _, values in inner]
 
     def expand(grid: SweepGrid, block: tuple | None = None) -> Iterator[tuple]:
         if block is None:
-            return chain.from_iterable(within(grid, block) for block in bindings(grid, ()))
-        return within(grid, block)
+            return chain.from_iterable(expand(grid, block) for block in bindings(grid))
+        return product(*zip(block), *columns(grid, block))
 
-    return expand
+    def blocks(grid: SweepGrid) -> list[tuple[tuple, int]]:
+        return [(block, prod(map(len, columns(grid, block)))) for block in bindings(grid)]
+
+    return expand, blocks
 
 
 def _span(name: str) -> Axis:
@@ -299,25 +268,25 @@ def _span(name: str) -> Axis:
         first, last = getattr(grid, field)
         return range(first, last + 1)
 
-    return name, (), values
+    return name, values
 
 
-def _where(axis: Axis, keep: Callable[[int, dict], bool], reads: tuple[str, ...] = ()) -> Axis:
-    """axis restricted to the values v for which keep(v, bound) holds; keep reads the outer axes in reads."""
-    name, axis_reads, values = axis
-    return name, axis_reads + reads, lambda grid, bound: [v for v in values(grid, bound) if keep(v, bound)]
+def _where(axis: Axis, keep: Callable[[int, dict], bool]) -> Axis:
+    """axis restricted to the values v for which keep(v, bound) holds."""
+    name, values = axis
+    return name, lambda grid, bound: [v for v in values(grid, bound) if keep(v, bound)]
 
 
 def _residues_at(depth: int) -> Axis:
     """r over the residue system mod p^depth, for checks stated at one depth."""
-    return "r", ("p",), lambda grid, bound: grid.residues(bound["p"], depth)
+    return "r", lambda grid, bound: grid.residues(bound["p"], depth)
 
 
-_P = ("p", (), lambda grid, bound: grid.primes)
+_P = ("p", lambda grid, bound: grid.primes)
 _A, _L, _N, _M = _span("a"), _span("l"), _span("n"), _span("m")
-_R = ("r", ("p", "a"), lambda grid, bound: grid.residues(bound["p"], bound["a"]))
-_S = ("s", ("p",), lambda grid, bound: grid.digits(bound["p"], grid.s_values))
-_T = ("t", ("p",), lambda grid, bound: grid.digits(bound["p"], grid.t_values))
+_R = ("r", lambda grid, bound: grid.residues(bound["p"], bound["a"]))
+_S = ("s", lambda grid, bound: grid.digits(bound["p"], grid.s_values))
+_T = ("t", lambda grid, bound: grid.digits(bound["p"], grid.t_values))
 _L_POSITIVE = _where(_L, lambda l, bound: l >= 1)
 _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
@@ -373,7 +342,9 @@ _eval_lem3_2 = _lucas_check(corrected=True)
 # thm1.2: the depth-1 analogue. Branch 1 is thm1.1 at a = 1; branch 2 is
 # the explicit rational value on digits s < t. Tuples in neither branch are
 # outside the statement and are not expanded (counterexamples exist there);
-# evaluating one is a caller's error.
+# evaluating one is a caller's error. The branch reads s, t and n together, so
+# thm1.2 filters its axes' tuples and sizes its blocks by the tuples kept,
+# counted apart from Check.expand, which a tracer wraps to count evaluations.
 
 def _thm1_2_branch(p: int, l: int, n: int, s: int, t: int) -> int:
     if n % p == 0 or (n - l - 1) % (p - 1) != 0 or s == p - 1 or (s == 2 * t and p != 2):
@@ -383,9 +354,17 @@ def _thm1_2_branch(p: int, l: int, n: int, s: int, t: int) -> int:
     return 0
 
 
-_THM1_2_T = _where(
-    _T, lambda t, bound: _thm1_2_branch(bound["p"], bound["l"], bound["n"], bound["s"], t), ("l", "n", "s")
-)
+_THM1_2_AXES = (_P, _L, _N, _residues_at(1), _S, _T)
+_expand_thm1_2_axes, _blocks_thm1_2_axes = _expander(*_THM1_2_AXES)
+
+
+def _expand_thm1_2(grid: SweepGrid, block: tuple | None = None) -> Iterator[tuple]:
+    return (values for values in _expand_thm1_2_axes(grid, block)
+            if _thm1_2_branch(values[0], values[1], values[2], values[4], values[5]))
+
+
+def _blocks_thm1_2(grid: SweepGrid) -> list[tuple[tuple, int]]:
+    return [(block, sum(1 for _ in _expand_thm1_2(grid, block))) for block, _ in _blocks_thm1_2_axes(grid)]
 
 
 def _eval_thm1_2(p, l, n, r, s, t):
@@ -455,7 +434,7 @@ def _lem3_1_t(grid: SweepGrid, bound: dict) -> Iterable[int]:
     return (*low, d - 1) if d > 3 else low
 
 
-_LEM3_1_T = ("t", ("d",), _lem3_1_t)
+_LEM3_1_T = ("t", _lem3_1_t)
 
 
 def _eval_lem3_1(d, q, n, r, t, l):
@@ -491,7 +470,7 @@ def _eval_lem3_3(p, n, s, t):
 # lem4.1: depth-1 residues along rows with n = l (mod p-1); beyond n = l the
 # row is the m-th boundary row of thm1.5 at a = 1, m = (n-l)/(p-1).
 
-_LEM4_1_N = _where(_N, lambda n, bound: (n - bound["l"]) % (bound["p"] - 1) == 0, ("p", "l"))
+_LEM4_1_N = _where(_N, lambda n, bound: (n - bound["l"]) % (bound["p"] - 1) == 0)
 
 
 def _eval_lem4_1(p, l, n, r):
@@ -509,10 +488,8 @@ def _eval_rem2_1(p, a, l, n, r):
 # and s = 0, the residues over t in (0, p-1] are r-independent and form a
 # permutation of 1..p-1. One work unit per (p, n).
 
-_CONJ_PERM_N = _where(
-    _N, lambda n, bound: n != 1 and n % bound["p"] and (n - 1) % (bound["p"] - 1) == 0, ("p",)
-)
-_CONJ_PERM_R = ("r_values", ("p",), lambda grid, bound: [list(grid.residues(bound["p"], 2))])
+_CONJ_PERM_N = _where(_N, lambda n, bound: n != 1 and n % bound["p"] and (n - 1) % (bound["p"] - 1) == 0)
+_CONJ_PERM_R = ("r_values", lambda grid, bound: [list(grid.residues(bound["p"], 2))])
 
 
 def _eval_conj_perm(p, n, r_values):
@@ -549,52 +526,47 @@ def _eval_psi_identity(p, a, n, r, l_max):
 @dataclass(frozen=True)
 class Check:
     """expand(grid, block=None) yields tuples of values, one per axis and in
-    axis order, and evaluate takes a tuple's values positionally."""
+    axis order, and evaluate takes a tuple's values positionally. blocks(grid)
+    gives (binding, tuple count) of every block of grid, in expansion order."""
 
     expand: Callable[..., Iterator[tuple]]
     evaluate: Callable[..., tuple[str, str] | None]
     axes: tuple[Axis, ...]
+    blocks: Callable[[SweepGrid], list[tuple[tuple, int]]]
 
     @property
     def names(self) -> tuple[str, ...]:
         return _names(self.axes)
 
-    def blocks(self, grid: SweepGrid) -> list[tuple[tuple, int]]:
-        """(binding, tuple count) of every block of grid, in expansion order, with no tuple built."""
-        depth = _block_depth(self.axes)
-        bindings, _ = _products(self.axes[:depth])
-        _, count = _products(self.axes, depth)
-        return [(block, count(grid, block)) for block in bindings(grid, ())]
-
 
 def _check(evaluate: Callable[..., tuple[str, str] | None], *axes: Axis) -> Check:
     """evaluate over the tuples of axes, outermost first."""
-    return Check(_expander(*axes), evaluate, axes)
+    expand, blocks = _expander(*axes)
+    return Check(expand, evaluate, axes, blocks)
 
 
 _THM1_5_AXES = (_P, _A, _L, _M, _R)
 # self-test reads _SELF_TEST_GRID whatever grid a sweep passes, in expansion and block plan alike
-_SELF_TEST_AXES = tuple((name, reads, lambda grid, bound, values=values: values(_SELF_TEST_GRID, bound))
-                        for name, reads, values in _THM1_5_AXES)
+_SELF_TEST_AXES = tuple((name, lambda grid, bound, values=values: values(_SELF_TEST_GRID, bound))
+                        for name, values in _THM1_5_AXES)
 
 CHECKS: dict[str, Check] = {
     "thm1.0": _check(_eval_thm1_0, _P, _A, _L, _N, _R),
     "thm1.1": _check(_eval_thm1_1, _P, _where(_A, lambda a, bound: a >= 2), _L, _N, _R, _S, _T),
-    "thm1.2": _check(_eval_thm1_2, _P, _L, _N, _residues_at(1), _S, _THM1_2_T),
+    "thm1.2": Check(_expand_thm1_2, _eval_thm1_2, _THM1_2_AXES, _blocks_thm1_2),
     "cor1.3": _check(_eval_cor1_3, _P, _L, _N, _residues_at(2)),
     "thm1.4": _check(_eval_thm1_4, _P, _A, _L, _N_POSITIVE, _R),
     "thm1.5": _check(_boundary_check(1), *_THM1_5_AXES),
-    "lem2.2": _check(_eval_lem2_2, _N_POSITIVE, ("r", (), lambda grid, bound: grid.free_r(grid.abs_r_max)),
+    "lem2.2": _check(_eval_lem2_2, _N_POSITIVE, ("r", lambda grid, bound: grid.free_r(grid.abs_r_max)),
                      _L_POSITIVE, _M),
-    "lem3.1": _check(_eval_lem3_1, _span("d"), _span("q"), _N, ("r", (), lambda grid, bound: grid.free_r(2)),
+    "lem3.1": _check(_eval_lem3_1, _span("d"), _span("q"), _N, ("r", lambda grid, bound: grid.free_r(2)),
                      _LEM3_1_T, _L),
     "lem3.2": _check(_eval_lem3_2, _P, _A, _L, _N, _R, _S, _T),
-    "lem3.3": _check(_eval_lem3_3, _P, _N_POSITIVE, _where(_S, lambda s, bound: s != bound["p"] - 1, ("p",)), _T),
+    "lem3.3": _check(_eval_lem3_3, _P, _N_POSITIVE, _where(_S, lambda s, bound: s != bound["p"] - 1), _T),
     "lem4.1": _check(_eval_lem4_1, _P, _L, _LEM4_1_N, _residues_at(1)),
     "rem2.1": _check(_eval_rem2_1, _P, _A, _L_POSITIVE, _N_POSITIVE, _R),
     "conj-perm": _check(_eval_conj_perm, _P, _CONJ_PERM_N, _CONJ_PERM_R),
-    "psi-identity": _check(_eval_psi_identity, _P, _A, _N, _R,
-                           ("l_max", (), lambda grid, bound: (grid.coeff_degree,))),
+    "psi-identity": _check(_eval_psi_identity, _P, _A, _N, _R, ("l_max", lambda grid, bound: (grid.coeff_degree,))),
     "self-test": _check(_boundary_check(-1), *_SELF_TEST_AXES),
 }
 
@@ -603,7 +575,7 @@ CHECK_IDS: tuple[str, ...] = tuple(CHECKS)
 
 def _check_of(target: str) -> Check:
     """The check of target, a check id or "rem1.2", as CHECKS and _expand_rem1_2 bind it now."""
-    return CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2, _REM1_2_AXES)
+    return CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2, _REM1_2_AXES, _blocks_rem1_2)
 
 
 def _plan(blocks: list[tuple[tuple, int]], workers: int) -> list[list[Block]]:
@@ -709,7 +681,7 @@ def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) ->
 # margins are reported, never asserted, so only a bug trap makes it fail.
 
 _REM1_2_AXES = (_where(_P, lambda p, bound: p != 2), _A, _L, _N_POSITIVE, _residues_at(1))
-_expand_rem1_2 = _expander(*_REM1_2_AXES)
+_expand_rem1_2, _blocks_rem1_2 = _expander(*_REM1_2_AXES)
 
 
 def _margin_rem1_2(p, a, l, n, r):

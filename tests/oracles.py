@@ -107,10 +107,11 @@ def phi_by_substitution(coeffs, p: int) -> list[int]:
 
 
 def nested_expand(axes, grid):
-    """The tuples of a check's axes (name, reads, values), outermost first, by
-    the nested loops the verifier expanded with before it took products: one
-    tuple per point, one value per axis, in axis order."""
-    *outer, (_, _, values) = axes
+    """The tuples of a check's axes (name, values), outermost first, by the
+    nested loops the verifier expanded with before it took products, each
+    axis' values read with every outer axis bound: one tuple per point, one
+    value per axis, in axis order."""
+    *outer, (_, values) = axes
     for bound in _bind(grid, outer, {}):
         prefix = tuple(bound.values())
         for value in values(grid, bound):
@@ -124,7 +125,7 @@ def _bind(grid, axes, bound: dict):
     Keys enter bound on the first descent, outermost first, so its values are
     in axis order whichever values later replace them.
     """
-    (name, _, values), rest = axes[0], axes[1:]
+    (name, values), rest = axes[0], axes[1:]
     for value in values(grid, bound):
         bound[name] = value
         if rest:

@@ -283,6 +283,9 @@ GRIDS = st.builds(
     m_range=st.tuples(st.just(1), st.integers(1, 3)),
     d_range=st.tuples(st.just(1), st.integers(1, 2)),
     q_range=st.tuples(st.just(1), st.integers(1, 2)),
+    # explicit digits thin or empty thm1.2's filtered blocks, and digits >= p drop out per prime
+    s_values=st.none() | st.lists(st.integers(0, 5), unique=True).map(tuple),
+    t_values=st.none() | st.lists(st.integers(0, 5), unique=True).map(tuple),
     abs_r_max=st.integers(0, 3),
     coeff_degree=st.integers(0, 3),
 )

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
@@ -446,8 +445,8 @@ def test_abs_r_max_bounds_lem2_2_only():
 
 
 def test_lem3_1_t_axis_is_the_small_digits_and_d_minus_1_below_d():
-    name, reads, values = verifier._LEM3_1_T
-    assert (name, reads) == ("t", ("d",))
+    name, values = verifier._LEM3_1_T
+    assert name == "t"
     for d in range(1, 13):
         assert list(values(SweepGrid(), {"d": d})) == [t for t in sorted({-2, -1, 0, 1, 2, d - 1}) if t < d]
 
@@ -492,11 +491,15 @@ EXPANSION_GRIDS = [
 
 @pytest.mark.parametrize("targets, grid", EXPANSION_GRIDS)
 def test_products_expand_as_the_nested_loops(targets, grid):
-    # the expanders take products over the inner axes; the oracle binds every axis in turn
+    # the expanders take products over the inner axes; the oracle binds every axis in turn,
+    # and thm1.2 keeps the tuples of its axes that lie in a branch of the statement
     missing = object()
     for target in targets:
         expand, axes, fixed = _targets()[target]
-        pairs = zip_longest(expand(grid), nested_expand(axes, fixed or grid), fillvalue=missing)
+        want = nested_expand(axes, fixed or grid)
+        if target == "thm1.2":
+            want = (v for v in want if _thm1_2_branch(v[0], v[1], v[2], v[4], v[5]))
+        pairs = zip_longest(expand(grid), want, fillvalue=missing)
         assert all(got == want for got, want in pairs), target
 
 
@@ -508,50 +511,38 @@ def test_block_sizes_count_what_each_block_expands_to(targets, grid):
         assert [sum(1 for _ in check.expand(grid, block)) for block, _ in blocks] == [n for _, n in blocks], target
 
 
-class _Declared(Mapping):
-    """An outer binding that refuses every name its axis did not declare."""
-
-    def __init__(self, bound: dict, reads: tuple[str, ...]):
-        self.bound, self.reads = bound, reads
-
-    def __getitem__(self, name):
-        if name not in self.reads:
-            raise AssertionError(f"an axis reads {name} without declaring it")
-        return self.bound[name]
-
-    def __iter__(self):
-        raise AssertionError("an axis iterates over its binding")
-
-    def __len__(self):
-        raise AssertionError("an axis measures its binding")
-
-
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_every_axis_reads_only_what_it_declares(target):
-    expand, axes, fixed = _targets()[target]
+    # an axis declares what it reads by its place: a block axis reads no axis and an inner
+    # axis only the block axes, so given those it takes the values it takes with every outer axis bound
+    _, axes, fixed = _targets()[target]
     grid = fixed or SMALL
-    names = verifier._names(axes)
+    names, depth = verifier._names(axes), verifier._block_depth(axes)
     seen = set()
-    for values in expand(grid):
-        for depth, (_, reads, axis_values) in enumerate(axes):
-            assert set(reads) <= set(names[:depth]), (target, depth)
-            prefix = values[:depth]
-            if (depth, prefix) not in seen:
-                seen.add((depth, prefix))
-                bound = dict(zip(names, prefix))
-                assert list(axis_values(grid, _Declared(bound, reads))) == list(axis_values(grid, bound))
-
-
-def test_expansion_binds_up_to_the_last_axis_an_inner_axis_reads():
-    # thm1.1's r reads (p, a); thm1.2's t is filtered on (p, l, n, s); lem2.2 reads nothing; lem3.1's t reads d
-    splits = {c: verifier._split(CHECKS[c].axes) for c in ("thm1.1", "thm1.2", "lem2.2", "lem3.1")}
-    assert splits == {"thm1.1": 2, "thm1.2": 5, "lem2.2": 0, "lem3.1": 1}
+    for values in nested_expand(axes, grid):
+        for k, (_, axis_values) in enumerate(axes):
+            prefix = values[:k]
+            if (k, prefix) not in seen:
+                seen.add((k, prefix))
+                declared = dict(zip(names[:depth], prefix)) if k >= depth else {}
+                assert list(axis_values(grid, declared)) == list(axis_values(grid, dict(zip(names, prefix))))
 
 
 def test_empty_grid_raises():
     # thm1.1 keeps only a >= 2, so a_range (1, 1) gives it nothing to check
     with pytest.raises(ValueError, match=r"^the grid gives thm1\.1 no tuples to check$"):
         run_sweep("thm1.1", SweepGrid(a_range=(1, 1)))
+
+
+def test_a_grid_whose_thm1_2_tuples_all_lie_outside_the_statement_is_refused(monkeypatch):
+    # p = 3, n = 1, l = 0, s = 1, t = 0: a row with n - l - 1 = 0 (mod 2) and s > t, so
+    # no branch covers it, and thm1.2's blocks count the tuples its filter keeps
+    grid = SweepGrid(primes=(3,), n_range=(1, 1), l_range=(0, 0), s_values=(1,), t_values=(0,))
+    assert [size for _, size in CHECKS["thm1.2"].blocks(grid)] == [0]
+    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=r"^the grid gives thm1\.2 no tuples to check$"):
+            run_sweep("thm1.2", grid, workers)
 
 
 def test_cor1_3_refuses_non_integral_sides(monkeypatch):
@@ -619,10 +610,7 @@ def test_congruence_failure_texts(monkeypatch):
 @pytest.mark.parametrize("target", CHECK_IDS + ("rem1.2",))
 def test_evaluators_take_the_values_in_axis_order(target):
     # _shard calls evaluate(*values), so the parameters must be the axis names in order
-    if target == "rem1.2":
-        check = verifier.Check(verifier._expand_rem1_2, verifier._margin_rem1_2, verifier._REM1_2_AXES)
-    else:
-        check = CHECKS[target]
+    check = verifier._check_of(target)
     assert tuple(inspect.signature(check.evaluate).parameters) == check.names
     sizes = Counter(len(values) for values in check.expand(SweepGrid()))
     assert list(sizes) == [len(check.names)]
