@@ -18,9 +18,6 @@ def totient_prime_power(p: int, a: int) -> int:
     return p ** (a - 1) * (p - 1)
 
 
-# remembers the pairs that pass, so each prime power is validated once; a refusal raises every time;
-# typed, so (3.0, 1.0) is not read back as the entry of (3, 1)
-@lru_cache(maxsize=128, typed=True)
 def _require_prime_power(p: int, a: int) -> None:
     _require_prime(p)
     if not isinstance(a, int) or a < 1:

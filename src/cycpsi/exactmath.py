@@ -18,8 +18,9 @@ class NotPIntegralError(ValueError):
 factorial = math.factorial
 
 
-# bounded like _require_prime_power: a sweep asks about a handful of primes, and nothing clears it;
-# typed, so 3.0 is not read back as the entry of 3
+# remembers each answer, so every prime check of a sweep tests primality once per prime; bounded,
+# since a sweep asks about a handful of primes and nothing clears it; typed, so 3.0 is not read back
+# as the entry of 3
 @lru_cache(maxsize=128, typed=True)
 def is_prime(n: int) -> bool:
     """Trial-division primality check; adequate for the small moduli used here.

@@ -41,10 +41,10 @@ class TruncPoly:
         return cls((0,))
 
     @classmethod
-    def monomial(cls, n: int, c: int = 1) -> "TruncPoly":
+    def monomial(cls, n: int) -> "TruncPoly":
         if n < 0:
             raise ValueError(f"degree must be >= 0, got {n}")
-        return cls((0,) * n + (c,))
+        return cls((0,) * n + (1,))
 
     @property
     def degree_bound(self) -> int:

@@ -18,15 +18,14 @@ call time, never binding them earlier, so a tracer that rebinds those names
 sees every call.
 
 Every evaluation is a pure function of its parameters, so a sweep splits
-into shards of whole blocks. A block is one binding of the axes before n
-(before m where n is a function of m), and at least of the outermost axis,
-so one process evaluates every n of a block, in order. The memos that step
-along n (normalized records per (p, a, l), thm1.0's rows per (p, a, l, n),
-psi images per (p, a)) are then built by the workers whose blocks read them,
-not by every worker. _plan deals the blocks, largest first, to the
-least-loaded of at most w shards, and a shard numbers a tuple i = its block's
-first expansion index + its place in the block. A lone shard runs in
-process, more run one each in a pool; merging on i restores expansion order.
+into blocks, and a block is the pool's unit of work. A block is one binding
+of the axes before n (before m where n is a function of m), and at least of
+the outermost axis, so one process evaluates every n of a block, in order.
+The memos that step along n (normalized records per (p, a, l), thm1.0's rows
+per (p, a, l, n), psi images per (p, a)) are then built by the workers whose
+blocks read them, not by every worker. A pool takes the blocks largest
+first, each free worker the largest left, and concatenating the blocks'
+rows in expansion order gives the serial report.
 """
 
 import multiprocessing
@@ -34,7 +33,8 @@ from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from functools import lru_cache, partial
+from itertools import chain, product
 from math import prod
 from time import perf_counter
 
@@ -221,7 +221,6 @@ def _ord_at_least(value: int, bound: int, p: int) -> tuple[str, str] | None:
 # inner axis reads only block axes: an axis that reads more raises KeyError.
 
 Axis = tuple[str, Callable[[SweepGrid, dict], Collection]]
-Block = tuple[int, int, tuple]  # (start, size, binding) of a block in a shard
 
 
 def _names(axes: tuple[Axis, ...]) -> tuple[str, ...]:
@@ -293,20 +292,18 @@ _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
 # thm1.0: ord_p of every Fleck sum reaches the floor exponent. r is the
 # innermost axis, so one _fleck_residues pass gives the sums of every residue
-# of a binding (p, a, l, n); _thm1_0_rows keeps the last binding's row and
+# of a binding (p, a, l, n); _thm1_0_row keeps the last binding's row and
 # bound, and _sweep empties it at the start of every sweep. Every other
 # representative is summed directly, so thm1.0 also checks fleck_sum_general.
 
-_thm1_0_rows: dict[tuple[int, int, int, int], tuple[list[int], int, int]] = {}
+@lru_cache(maxsize=1)
+def _thm1_0_row(p, a, l, n):
+    m = p ** a
+    return _fleck_residues(n, m, l), max(floor_exponent(p, a, n, l), 0), m
 
 
 def _eval_thm1_0(p, a, l, n, r):
-    entry = _thm1_0_rows.get((p, a, l, n))
-    if entry is None:
-        _thm1_0_rows.clear()
-        m = p ** a
-        entry = _thm1_0_rows[p, a, l, n] = _fleck_residues(n, m, l), max(floor_exponent(p, a, n, l), 0), m
-    row, bound, m = entry
+    row, bound, m = _thm1_0_row(p, a, l, n)
     if 0 <= r < m:
         raw = row[r] if r <= n else 0  # a residue past n has no term k <= n
     else:
@@ -578,30 +575,11 @@ def _check_of(target: str) -> Check:
     return CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2, _REM1_2_AXES, _blocks_rem1_2)
 
 
-def _plan(blocks: list[tuple[tuple, int]], workers: int) -> list[list[Block]]:
-    """The nonempty blocks, given as (binding, size) in expansion order, dealt to at
-    most workers shards as (start, size, binding), where start is the expansion
-    index of the block's first tuple: largest first (ties in expansion order),
-    each to the least-loaded shard (the first among equals). A shard lists its
-    blocks in expansion order, no shard is empty, and no two shards' loads
-    differ by more than the largest block."""
-    starts = accumulate((size for _, size in blocks), initial=0)
-    dealt = sorted(((start, size, block) for (block, size), start in zip(blocks, starts) if size),
-                   key=lambda entry: -entry[1])
-    shards = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for entry in dealt:
-        k = loads.index(min(loads))
-        shards[k].append(entry)
-        loads[k] += entry[1]
-    return [sorted(shard) for shard in shards if shard]
-
-
-def _shard(target: str, grid: SweepGrid, owned: list[Block]) -> tuple[int, list]:
-    """(tuples evaluated, [(i, params, outcome)] for each outcome not None) over
-    the blocks of target (a check id or "rem1.2") in owned, one shard of _plan,
-    each expanded by the check's expand and numbered from its start. params
-    maps the axis names to the tuple's values; only a kept row builds it.
+def _block(target: str, grid: SweepGrid, block: tuple) -> tuple[int, list]:
+    """(tuples evaluated, [(params, outcome)] for each outcome not None) over one
+    block of target (a check id or "rem1.2"), as the check's expand gives its
+    tuples. params maps the axis names to the tuple's values; only a kept row
+    builds it.
 
     A bug trap of the package (IntegrityError, NotPIntegralError) raised while
     evaluating a tuple becomes that tuple's failure outcome, named after the
@@ -613,15 +591,14 @@ def _shard(target: str, grid: SweepGrid, owned: list[Block]) -> tuple[int, list]
     evaluate, names = check.evaluate, check.names
     checked = 0
     rows = []
-    for start, _, block in owned:
-        for i, values in enumerate(check.expand(grid, block), start):
-            checked += 1
-            try:
-                outcome = evaluate(*values)
-            except (IntegrityError, NotPIntegralError) as err:
-                outcome = f"no {type(err).__name__}", str(err)
-            if outcome is not None:
-                rows.append((i, dict(zip(names, values)), outcome))
+    for values in check.expand(grid, block):
+        checked += 1
+        try:
+            outcome = evaluate(*values)
+        except (IntegrityError, NotPIntegralError) as err:
+            outcome = f"no {type(err).__name__}", str(err)
+        if outcome is not None:
+            rows.append((dict(zip(names, values)), outcome))
     return checked, rows
 
 
@@ -629,9 +606,11 @@ _last_grid: SweepGrid | None = None
 
 
 def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
-    """(checked, rows in expansion order, elapsed_ms): the blocks of target dealt
-    by _plan to at most workers shards. A lone shard runs in process, more run
-    one each in a pool, so a pool starts no process that would own no block.
+    """(checked, rows in expansion order, elapsed_ms) over the nonempty blocks of
+    target. One worker, or one block, runs them in process in expansion order.
+    Otherwise each is a task of a pool of at most workers processes, dispatched
+    largest first (ties in expansion order), so each free worker takes the
+    largest block left; the results are put back in expansion order.
 
     The coefficient memos are kept while sweeps run on the same grid, so
     checks on one grid share them, and cleared when the grid changes. The
@@ -646,18 +625,20 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
         coefficients.clear_caches()
         _last_grid = grid
     _monomial_image.cache_clear()
-    _thm1_0_rows.clear()
+    _thm1_0_row.cache_clear()
     start = perf_counter()
-    plan = _plan(_check_of(target).blocks(grid), workers)
-    if not plan:
+    blocks = [(block, size) for block, size in _check_of(target).blocks(grid) if size]
+    if not blocks:
         raise ValueError(f"the grid gives {target} no tuples to check")
-    if len(plan) == 1:
-        shards = [_shard(target, grid, plan[0])]
+    if workers == 1 or len(blocks) == 1:
+        done = [_block(target, grid, block) for block, _ in blocks]
     else:
-        with multiprocessing.Pool(len(plan)) as pool:
-            shards = pool.starmap(_shard, [(target, grid, owned) for owned in plan])
-    checked = sum(checked for checked, _ in shards)
-    rows = sorted((row for _, part in shards for row in part), key=lambda row: row[0])
+        order = sorted(range(len(blocks)), key=lambda k: -blocks[k][1])
+        with multiprocessing.Pool(min(workers, len(blocks))) as pool:
+            results = pool.map(partial(_block, target, grid), [blocks[k][0] for k in order], chunksize=1)
+        done = [result for _, result in sorted(zip(order, results))]
+    checked = sum(count for count, _ in done)
+    rows = [row for _, part in done for row in part]
     return checked, rows, int((perf_counter() - start) * 1000)
 
 
@@ -672,7 +653,7 @@ def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) ->
         raise ValueError(f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}")
     grid = grid if grid is not None else SweepGrid()
     checked, rows, elapsed_ms = _sweep(check_id, grid, workers)
-    failures = [CheckFailure(params, *outcome) for _, params, outcome in rows]
+    failures = [CheckFailure(params, *outcome) for params, outcome in rows]
     return VerificationReport(theorem=check_id, checked=checked, failures=failures, elapsed_ms=elapsed_ms)
 
 
@@ -701,13 +682,13 @@ def run_explore(grid: SweepGrid | None = None, workers: int = 1) -> Verification
     grid = grid if grid is not None else SweepGrid()
     checked, rows, elapsed_ms = _sweep("rem1.2", grid, workers)
     # a bug trap's outcome is an (expected, actual) pair, not a margin; ties keep expansion order
-    failures = [CheckFailure(params, *outcome) for _, params, outcome in rows if isinstance(outcome, tuple)]
-    margins = sorted((row for row in rows if isinstance(row[2], dict)), key=lambda row: row[2]["margin"])
+    failures = [CheckFailure(params, *outcome) for params, outcome in rows if isinstance(outcome, tuple)]
+    margins = sorted((row for row in rows if isinstance(row[1], dict)), key=lambda row: row[1]["margin"])
     extra = {
         "conjectured_exponent": "2a - [p == 3]",
-        "min_margin": str(margins[0][2]["margin"]) if margins else "infinite",
+        "min_margin": str(margins[0][1]["margin"]) if margins else "infinite",
         "infinite_margins": checked - len(rows),
-        "worst": [{"params": params, **outcome} for _, params, outcome in margins[:10]],
+        "worst": [{"params": params, **outcome} for params, outcome in margins[:10]],
     }
     return VerificationReport(
         theorem="rem1.2", checked=checked, failures=failures, elapsed_ms=elapsed_ms, extra=extra

@@ -10,8 +10,8 @@ def empty_coefficient_memos():
     the coefficient memos while the grid stays the same)."""
     coefficients.clear_caches()
     psi_series._monomial_image.cache_clear()
-    verifier._thm1_0_rows.clear()
+    verifier._thm1_0_row.cache_clear()
     yield
     coefficients.clear_caches()
     psi_series._monomial_image.cache_clear()
-    verifier._thm1_0_rows.clear()
+    verifier._thm1_0_row.cache_clear()

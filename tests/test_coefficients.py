@@ -19,6 +19,7 @@ from cycpsi import (
     totient_prime_power,
 )
 from cycpsi.coefficients import factorization_sides, normalized, normalized_table
+from cycpsi.exactmath import is_prime
 from oracles import fleck_oracle, modulus_factorization_identity
 
 
@@ -171,20 +172,18 @@ class TestNormalizedMemo:
                 normalized(*args, 0, 0, 0)
         assert normalized_table.cache_info().currsize == 0
 
-    def test_each_prime_power_is_validated_once(self, monkeypatch):
-        checked = []
-        require_prime = coefficients._require_prime
-        monkeypatch.setattr(coefficients, "_require_prime", lambda p: checked.append(p) or require_prime(p))
-        coefficients._require_prime_power.cache_clear()
+    def test_each_prime_power_is_validated_once(self):
+        # every query checks (p, a), and is_prime's cache runs the primality test once per prime
+        is_prime.cache_clear()
         for n in range(5):
             assert normalized(3, 1, n, 0, 0) == normalized_parts(3, 1, n, 0, 0)[2]
-        assert checked == [3]
-        # a refusal is not remembered: both routes refuse p = 4 every time
+        assert is_prime.cache_info().misses == 1
+        # a refusal raises every time: both routes refuse p = 4 on each call
         for _ in range(2):
             for fn in (normalized_parts, normalized):
                 with pytest.raises(ValueError, match="^p must be prime, got 4$"):
                     fn(4, 1, 1, 0, 0)
-        assert checked == [3, 4, 4, 4, 4]
+        assert is_prime.cache_info().misses == 2
 
     def test_clear_caches_empties_both_memos(self):
         normalized(2, 1, 4, 0, 0)

@@ -5,7 +5,6 @@ the congruence test."""
 
 import inspect
 from dataclasses import replace
-from itertools import starmap
 from types import ModuleType, SimpleNamespace
 
 import pytest
@@ -253,7 +252,7 @@ def test_every_check_changes_verdict_under_some_mutant():
 
 
 class _InProcessPool:
-    """multiprocessing.Pool's starmap, run in this process one call after another."""
+    """multiprocessing.Pool's map, run in this process one call after another."""
 
     def __init__(self, workers: int):
         pass
@@ -264,8 +263,8 @@ class _InProcessPool:
     def __exit__(self, *exc_info):
         return False
 
-    def starmap(self, function, arguments):
-        return list(starmap(function, arguments))
+    def map(self, function, iterable, chunksize=1):
+        return list(map(function, iterable))
 
 
 def _doc(report) -> dict:
@@ -295,9 +294,9 @@ GRIDS = st.builds(
 @given(grid=GRIDS, target=st.sampled_from(CHECK_IDS + ("rem1.2",)), workers=st.sampled_from([2, 3]),
        marked=st.integers(2, 4))
 def test_shard_merge_equals_the_serial_report(grid, target, workers, marked):
-    """2 or 3 shards, run in process and merged on i, give the serial report.
+    """A pool of 2 or 3 workers, run in process, gives the serial report.
     Tuples whose params print to a length divisible by marked are made to
-    fail, so the merge has to interleave failure rows from every shard."""
+    fail, so every block's failure rows must come back in expansion order."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
         if target == "rem1.2":
@@ -326,21 +325,22 @@ def test_shard_merge_equals_the_serial_report(grid, target, workers, marked):
         assert _doc(sweep(grid, workers)) == serial
 
 
-def test_shards_that_all_start_at_zero_break_the_merge(monkeypatch):
-    mutated = _mutated_verifier("enumerate(check.expand(grid, block), start)", "enumerate(check.expand(grid, block))")
+def test_results_left_in_dispatch_order_break_the_failure_list(monkeypatch):
+    mutated = _mutated_verifier("done = [result for _, result in sorted(zip(order, results))]", "done = results")
     mutated.multiprocessing = SimpleNamespace(Pool=_InProcessPool)
     monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
     # self-test's evaluator on thm1.5's axes fails every tuple at p = 3, l = 0, so the failures
-    # list the tuples; a = 1 and a = 2 are blocks of 20 and 44 tuples, one per shard
+    # list the tuples; a = 1 and a = 2 are blocks of 20 and 44 tuples, and the larger goes first
     for sweeps in (verifier, mutated):
         monkeypatch.setitem(sweeps.CHECKS, "thm1.5",
                             replace(sweeps.CHECKS["thm1.5"], evaluate=sweeps._boundary_check(-1)))
     grid = SweepGrid(primes=(3,), a_range=(1, 2), l_range=(0, 0), m_range=(1, 4))
     serial = run_sweep("thm1.5", grid)
     assert serial.checked == len(serial.failures) == 64
+    assert [f.params["a"] for f in serial.failures] == [1] * 20 + [2] * 44
     assert run_sweep("thm1.5", grid, workers=2).failures == serial.failures
-    merged = mutated.run_sweep("thm1.5", grid, workers=2)
-    assert merged.checked == serial.checked
-    # every block starts at i = 0, so the a = 2 block's 0..43 interleave with the a = 1 block's 0..19
-    assert sorted(map(repr, merged.failures)) == sorted(map(repr, serial.failures))
-    assert [f.params["a"] for f in merged.failures[:4]] == [2, 1, 2, 1]
+    dispatched = mutated.run_sweep("thm1.5", grid, workers=2)
+    assert dispatched.checked == serial.checked
+    # the a = 2 block was dispatched first, so its failures come back ahead of the a = 1 block's
+    assert sorted(map(repr, dispatched.failures)) == sorted(map(repr, serial.failures))
+    assert [f.params["a"] for f in dispatched.failures] == [2] * 44 + [1] * 20

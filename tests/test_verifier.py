@@ -25,7 +25,7 @@ from cycpsi import (
 )
 from cycpsi import coefficients, verifier
 from cycpsi.coefficients import floor_exponent, normalized_table
-from cycpsi.verifier import CHECKS, CheckFailure, _lem3_2_exceptional, _shard, _sigma, _thm1_2_branch
+from cycpsi.verifier import CHECKS, CheckFailure, _block, _lem3_2_exceptional, _sigma, _thm1_2_branch
 from cycpsi.psi_series import _monomial_image
 from oracles import fleck_oracle, nested_expand
 from test_mutants import CATALOG_GRID, _doc, _InProcessPool
@@ -202,35 +202,32 @@ def test_pool_start_methods_match_serial(method, tmp_path):
     assert pooled["self-test"]["verdict"] == "fail"
 
 
-def merged_shards(target, grid, workers=3):
-    """Every shard of target's plan run in process, as pool workers would run them, merged on i.
-    The shards' index sets are disjoint and cover 0..checked-1, and every row a shard keeps is its own."""
-    plan = verifier._plan(verifier._check_of(target).blocks(grid), workers)
-    shards = [_shard(target, grid, owned) for owned in plan]
-    indices = [{i for start, size, _ in owned for i in range(start, start + size)} for owned in plan]
-    checked = sum(checked for checked, _ in shards)
-    assert sorted(i for owned in indices for i in owned) == list(range(checked))
-    for owned, (count, rows) in zip(indices, shards):
-        assert count == len(owned)
-        assert all(i in owned for i, _, _ in rows)
-    rows = sorted((row for _, part in shards for row in part), key=lambda row: row[0])
-    return checked, rows
+def concatenated_blocks(target, grid):
+    """Every nonempty block of target run in process by _block, as pool tasks would run them,
+    and the blocks' rows concatenated in expansion order. Each block evaluates as many tuples
+    as its size."""
+    blocks = [(block, size) for block, size in verifier._check_of(target).blocks(grid) if size]
+    done = [_block(target, grid, block) for block, _ in blocks]
+    assert [count for count, _ in done] == [size for _, size in blocks]
+    return sum(count for count, _ in done), [row for _, rows in done for row in rows]
 
 
-def test_three_shards_merge_to_the_serial_report():
+def test_three_shards_merge_to_the_serial_report(monkeypatch):
     serial = run_sweep("self-test", SMALL)
-    checked, rows = merged_shards("self-test", SMALL)
-    assert checked == serial.checked == 20
-    assert [i for i, _, _ in rows] == list(range(checked))  # every tuple fails
-    assert [CheckFailure(params, *outcome) for _, params, outcome in rows] == serial.failures
+    checked, rows = concatenated_blocks("self-test", SMALL)
+    assert checked == serial.checked == len(rows) == 20  # every tuple fails
+    assert [CheckFailure(params, *outcome) for params, outcome in rows] == serial.failures
 
     grid = SweepGrid(primes=(3, 5), a_range=(1, 2), n_range=(1, 5), l_range=(0, 1))
     serial = run_explore(grid)
-    checked, rows = merged_shards("rem1.2", grid)
+    checked, rows = concatenated_blocks("rem1.2", grid)
     assert checked == serial.checked
     assert checked - len(rows) == serial.extra["infinite_margins"] > 0
-    worst = sorted(rows, key=lambda row: row[2]["margin"])[:10]
-    assert [{"params": params, **outcome} for _, params, outcome in worst] == serial.extra["worst"]
+    worst = sorted(rows, key=lambda row: row[1]["margin"])[:10]
+    assert [{"params": params, **outcome} for params, outcome in worst] == serial.extra["worst"]
+    # and a pool of three workers puts the blocks' results back in the same order
+    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
+    assert _doc(run_explore(grid, workers=3)) == _doc(serial)
 
 
 # every memo steps along n inside one binding of a check's block axes; thm1.5 and self-test reach n through m
@@ -257,32 +254,72 @@ def test_two_thm1_0_shards_build_each_row_once(monkeypatch):
 
     monkeypatch.setattr(verifier, "_fleck_residues", counted)
     blocks = CHECKS["thm1.0"].blocks(grid)
-    checked, built = [], []
-    for owned in verifier._plan(blocks, 2):
-        verifier._thm1_0_rows.clear()  # as every sweep leaves it for its workers
+    checked = built = 0
+    for block, size in blocks:
+        verifier._thm1_0_row.cache_clear()  # as a pool worker may meet any block first
         calls.clear()
-        count, rows = _shard("thm1.0", grid, owned)
-        assert rows == []
-        checked.append(count)
-        built.append(len(calls))
-    # one row per binding (p, a, l, n); under i % 2 shards each worker built all 7,260
-    assert sum(built) == 4 * 3 * 5 * 121 == 7_260
-    assert sum(checked) == 381_150
+        count, rows = _block("thm1.0", grid, block)
+        assert rows == [] and count == size
+        checked += count
+        built += len(calls)
+    # one row per binding (p, a, l, n), built inside its block; under i % 2 shards each worker built all 7,260
+    assert built == 4 * 3 * 5 * 121 == 7_260
+    assert checked == 381_150
     # the largest block is (7, 3, l): 121 values of n times 7^3 + 2 residues
     assert max(size for _, size in blocks) == 121 * (7 ** 3 + 2) == 41_745
-    assert abs(checked[0] - checked[1]) <= 41_745
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_psi_identity_shards_build_each_image_once(workers):
+def test_psi_identity_shards_build_each_image_once(monkeypatch, workers):
     run_sweep("psi-identity")
     serial = _monomial_image.cache_info().misses
-    misses = 0
-    for owned in verifier._plan(CHECKS["psi-identity"].blocks(SweepGrid()), workers):
-        _monomial_image.cache_clear()  # each pool worker starts from the emptied memo
-        _shard("psi-identity", SweepGrid(), owned)
-        misses += _monomial_image.cache_info().misses
-    assert misses == serial > 0
+    misses, sizes = [], []
+
+    class FreshWorkerPool(_InProcessPool):
+        """Runs every block as if in a worker that has not met the block's (p, a) before."""
+
+        def __init__(self, workers: int):
+            sizes.append(workers)
+
+        def map(self, function, iterable, chunksize=1):
+            results = []
+            for block in iterable:
+                _monomial_image.cache_clear()
+                results.append(function(block))
+                misses.append(_monomial_image.cache_info().misses)
+            return results
+
+    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=FreshWorkerPool))
+    run_sweep("psi-identity", workers=workers)
+    assert sizes == [workers]
+    assert sum(misses) == serial > 0
+
+
+def test_tasks_go_largest_first_with_ties_in_expansion_order(monkeypatch):
+    dispatched, sizes = [], []
+
+    class RecordingPool(_InProcessPool):
+        def __init__(self, workers: int):
+            sizes.append(workers)
+
+        def map(self, function, iterable, chunksize=1):
+            blocks = list(iterable)
+            dispatched.extend(blocks)
+            return super().map(function, blocks, chunksize)
+
+    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=RecordingPool))
+    grid = SweepGrid(primes=(2, 3), a_range=(1, 2), l_range=(0, 1), n_range=(0, 4))
+    blocks = dict(CHECKS["thm1.0"].blocks(grid))
+    serial = _doc(run_sweep("thm1.0", grid))
+    assert _doc(run_sweep("thm1.0", grid, workers=2)) == serial
+    assert sizes == [2]
+    assert dispatched == [(3, 2, 0), (3, 2, 1), (2, 2, 0), (2, 2, 1), (3, 1, 0), (3, 1, 1), (2, 1, 0), (2, 1, 1)]
+    assert [blocks[block] for block in dispatched] == [55, 55, 30, 30, 25, 25, 15, 15]
+    # lem3.3's three blocks (p) grow with p, so the pool takes them last first, and three blocks cap its size
+    dispatched.clear()
+    assert _doc(run_sweep("lem3.3", workers=4)) == _doc(run_sweep("lem3.3"))
+    assert sizes == [2, 3]
+    assert dispatched == [(5,), (3,), (2,)]
 
 
 def test_shards_without_a_block_start_no_process(monkeypatch):
@@ -297,7 +334,7 @@ def test_shards_without_a_block_start_no_process(monkeypatch):
     assert serial["verdict"] == "fail"
     for workers in (2, 3):
         assert _doc(run_sweep("self-test", workers=workers)) == serial
-    assert sizes == []  # self-test is one block, so one shard runs in process
+    assert sizes == []  # self-test is one block, so it runs in process
     # thm1.5 at p = 3, l = 0 is two blocks, a = 1 and a = 2
     grid = SweepGrid(primes=(3,), a_range=(1, 2), l_range=(0, 0), m_range=(1, 4))
     assert _doc(run_sweep("thm1.5", grid, workers=3)) == _doc(run_sweep("thm1.5", grid))
@@ -609,7 +646,7 @@ def test_congruence_failure_texts(monkeypatch):
 
 @pytest.mark.parametrize("target", CHECK_IDS + ("rem1.2",))
 def test_evaluators_take_the_values_in_axis_order(target):
-    # _shard calls evaluate(*values), so the parameters must be the axis names in order
+    # _block calls evaluate(*values), so the parameters must be the axis names in order
     check = verifier._check_of(target)
     assert tuple(inspect.signature(check.evaluate).parameters) == check.names
     sizes = Counter(len(values) for values in check.expand(SweepGrid()))
