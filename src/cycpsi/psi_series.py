@@ -6,12 +6,18 @@ mirrors in the basis S = 1+T (_s_basis): phi(S^i) = S^(p i), so phi spreads
 the S-coefficients to every p-th place and psi keeps every p-th one. Both
 directions are Taylor shifts by integer additions only, so on polynomials
 they are exact and no division by p ever occurs.
+
+monomial_twisted, the operator side of the psi-identity check, sums images
+psi^a(T^i) truncated to a few degrees. Only the first p^a of them take
+Taylor shifts: the projection rule psi^a(x phi^a(y)) = psi^a(x) y gives each
+later image from the p^a before it, in O(p^a) products per degree
+(_monomial_images).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .exactmath import _require_prime
 
@@ -141,13 +147,37 @@ def psi_power(x: TruncPoly, p: int, a: int) -> TruncPoly:
     return x
 
 
-@lru_cache(maxsize=None)
-def _monomial_image(i: int, p: int, a: int, through: int) -> tuple[int, ...]:
-    """Coefficients 0..through of psi^a(T^i), the memo behind monomial_twisted.
+# (p, a, through) -> [coefficients 0..through of psi^a(T^i) for i = 0, 1, ...]
+_images: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
 
-    Sweeps empty it at the start of each sweep, so it holds what one sweep needs.
+
+def _monomial_images(p: int, a: int, through: int, last: int) -> list[tuple[int, ...]]:
+    """The memo behind monomial_twisted: coefficients 0..through of psi^a(T^i),
+    at index i, for every i up to at least last.
+
+    With q = p^a, phi^a(T) = (1+T)^q - 1 gives T^q = phi^a(T) - sum_{0<k<q}
+    binom(q, k) T^k, and the projection rule psi^a(x phi^a(y)) = psi^a(x) y
+    turns T^i = T^(i-q) T^q into
+
+        psi^a(T^i) = T psi^a(T^(i-q)) - sum_{0<k<q} binom(q, k) psi^a(T^(i-q+k)),
+
+    exact after truncation, since T only raises degrees. So the images below q
+    come from psi_power and each later one from the q before it, grown in
+    order of i. Sweeps empty the memo at the start of each sweep, so it holds
+    what one sweep needs.
     """
-    return psi_power(TruncPoly.monomial(i), p, a).truncated(through).coeffs
+    images = _images.setdefault((p, a, through), [])
+    if len(images) > last:
+        return images
+    q = p ** a
+    weights = [comb(q, k) for k in range(1, q)]
+    for i in range(len(images), last + 1):
+        if i < q:
+            images.append(psi_power(TruncPoly.monomial(i), p, a).truncated(through).coeffs)
+        else:
+            columns = zip((0, *images[i - q]), zip(*images[i - q + 1:i]))
+            images.append(tuple(t - sum(map(mul, weights, column)) for t, column in columns))
+    return images
 
 
 def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
@@ -165,8 +195,9 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
 
         psi^a(T^n (1+T)^e) = sum_j binom(e, j) psi^a(T^(n+j)),
 
-    an exact sum of memoized monomial images; the final multiplication by
-    the unit (1+T)^(-r1) forms only the product coefficients 0..l_max.
+    an exact sum, degree by degree, of the images n..n+e that
+    _monomial_images holds; the final multiplication by the unit
+    (1+T)^(-r1) forms only the product coefficients 0..l_max.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -178,15 +209,14 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
     pa = p ** a
     r1 = -((-r) // pa)
     e = pa * r1 - r
-    core = [0] * (l_max + 1)
-    for j in range(e + 1):
-        weight = comb(e, j)
-        core = [c + weight * v for c, v in zip(core, _monomial_image(n + j, p, a, l_max))]
+    weights = [comb(e, j) for j in range(e + 1)]
+    images = _monomial_images(p, a, l_max, n + e)[n:n + e + 1]
+    core = [sum(map(mul, weights, column)) for column in zip(*images)]
     # unit[i] = binom(-r1, i), each from the one before by an exact division
     unit = [1]
     for i in range(l_max):
         unit.append(unit[i] * (-r1 - i) // (i + 1))
-    return TruncPoly(tuple(sum(core[i] * unit[k - i] for i in range(k + 1)) for k in range(l_max + 1)))
+    return TruncPoly(tuple(sum(map(mul, core, unit[k::-1])) for k in range(l_max + 1)))
 
 
 def projection_rule_check(x: TruncPoly, y: TruncPoly, p: int) -> bool:

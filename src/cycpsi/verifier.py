@@ -53,7 +53,7 @@ from .coefficients import (
     totient_prime_power,
 )
 from .exactmath import NotPIntegralError, _require_prime, binom, congruent_mod_p_power, ord_p
-from .psi_series import _monomial_image, monomial_twisted
+from .psi_series import _images, monomial_twisted
 
 
 def delta_for(p: int) -> int:
@@ -624,7 +624,7 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     if grid != _last_grid:
         coefficients.clear_caches()
         _last_grid = grid
-    _monomial_image.cache_clear()
+    _images.clear()
     _thm1_0_row.cache_clear()
     start = perf_counter()
     blocks = [(block, size) for block, size in _check_of(target).blocks(grid) if size]

@@ -9,9 +9,9 @@ def empty_coefficient_memos():
     thm1.0 row memos, so no test reads values memoized by another (sweeps keep
     the coefficient memos while the grid stays the same)."""
     coefficients.clear_caches()
-    psi_series._monomial_image.cache_clear()
+    psi_series._images.clear()
     verifier._thm1_0_row.cache_clear()
     yield
     coefficients.clear_caches()
-    psi_series._monomial_image.cache_clear()
+    psi_series._images.clear()
     verifier._thm1_0_row.cache_clear()

@@ -19,11 +19,16 @@ SMALL = SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 8), coeff_degree=3)
 
 # name -> (module, function, source text, its replacement)
 PSI_ROUTE_MUTANTS = {
-    "image index n + j + 1": (psi_series, "monomial_twisted", "_monomial_image(n + j,",
-                              "_monomial_image(n + j + 1,"),
-    "weight binom(e, j) as 1": (psi_series, "monomial_twisted", "weight = comb(e, j)", "weight = 1"),
+    "image index n + j + 1": (psi_series, "monomial_twisted", "[n:n + e + 1]", "[n + 1:n + e + 2]"),
+    "weight binom(e, j) as 1": (psi_series, "monomial_twisted", "[comb(e, j) for j in range(e + 1)]",
+                                "[1] * (e + 1)"),
     "row step (j + l)": (coefficients, "_fleck_row", "term * (j - l)", "term * (j + l)"),
     "unit step (-r1 + i)": (psi_series, "monomial_twisted", "(-r1 - i)", "(-r1 + i)"),
+    # the recurrence psi^a(T^i) = T psi^a(T^(i-q)) - sum_{0<k<q} binom(q, k) psi^a(T^(i-q+k))
+    "recurrence T-shift at the top": (psi_series, "_monomial_images", "(0, *images[i - q])",
+                                      "(*images[i - q], 0)"),
+    "recurrence weight binom(q, k - 1)": (psi_series, "_monomial_images", "comb(q, k)", "comb(q, k - 1)"),
+    "recurrence sum added": (psi_series, "_monomial_images", "t - sum(", "t + sum("),
 }
 
 
@@ -43,8 +48,9 @@ def test_unmutated_route_passes():
 @pytest.mark.parametrize("mutant", PSI_ROUTE_MUTANTS)
 def test_psi_identity_catches(mutant, monkeypatch):
     module, name, old, new = PSI_ROUTE_MUTANTS[mutant]
-    # psi-identity looks both routes up in the verifier at call time
-    monkeypatch.setattr(verifier, name, _mutant(module, name, old, new))
+    # psi-identity looks both routes up in the verifier at call time, and monomial_twisted
+    # looks its images up in psi_series
+    monkeypatch.setattr(verifier if hasattr(verifier, name) else module, name, _mutant(module, name, old, new))
     assert run_sweep("psi-identity", SMALL).verdict == "fail"
 
 

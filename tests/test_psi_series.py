@@ -220,6 +220,11 @@ def _twisted_direct(n: int, r: int, p: int, a: int, l_max: int) -> tuple[int, ..
     return (psi_power(inner, p, a) * unit).truncated(l_max).coeffs
 
 
+def _images_held() -> int:
+    """The operator images the memo holds, over every (p, a, l_max) list."""
+    return sum(map(len, psi_series._images.values()))
+
+
 class TestMonomialImageMemo:
     @given(st.integers(0, 150), st.integers(-60, 60), oracle_primes, st.sampled_from((1, 2, 3)),
            st.integers(0, 6))
@@ -228,12 +233,49 @@ class TestMonomialImageMemo:
     @settings(max_examples=40, deadline=None)
     def test_matches_direct_route_cold_and_warm(self, n, r, p, a, l_max):
         want = _twisted_direct(n, r, p, a, l_max)
-        images = -r % p ** a + 1  # psi^a(T^i) for i in n..n+e
-        psi_series._monomial_image.cache_clear()
+        images = n + -r % p ** a + 1  # psi^a(T^i) for i in 0..n+e, grown in order of i
+        psi_series._images.clear()
         assert monomial_twisted(n, r, p, a, l_max).coeffs == want  # cold: every image computed
+        assert _images_held() == images
         assert monomial_twisted(n, r, p, a, l_max).coeffs == want  # warm: every image read back
-        info = psi_series._monomial_image.cache_info()
-        assert (info.misses, info.hits) == (images, images)
+        assert _images_held() == images
+
+    def test_deep_row_does_not_recurse(self):
+        # 3,004 images of psi(T^i), each from the two before it
+        want = tuple(fleck_sum_general(3000, 5, 2, l) for l in range(4))  # n even: no sign flip
+        assert monomial_twisted(3000, 5, 2, 1, 3).coeffs == want
+
+
+def _image_oracle(i: int, p: int, a: int, through: int) -> tuple[int, ...]:
+    return psi_power(TruncPoly.monomial(i), p, a).truncated(through).coeffs
+
+
+class TestMonomialImages:
+    """The recurrence images against psi_power, each run from a cold memo, with
+    the images asked for out of order so that one request grows the list past
+    the images a later one reads back."""
+
+    @pytest.mark.parametrize("a", (1, 2, 3))
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_descending_to_three_periods(self, p, a):
+        q = p ** a
+        psi_series._images.clear()
+        for i in (3 * q, 3 * q - 1, 2 * q + 1, q, q - 1, 1, 0):
+            assert psi_series._monomial_images(p, a, 6, i)[i] == _image_oracle(i, p, a, 6), i
+
+    @given(oracle_primes, st.sampled_from((1, 2, 3)), st.integers(0, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_psi_power_in_any_order(self, p, a, through, data):
+        q = p ** a
+        wanted = data.draw(st.lists(st.integers(0, 3 * q), min_size=1, max_size=6, unique=True))
+        if data.draw(st.booleans(), label="descending"):
+            wanted.sort(reverse=True)
+        else:
+            wanted = data.draw(st.permutations(wanted), label="shuffled")
+        psi_series._images.clear()
+        for i in wanted:
+            assert psi_series._monomial_images(p, a, through, i)[i] == _image_oracle(i, p, a, through), i
+        assert _images_held() == max(wanted) + 1
 
 
 class TestProjectionRule:

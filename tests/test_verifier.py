@@ -25,10 +25,11 @@ from cycpsi import (
 )
 from cycpsi import coefficients, verifier
 from cycpsi.coefficients import floor_exponent, normalized_table
+from cycpsi.psi_series import _images
 from cycpsi.verifier import CHECKS, CheckFailure, _block, _lem3_2_exceptional, _sigma, _thm1_2_branch
-from cycpsi.psi_series import _monomial_image
 from oracles import fleck_oracle, nested_expand
 from test_mutants import CATALOG_GRID, _doc, _InProcessPool
+from test_psi_series import _images_held
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 
@@ -272,8 +273,8 @@ def test_two_thm1_0_shards_build_each_row_once(monkeypatch):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_psi_identity_shards_build_each_image_once(monkeypatch, workers):
     run_sweep("psi-identity")
-    serial = _monomial_image.cache_info().misses
-    misses, sizes = [], []
+    serial = _images_held()
+    built, sizes = [], []
 
     class FreshWorkerPool(_InProcessPool):
         """Runs every block as if in a worker that has not met the block's (p, a) before."""
@@ -284,15 +285,15 @@ def test_psi_identity_shards_build_each_image_once(monkeypatch, workers):
         def map(self, function, iterable, chunksize=1):
             results = []
             for block in iterable:
-                _monomial_image.cache_clear()
+                _images.clear()
                 results.append(function(block))
-                misses.append(_monomial_image.cache_info().misses)
+                built.append(_images_held())
             return results
 
     monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=FreshWorkerPool))
     run_sweep("psi-identity", workers=workers)
     assert sizes == [workers]
-    assert sum(misses) == serial > 0
+    assert sum(built) == serial > 0
 
 
 def test_tasks_go_largest_first_with_ties_in_expansion_order(monkeypatch):
@@ -359,13 +360,15 @@ def test_psi_identity_leaves_the_sum_memo_empty():
 
 def test_every_sweep_starts_with_an_empty_image_memo():
     run_sweep("psi-identity", SMALL)
-    first = _monomial_image.cache_info()
-    assert first.currsize > 0
+    first = dict(_images)
+    assert _images_held() > 0
     # the grid is the same, so the coefficient memos stay, but the images are computed again
+    # and a list left between the two sweeps is gone
+    _images[0, 0, 0] = ["left over"]
     run_sweep("psi-identity", SMALL)
-    assert _monomial_image.cache_info() == first
+    assert _images == first
     run_sweep("thm1.0", SMALL)
-    assert _monomial_image.cache_info().currsize == 0
+    assert _images_held() == 0
 
 
 # thm1.0 reads the residues 0 <= r < p^a from one row per binding and sums every
