@@ -132,7 +132,12 @@ def normalized_table(p: int, a: int, l: int) -> list:
     _require_prime_power(p, a)
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    return [0, [[1], *([0] for _ in range(l))], {}]  # S(0, 0, m, l') = binom(0, l')
+    return [0, _origin(l), {}]
+
+
+def _origin(l: int) -> list[list[int]]:
+    """The raw sums of levels 0..l at n = 0, where S(0, 0, m, l') = binom(0, l')."""
+    return [[1], *([0] for _ in range(l))]
 
 
 def _shift(k: int, l: int) -> tuple[int, ...]:
@@ -182,6 +187,7 @@ def _fill(p: int, a: int, n: int, l: int, raw: list[list[int]], targets) -> list
     exponent = floor_exponent(p, a, n, l)
     level = raw[l]
     values = []
+    # the read of _class_sums at one level, inline: a call per filled value costs the catalog ~3%
     for r, row, r0, shift in targets:
         total = 0  # the empty sum of a residue r0 > n
         if r0 < len(level):
@@ -190,6 +196,43 @@ def _fill(p: int, a: int, n: int, l: int, raw: list[list[int]], targets) -> list
                 total += c * raw[l - i][r0]
         values.append((row, _divide(total, exponent, p, a, n, r, l)))
     return values
+
+
+def _class_sums(raw: list[list[int]], r0: int, shift: tuple[int, ...]) -> list[int]:
+    """[S(n, r0 + k m, m, l) for every level l of raw], read from raw, a
+    record's sums at n, with shift = _shift(k, top level): each level's
+    residue sum plus the Vandermonde terms of the levels below it, as _fill
+    reads one level. A residue r0 > n has the empty sum at every level.
+    """
+    if r0 >= len(raw[0]):
+        return [0] * len(raw)
+    column = [level[r0] for level in raw]
+    sums = []
+    for l, total in enumerate(column):
+        for i, c in enumerate(shift[:l], 1):
+            total += c * column[l - i]
+        sums.append(total)
+    return sums
+
+
+# (p, a, l) -> (n, raw), raw the sums of levels 0..l at n as in a normalized_table
+# record. psi-identity and thm1.0 read it through _raw_at; sweeps empty it at the
+# start of each sweep, so each record is stepped by the worker whose block reads it.
+_sums: dict[tuple[int, int, int], tuple[int, list[list[int]]]] = {}
+
+
+def _raw_at(p: int, a: int, n: int, l: int) -> list[list[int]] | None:
+    """The raw sums of levels 0..l at n of the record _sums[p, a, l], or None
+    when n is neither the record's n nor one past it, where a caller sums
+    directly. A record starts at n = 0 and moves only by one _step.
+    """
+    at, raw = _sums.get((p, a, l)) or (0, _origin(l))
+    if n == at + 1:
+        at, raw = n, _step(raw, p ** a)
+    elif n != at:
+        return None
+    _sums[p, a, l] = at, raw
+    return raw
 
 
 def normalized(p: int, a: int, n: int, r: int, l: int) -> int:

@@ -206,17 +206,31 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     _require_prime(p)
-    pa = p ** a
-    r1 = -((-r) // pa)
-    e = pa * r1 - r
-    weights = [comb(e, j) for j in range(e + 1)]
+    e, weights, unit = _twist(p ** a, r, l_max)
     images = _monomial_images(p, a, l_max, n + e)[n:n + e + 1]
     core = [sum(map(mul, weights, column)) for column in zip(*images)]
-    # unit[i] = binom(-r1, i), each from the one before by an exact division
-    unit = [1]
-    for i in range(l_max):
-        unit.append(unit[i] * (-r1 - i) // (i + 1))
     return TruncPoly(tuple(sum(map(mul, core, unit[k::-1])) for k in range(l_max + 1)))
+
+
+# (p^a, r, l_max) -> monomial_twisted's constants, which repeat for every n of a sweep
+_twists: dict[tuple[int, int, int], tuple[int, list[int], list[int]]] = {}
+
+
+def _twist(pa: int, r: int, l_max: int) -> tuple[int, list[int], list[int]]:
+    """(e, [binom(e, j) for j = 0..e], [binom(-r1, i) for i = 0..l_max]) with
+    r1 = ceil(r / pa) and e = pa r1 - r, memoized in _twists. Sweeps empty the
+    memo at the start of each sweep, like the images.
+    """
+    twist = _twists.get((pa, r, l_max))
+    if twist is None:
+        r1 = -((-r) // pa)
+        e = pa * r1 - r
+        # unit[i] = binom(-r1, i), each from the one before by an exact division
+        unit = [1]
+        for i in range(l_max):
+            unit.append(unit[i] * (-r1 - i) // (i + 1))
+        twist = _twists[pa, r, l_max] = e, [comb(e, j) for j in range(e + 1)], unit
+    return twist
 
 
 def projection_rule_check(x: TruncPoly, y: TruncPoly, p: int) -> bool:

@@ -21,11 +21,11 @@ Every evaluation is a pure function of its parameters, so a sweep splits
 into blocks, and a block is the pool's unit of work. A block is one binding
 of the axes before n (before m where n is a function of m), and at least of
 the outermost axis, so one process evaluates every n of a block, in order.
-The memos that step along n (normalized records per (p, a, l), thm1.0's rows
-per (p, a, l, n), psi images per (p, a)) are then built by the workers whose
-blocks read them, not by every worker. A pool takes the blocks largest
-first, each free worker the largest left, and concatenating the blocks'
-rows in expansion order gives the serial report.
+The memos that step along n (normalized records per (p, a, l), the raw-sum
+records that thm1.0 and psi-identity read, psi images per (p, a)) are then
+built by the workers whose blocks read them, not by every worker. A pool
+takes the blocks largest first, each free worker the largest left, and
+concatenating the blocks' rows in expansion order gives the serial report.
 """
 
 import multiprocessing
@@ -41,9 +41,13 @@ from time import perf_counter
 from . import coefficients
 from .coefficients import (
     IntegrityError,
+    _class_sums,
     _direct_fleck_sum,
     _fleck_residues,
     _fleck_row,
+    _raw_at,
+    _shift,
+    _sums,
     factorization_sides,
     floor_exponent,
     index_reduction_identity,
@@ -53,7 +57,7 @@ from .coefficients import (
     totient_prime_power,
 )
 from .exactmath import NotPIntegralError, _require_prime, binom, congruent_mod_p_power, ord_p
-from .psi_series import _images, monomial_twisted
+from .psi_series import _images, _twists, monomial_twisted
 
 
 def delta_for(p: int) -> int:
@@ -291,15 +295,18 @@ _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
 
 # thm1.0: ord_p of every Fleck sum reaches the floor exponent. r is the
-# innermost axis, so one _fleck_residues pass gives the sums of every residue
-# of a binding (p, a, l, n); _thm1_0_row keeps the last binding's row and
-# bound, and _sweep empties it at the start of every sweep. Every other
+# innermost axis, so one row gives the sums of every residue of a binding
+# (p, a, l, n): level l of the record _sums[p, a, l] when n is at it or one
+# past it, else one _fleck_residues pass. _thm1_0_row keeps the last binding's
+# row and bound, and _sweep empties it at the start of every sweep. Every other
 # representative is summed directly, so thm1.0 also checks fleck_sum_general.
 
 @lru_cache(maxsize=1)
 def _thm1_0_row(p, a, l, n):
     m = p ** a
-    return _fleck_residues(n, m, l), max(floor_exponent(p, a, n, l), 0), m
+    raw = _raw_at(p, a, n, l)
+    row = _fleck_residues(n, m, l) if raw is None else raw[l]
+    return row, max(floor_exponent(p, a, n, l), 0), m
 
 
 def _eval_thm1_0(p, a, l, n, r):
@@ -502,17 +509,22 @@ def _eval_conj_perm(p, n, r_values):
 
 
 # psi-identity: coefficients of psi^a(T^n (1+T)^(-r)) equal the sign-adjusted
-# Fleck sums through degree coeff_degree. No tuple repeats another's sums, so
-# each tuple's row comes from one unmemoized pass and leaves both memos empty.
+# Fleck sums through degree coeff_degree. n is the axis after the block (p, a),
+# so a sweep steps the record (p, a, coeff_degree) once per n.
 
 def psi_sides(p: int, a: int, n: int, r: int, l_max: int) -> tuple[list[int], list[int]]:
     """(operator coefficients, sign-adjusted Fleck sums) of degrees 0..l_max.
 
     The operator side comes from monomial_twisted alone, never from the sums,
-    so the two routes stay independent.
+    so the two routes stay independent. Where n is at the raw-sum record
+    (p, a, l_max) or one past it, the sums of r at every level are read from
+    its residue r % p^a, shifted as _fill shifts them; elsewhere one
+    _fleck_row pass sums them directly.
     """
     got = list(monomial_twisted(n, r, p, a, l_max).coeffs)
-    want = _fleck_row(n, r, p ** a, l_max)
+    m = p ** a
+    raw = _raw_at(p, a, n, l_max)
+    want = _fleck_row(n, r, m, l_max) if raw is None else _class_sums(raw, r % m, _shift(r // m, l_max))
     return got, [-v for v in want] if n & 1 else want
 
 
@@ -614,9 +626,10 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
 
     The coefficient memos are kept while sweeps run on the same grid, so
     checks on one grid share them, and cleared when the grid changes. The
-    memo of operator images and thm1.0's row are emptied at the start of
-    every sweep. A grid that gives target no tuples raises ValueError before
-    any evaluation, since a sweep that checked nothing proves nothing.
+    operator images and constants, the raw-sum records and thm1.0's row are
+    emptied at the start of every sweep. A grid that gives target no tuples
+    raises ValueError before any evaluation, since a sweep that checked
+    nothing proves nothing.
     """
     global _last_grid
     if workers < 1:
@@ -625,6 +638,8 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
         coefficients.clear_caches()
         _last_grid = grid
     _images.clear()
+    _twists.clear()
+    _sums.clear()
     _thm1_0_row.cache_clear()
     start = perf_counter()
     blocks = [(block, size) for block, size in _check_of(target).blocks(grid) if size]

@@ -355,6 +355,66 @@ class TestPascalFill:
         assert normalized_table(3, 1, 1)[2][2][1] is not old_row and old_row == orphan[2][2][1]
 
 
+# the moduli q = p^a of the raw-sum record tests: 2, 4, 9 and 25
+RECORD_MODULI = [(2, 1), (2, 2), (3, 2), (5, 2)]
+
+
+class TestRawSumRecord:
+    """The record _sums that psi-identity and thm1.0 step along n, against the oracle."""
+
+    @pytest.mark.parametrize("p, a", RECORD_MODULI)
+    def test_stepped_record_matches_the_oracle(self, p, a):
+        q = p ** a
+        for n in range(3 * q + 6):
+            raw = coefficients._raw_at(p, a, n, 4)
+            assert coefficients._sums[p, a, 4] == (n, raw)
+            # every level at every residue r0 <= min(n, q - 1); a larger residue has no term
+            assert raw == [[fleck_oracle(n, r0, q, l) for r0 in range(min(n + 1, q))] for l in range(5)]
+            assert all(fleck_oracle(n, r0, q, l) == 0 for r0 in range(n + 1, q) for l in range(5))
+
+    @pytest.mark.parametrize("p, a", RECORD_MODULI)
+    def test_class_sums_match_the_oracle(self, p, a):
+        # every class r in [-3q, 3q], read at every level l <= 4 through one shift of l_max = 4
+        q = p ** a
+        for n in (0, 1, 2, q - 1, q, q + 1, 2 * q + 3):
+            coefficients._sums[p, a, 4] = n, [[fleck_oracle(n, r0, q, l) for r0 in range(min(n + 1, q))]
+                                              for l in range(5)]
+            raw = coefficients._raw_at(p, a, n, 4)
+            for r in range(-3 * q, 3 * q + 1):
+                got = coefficients._class_sums(raw, r % q, coefficients._shift(r // q, 4))
+                assert got == [fleck_oracle(n, r, q, l) for l in range(5)], (n, r)
+
+    def test_only_the_record_n_or_one_past_it_is_read(self, monkeypatch):
+        steps = []
+        step = coefficients._step
+        monkeypatch.setattr(coefficients, "_step", lambda raw, m: steps.append(m) or step(raw, m))
+        # a record starts at n = 0, so n = 2 is two past it, and a read that misses stores no record
+        assert coefficients._raw_at(3, 1, 2, 1) is None
+        assert coefficients._sums == {} and steps == []
+        for n in range(4):
+            coefficients._raw_at(3, 1, n, 1)
+        assert coefficients._sums[3, 1, 1][0] == 3 and steps == [3] * 3
+        # at the record's n it reads without a step; behind it and two past it, it reads nothing
+        assert coefficients._raw_at(3, 1, 3, 1) is coefficients._sums[3, 1, 1][1]
+        assert coefficients._raw_at(3, 1, 2, 1) is None
+        assert coefficients._raw_at(3, 1, 5, 1) is None
+        assert coefficients._sums[3, 1, 1][0] == 3 and steps == [3] * 3
+        # each (p, a, l) has its own record
+        assert coefficients._raw_at(3, 1, 1, 2) == [[1, -1], [0, 0], [0, 0]]
+        assert set(coefficients._sums) == {(3, 1, 1), (3, 1, 2)}
+
+    @given(st.sampled_from(FILL_MODULI[:7]), st.integers(0, 40), st.integers(-60, 60), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_a_record_stepped_to_n_reads_every_class(self, prime_power, n, r, l):
+        p, a = prime_power
+        q = p ** a
+        coefficients._sums.clear()
+        for k in range(n + 1):
+            raw = coefficients._raw_at(p, a, k, l)
+        got = coefficients._class_sums(raw, r % q, coefficients._shift(r // q, l))
+        assert got == [fleck_oracle(n, r, q, i) for i in range(l + 1)]
+
+
 class TestTCoeff:
     @pytest.mark.parametrize(
         "p, a, n, r, l, expected",

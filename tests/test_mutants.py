@@ -20,16 +20,20 @@ SMALL = SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 8), coeff_degree=3)
 # name -> (module, function, source text, its replacement)
 PSI_ROUTE_MUTANTS = {
     "image index n + j + 1": (psi_series, "monomial_twisted", "[n:n + e + 1]", "[n + 1:n + e + 2]"),
-    "weight binom(e, j) as 1": (psi_series, "monomial_twisted", "[comb(e, j) for j in range(e + 1)]",
-                                "[1] * (e + 1)"),
+    "weight binom(e, j) as 1": (psi_series, "_twist", "[comb(e, j) for j in range(e + 1)]", "[1] * (e + 1)"),
     "row step (j + l)": (coefficients, "_fleck_row", "term * (j - l)", "term * (j + l)"),
-    "unit step (-r1 + i)": (psi_series, "monomial_twisted", "(-r1 - i)", "(-r1 + i)"),
+    "unit step (-r1 + i)": (psi_series, "_twist", "(-r1 - i)", "(-r1 + i)"),
+    # the record read: level l - i times the i-th shift coefficient, read from level i - 1 instead
+    "class sums shift level i - 1": (coefficients, "_class_sums", "column[l - i]", "column[i - 1]"),
     # the recurrence psi^a(T^i) = T psi^a(T^(i-q)) - sum_{0<k<q} binom(q, k) psi^a(T^(i-q+k))
     "recurrence T-shift at the top": (psi_series, "_monomial_images", "(0, *images[i - q])",
                                       "(*images[i - q], 0)"),
     "recurrence weight binom(q, k - 1)": (psi_series, "_monomial_images", "comb(q, k)", "comb(q, k - 1)"),
     "recurrence sum added": (psi_series, "_monomial_images", "t - sum(", "t + sum("),
 }
+# psi-identity steps the record _sums along n from 0, so its Fleck side reaches _fleck_row only
+# where a block's n starts past the record's next step
+PSI_ROUTE_GRIDS = {"row step (j + l)": replace(SMALL, n_range=(3, 8))}
 
 
 def _mutant(module, name: str, old: str, new: str):
@@ -49,16 +53,17 @@ def test_unmutated_route_passes():
 def test_psi_identity_catches(mutant, monkeypatch):
     module, name, old, new = PSI_ROUTE_MUTANTS[mutant]
     # psi-identity looks both routes up in the verifier at call time, and monomial_twisted
-    # looks its images up in psi_series
+    # looks its images and constants up in psi_series
     monkeypatch.setattr(verifier if hasattr(verifier, name) else module, name, _mutant(module, name, old, new))
-    assert run_sweep("psi-identity", SMALL).verdict == "fail"
+    assert run_sweep("psi-identity", PSI_ROUTE_GRIDS.get(mutant, SMALL)).verdict == "fail"
 
 
 # Every check but self-test, on a grid small enough to sweep the catalog per mutant.
 CATALOG_GRID = SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 14), l_range=(0, 2), m_range=(1, 3),
                          d_range=(1, 4), q_range=(1, 4), abs_r_max=4, coeff_degree=3)
 CATALOG_IDS = [c for c in CHECK_IDS if c != "self-test"]
-# psi-identity's Fleck side is _fleck_row, so no mutant of fleck_sum_general or floor_exponent reaches it
+# psi-identity's Fleck side is the raw-sum record or _fleck_row and divides by no power of p, so no mutant
+# of fleck_sum_general or floor_exponent reaches it
 ALL_BUT_PSI = set(CATALOG_IDS) - {"psi-identity"}
 NORMALIZED_READERS = ALL_BUT_PSI - {"thm1.0", "cor1.3", "lem2.2", "lem3.1"}
 
@@ -75,35 +80,42 @@ COEFFICIENT_MUTANTS = {
                            "total += term", ALL_BUT_PSI - FILLED),
     "floor_exponent + 1": (coefficients, "floor_exponent", "// totient_prime_power(p, a)",
                            "// totient_prime_power(p, a) + 1", ALL_BUT_PSI - {"cor1.3", "lem2.2", "lem3.1"}),
-    # lem3.1's signed rows come from _fleck_row too
-    "row step (j + l)": (*PSI_ROUTE_MUTANTS["row step (j + l)"], {"lem3.1", "psi-identity"}),
+    # lem3.1's signed rows come from _fleck_row too; psi-identity reads the record on CATALOG_GRID
+    "row step (j + l)": (*PSI_ROUTE_MUTANTS["row step (j + l)"], {"lem3.1"}),
     "row without (-1)^j": (coefficients, "factorization_sides",
                            "[-v if j & 1 else v for j, v in enumerate(head)]", "head", {"lem3.1"}),
-    # thm1.0's rows of every residue of a binding; no other check reads them
+    # thm1.0's rows of every residue of a binding off the record (OFF_RECORD_GRID); no other check reads them
     "residues without (-1)^k": (coefficients, "_fleck_residues", "row[k % m] += -c if k & 1 else c",
                                 "row[k % m] += c", {"thm1.0"}),
     "residues from k = l m + 1": (coefficients, "_fleck_residues", "range(l * m, n + 1)",
                                   "range(l * m + 1, n + 1)", {"thm1.0"}),
-    # the Pascal fill of the normalized memo
+    # the Pascal step of the normalized memo and of the raw-sum records that psi-identity and thm1.0 read
     "fill step S(n-1, r-1) - S(n-1, r)": (coefficients, "_step", "map(sub, level[1:], level[:-1])",
-                                          "map(sub, level[:-1], level[1:])", NORMALIZED_READERS),
+                                          "map(sub, level[:-1], level[1:])",
+                                          NORMALIZED_READERS | {"psi-identity", "thm1.0"}),
     "fill boundary term + S(n-1, m-1, l-1)": (coefficients, "_step", "level[0] - last - below",
                                               "level[0] - last + below",
-                                              NORMALIZED_READERS - {"thm1.1", "conj-perm"}),
+                                              (NORMALIZED_READERS - {"thm1.1", "conj-perm"}) | {"psi-identity"}),
     # a level holds the residues r0 <= n only, and grows by S(n+1, n+1) = -S(n, n) until it has p^a
-    "fill growth S(n+1, n+1) = S(n, n)": (coefficients, "_step", "-level[-1]", "level[-1]", NORMALIZED_READERS),
-    # binom(-k, i) for i >= 1 multiplies a sum that p^(e+1) divides, so no verdict sees it;
-    # test_the_differential_route_catches_fill_mutants does
-    "fill shift step (-k + i)": (coefficients, "_shift", "c * (-k - i)", "c * (-k + i)", set()),
-    "fill shift step (k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (k - i)", set()),
-    "fill shift step (-k - i - 1)": (coefficients, "_shift", "c * (-k - i)", "c * (-k - i - 1)", set()),
-    "fill shift step (1 - k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (1 - k - i)", set()),
+    "fill growth S(n+1, n+1) = S(n, n)": (coefficients, "_step", "-level[-1]", "level[-1]",
+                                          NORMALIZED_READERS | {"psi-identity", "thm1.0"}),
+    # binom(-k, i) for i >= 1 multiplies a sum that p^(e+1) divides, so no congruence sees it; psi-identity
+    # compares the sums of the classes -1 and 1 - p^a exactly, and so does
+    # test_the_differential_route_catches_fill_mutants
+    "fill shift step (-k + i)": (coefficients, "_shift", "c * (-k - i)", "c * (-k + i)", {"psi-identity"}),
+    "fill shift step (k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (k - i)", {"psi-identity"}),
+    "fill shift step (-k - i - 1)": (coefficients, "_shift", "c * (-k - i)", "c * (-k - i - 1)", {"psi-identity"}),
+    "fill shift step (1 - k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (1 - k - i)", {"psi-identity"}),
     # the congruence _congruent calls: p^e divides the numerator of x - y, which is 0 when the sides agree
     "congruence numerator mod p^(e+1)": (exactmath, "congruent_mod_p_power", "(x - y).numerator % p ** e",
                                          "(x - y).numerator % p ** (e + 1)", {"thm1.2", "cor1.3", "lem3.3"}),
     "congruence refuses a zero difference": (exactmath, "congruent_mod_p_power", "(x - y).numerator % p ** e",
                                              "((x - y).numerator or 1) % p ** e", {"thm1.2", "cor1.3", "lem3.3"}),
 }
+# thm1.0 and psi-identity step the record _sums along n from 0, so a direct row is summed only where a
+# block's n starts past the record's next step; these mutants are pinned on such a grid
+OFF_RECORD_GRID = replace(CATALOG_GRID, n_range=(5, 14))
+OFF_RECORD = {"residues without (-1)^k", "residues from k = l m + 1"}
 # explore fails only on a bug trap, which these mutants spring in its reads
 TRAPPED_IN_EXPLORE = {"sum from k = r % m + m", "sum without (-1)^k", "floor_exponent + 1",
                       "fill step S(n-1, r-1) - S(n-1, r)", "fill growth S(n+1, n+1) = S(n, n)"}
@@ -131,13 +143,18 @@ def test_unmutated_catalog_passes():
 def test_catalog_catches(mutant, monkeypatch):
     module, name, old, new, failing = COEFFICIENT_MUTANTS[mutant]
     _rebind_everywhere(monkeypatch, module, name, _mutant(module, name, old, new))
+    grid = OFF_RECORD_GRID if mutant in OFF_RECORD else CATALOG_GRID
     # a bug trap is a failure row, so every sweep returns a report
-    reports = {c: run_sweep(c, CATALOG_GRID) for c in CATALOG_IDS}
+    reports = {c: run_sweep(c, grid) for c in CATALOG_IDS}
     assert {c for c, report in reports.items() if report.verdict == "fail"} == failing
-    assert (run_explore(CATALOG_GRID).verdict == "fail") == (mutant in TRAPPED_IN_EXPLORE)
+    assert (run_explore(grid).verdict == "fail") == (mutant in TRAPPED_IN_EXPLORE)
 
 
 FILL_MUTANTS = [name for name, spec in COEFFICIENT_MUTANTS.items() if spec[1] in ("_step", "_shift")]
+
+
+def test_every_coefficient_mutant_fails_some_check():
+    assert FILL_MUTANTS and all(spec[-1] for spec in COEFFICIENT_MUTANTS.values())
 
 
 @pytest.mark.parametrize("mutant", FILL_MUTANTS)

@@ -23,7 +23,7 @@ from cycpsi import (
     run_explore,
     run_sweep,
 )
-from cycpsi import coefficients, verifier
+from cycpsi import coefficients, psi_series, verifier
 from cycpsi.coefficients import floor_exponent, normalized_table
 from cycpsi.psi_series import _images
 from cycpsi.verifier import CHECKS, CheckFailure, _block, _lem3_2_exceptional, _sigma, _thm1_2_branch
@@ -247,24 +247,34 @@ def test_blocks_bind_the_axes_before_n():
 
 def test_two_thm1_0_shards_build_each_row_once(monkeypatch):
     grid = ACCEPTANCE_GRIDS[0][1]
-    calls = []
+    direct, steps = [], []
+    step = coefficients._step
 
-    def counted(n, m, l):
-        calls.append((n, m, l))
+    def counted_residues(n, m, l):
+        direct.append((n, m, l))
         return coefficients._fleck_residues(n, m, l)
 
-    monkeypatch.setattr(verifier, "_fleck_residues", counted)
+    def counted_step(raw, m):
+        steps.append(m)
+        return step(raw, m)
+
+    monkeypatch.setattr(verifier, "_fleck_residues", counted_residues)
+    monkeypatch.setattr(coefficients, "_step", counted_step)
     blocks = CHECKS["thm1.0"].blocks(grid)
-    checked = built = 0
+    checked = stepped = 0
     for block, size in blocks:
-        verifier._thm1_0_row.cache_clear()  # as a pool worker may meet any block first
-        calls.clear()
+        # as a pool worker may meet any block first
+        coefficients._sums.clear()
+        verifier._thm1_0_row.cache_clear()
+        steps.clear()
         count, rows = _block("thm1.0", grid, block)
         assert rows == [] and count == size
+        # the block's record (p, a, l) starts at n = 0 and takes one step per later n
+        assert steps == [block[0] ** block[1]] * 120
         checked += count
-        built += len(calls)
-    # one row per binding (p, a, l, n), built inside its block; under i % 2 shards each worker built all 7,260
-    assert built == 4 * 3 * 5 * 121 == 7_260
+        stepped += len(steps)
+    # the 7,260 rows of the bindings (p, a, l, n) come from 7,200 steps and no direct pass
+    assert stepped == 4 * 3 * 5 * 120 == 7_200 and direct == []
     assert checked == 381_150
     # the largest block is (7, 3, l): 121 values of n times 7^3 + 2 residues
     assert max(size for _, size in blocks) == 121 * (7 ** 3 + 2) == 41_745
@@ -351,11 +361,65 @@ def test_workers_below_one_rejected(workers):
 
 
 def test_psi_identity_leaves_the_sum_memo_empty():
-    # each tuple's sums are distinct, so psi-identity reads the sums uncached
+    # psi-identity reads its sums from the raw-sum record of each (p, a, coeff_degree), not from these memos
     report = run_sweep("psi-identity", SMALL)
     assert report.verdict == "pass" and report.checked > 0
     assert fleck_sum_general.cache_info().currsize == 0
     assert normalized_table.cache_info().currsize == 0
+
+
+def test_every_sweep_starts_with_empty_records_and_operator_constants():
+    run_sweep("psi-identity", SMALL)
+    records, twists = dict(coefficients._sums), dict(psi_series._twists)
+    # one record per block (p, a) at coeff_degree 3, stepped to n = 8; one set of constants per (p^a, r)
+    blocks = [(p, a) for p in SMALL.primes for a in (1, 2)]
+    assert {key: at for key, (at, _) in records.items()} == {(p, a, 3): 8 for p, a in blocks}
+    assert set(twists) == {(p ** a, r, 3) for p, a in blocks for r in residue_system(p, a)}
+    # what a sweep leaves is gone at the start of the next
+    coefficients._sums[2, 1, 3] = 0, [[7], [7], [7], [7]]
+    psi_series._twists[0, 0, 0] = 0, [1], [1]
+    run_sweep("psi-identity", SMALL)
+    assert coefficients._sums == records and psi_series._twists == twists
+    run_sweep("thm1.0", SMALL)
+    assert psi_series._twists == {}
+    assert {key: at for key, (at, _) in coefficients._sums.items()} == {
+        (p, a, l): 8 for p, a in blocks for l in range(3)}
+
+
+# psi_sides reads its Fleck side from the record _sums[p, a, l_max] while n steps from 0, and sums it
+# with _fleck_row behind the record or two past it; the moduli q are 2, 4, 9 and 25
+@pytest.mark.parametrize("p, a", [(2, 1), (2, 2), (3, 2), (5, 2)])
+def test_psi_sides_matches_the_oracle_on_and_off_the_record(p, a, monkeypatch):
+    q = p ** a
+    direct = []
+    row = coefficients._fleck_row
+    monkeypatch.setattr(verifier, "_fleck_row", lambda n, r, m, l_max: direct.append(n) or row(n, r, m, l_max))
+
+    def check(n):
+        # negative r, r >= q, and for n < q - 1 the residues r0 > n, which have no term
+        for r in range(-3 * q, 3 * q + 1):
+            got, want = verifier.psi_sides(p, a, n, r, 4)
+            assert want == [verifier._sign(n) * fleck_oracle(n, r, q, l) for l in range(5)] == got, (n, r)
+
+    for n in range(q + 3):
+        check(n)
+    assert direct == [] and coefficients._sums[p, a, 4][0] == q + 2
+    off = (q // 2, q + 4, 3 * q + 5)  # behind the record, two past it, and far past it
+    for n in off:
+        check(n)
+    assert direct == [n for n in off for _ in range(6 * q + 1)]
+    assert coefficients._sums[p, a, 4][0] == q + 2
+
+
+def test_thm1_0_rows_off_the_record_are_summed_directly(monkeypatch):
+    direct = []
+    residues = coefficients._fleck_residues
+    monkeypatch.setattr(verifier, "_fleck_residues", lambda n, m, l: direct.append(n) or residues(n, m, l))
+    for n in (0, 1, 2, 3, 1, 5, 4):
+        row, bound, m = verifier._thm1_0_row(3, 1, 2, n)
+        assert row == [fleck_oracle(n, r0, 3, 2) for r0 in range(min(n + 1, 3))]
+    # 1 lies behind the record at 3, and 5 two past it; 4 is one past it
+    assert direct == [1, 5] and coefficients._sums[3, 1, 2][0] == 4
 
 
 def test_every_sweep_starts_with_an_empty_image_memo():
