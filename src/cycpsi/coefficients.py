@@ -53,7 +53,8 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
 
 # The sum without the memo: normalized values are memoized in normalized_table
 # instead, lem3.1's factors in their own vectors, and thm1.0 reads its residues
-# from _fleck_residues' rows and sums each other representative once.
+# from the raw-sum records or _fleck_residues' rows and sums each other
+# representative once.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
 
 
@@ -119,25 +120,16 @@ def normalized_parts(p: int, a: int, n: int, r: int, l: int) -> tuple[int, int, 
 
 
 @lru_cache(maxsize=None)
-def normalized_table(p: int, a: int, l: int) -> list:
-    """The memo of normalized coefficients <n r>_{l,p^a} for one (p, a, l): the
-    record [n, raw, rows], made at n = 0 on the first query.
-
-    raw[l'][r0] is the raw sum S(n, r0, p^a, l') for every l' <= l and every
-    residue r0 <= min(n, p^a - 1); a larger residue has no term k <= n. rows
-    maps r to (r, row, r % p^a, _shift(r // p^a, l)), where row[n] is the
-    value at n, or None where none was asked for. normalized fills it; every
-    value in it went through _divide's trap.
+def normalized_table(p: int, a: int, l: int) -> dict:
+    """The memo of normalized coefficients <n r>_{l,p^a} for one (p, a, l): a
+    dict mapping r to (r, row, r % p^a, _shift(r // p^a, l)), where row[n] is
+    the value at n, or None where none was asked for. normalized fills it from
+    the record _sums[p, a, l]; every value in it went through _divide's trap.
     """
     _require_prime_power(p, a)
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
-    return [0, _origin(l), {}]
-
-
-def _origin(l: int) -> list[list[int]]:
-    """The raw sums of levels 0..l at n = 0, where S(0, 0, m, l') = binom(0, l')."""
-    return [[1], *([0] for _ in range(l))]
+    return {}
 
 
 def _shift(k: int, l: int) -> tuple[int, ...]:
@@ -215,18 +207,21 @@ def _class_sums(raw: list[list[int]], r0: int, shift: tuple[int, ...]) -> list[i
     return sums
 
 
-# (p, a, l) -> (n, raw), raw the sums of levels 0..l at n as in a normalized_table
-# record. psi-identity and thm1.0 read it through _raw_at; sweeps empty it at the
-# start of each sweep, so each record is stepped by the worker whose block reads it.
+# (p, a, l) -> (n, raw): raw[l'][r0] is the raw sum S(n, r0, p^a, l') for every
+# l' <= l and every residue r0 <= min(n, p^a - 1); a larger residue has no term
+# k <= n. The one store of stepped sums: normalized, psi-identity and thm1.0 read
+# it through _raw_at. Sweeps empty it at the start of each sweep, so each record
+# is stepped by the worker whose block reads it; clear_caches empties it too.
 _sums: dict[tuple[int, int, int], tuple[int, list[list[int]]]] = {}
 
 
 def _raw_at(p: int, a: int, n: int, l: int) -> list[list[int]] | None:
     """The raw sums of levels 0..l at n of the record _sums[p, a, l], or None
     when n is neither the record's n nor one past it, where a caller sums
-    directly. A record starts at n = 0 and moves only by one _step.
+    directly. A record starts at n = 0, where S(0, 0, m, l') = binom(0, l'),
+    and moves only by one _step.
     """
-    at, raw = _sums.get((p, a, l)) or (0, _origin(l))
+    at, raw = _sums.get((p, a, l)) or (0, [[1], *([0] for _ in range(l))])
     if n == at + 1:
         at, raw = n, _step(raw, p ** a)
     elif n != at:
@@ -238,32 +233,29 @@ def _raw_at(p: int, a: int, n: int, l: int) -> list[list[int]] | None:
 def normalized(p: int, a: int, n: int, r: int, l: int) -> int:
     """The normalized coefficient <n r>_{l,p^a}, memoized in normalized_table(p, a, l).
 
-    A miss comes from one of three sources: at the record's n, _fill reads
-    its raw sums; one past it, _step advances the sums and _fill writes the
-    value at n + 1 into every row the record holds, plus r's; anywhere else,
+    A miss reads the record _sums[p, a, l] through _raw_at: at the record's n,
+    _fill reads r's value; one past it, the record steps and _fill writes the
+    value at n + 1 into every row the table holds, plus r's; anywhere else,
     behind the record or more than one step ahead, normalized_parts sums it
-    directly. A record starts at n = 0. The values are stored, r's row is
-    registered and the record moves only after every value passed the trap.
+    directly. The values are stored and r's row is registered only after
+    every value passed the trap, though the record may have stepped before.
     """
-    record = normalized_table(p, a, l)
-    rows = record[2]
+    rows = normalized_table(p, a, l)
     target = rows.get(r)
     # a negative n never indexes a row: normalized_parts refuses it below
     if target is not None and 0 <= n < len(target[1]):
         value = target[1][n]
         if value is not None:
             return value
-    m = p ** a
     if target is None:
+        m = p ** a
         target = r, [], r % m, _shift(r // m, l)
-    if n == record[0]:
-        writes = _fill(p, a, n, l, record[1], [target])
-    elif n == record[0] + 1:
-        raw = _step(record[1], m)
-        writes = _fill(p, a, n, l, raw, {**rows, r: target}.values())
-        record[:2] = n, raw
-    else:
+    at = _sums.get((p, a, l), (0,))[0]
+    raw = _raw_at(p, a, n, l)
+    if raw is None:
         writes = [(target[1], normalized_parts(p, a, n, r, l)[2])]
+    else:
+        writes = _fill(p, a, n, l, raw, [target] if n == at else {**rows, r: target}.values())
     for row, value in writes:
         row.extend([None] * (n + 1 - len(row)))  # empty when n is already inside the row
         row[n] = value
@@ -381,10 +373,11 @@ def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple
 
 
 def clear_caches() -> None:
-    """Drop the memoized Fleck sums, normalized records (rows and raw sums together)
-    and lem3.1 factors; sweeps call this when the grid changes, to bound memory by
-    what one grid needs."""
+    """Drop the memoized Fleck sums, normalized rows, raw-sum records and lem3.1
+    factors; sweeps call this when the grid changes, to bound memory by what one
+    grid needs."""
     fleck_sum_general.cache_clear()
     normalized_table.cache_clear()
+    _sums.clear()
     _signed_rows.clear()
     _columns.clear()

@@ -21,8 +21,8 @@ Every evaluation is a pure function of its parameters, so a sweep splits
 into blocks, and a block is the pool's unit of work. A block is one binding
 of the axes before n (before m where n is a function of m), and at least of
 the outermost axis, so one process evaluates every n of a block, in order.
-The memos that step along n (normalized records per (p, a, l), the raw-sum
-records that thm1.0 and psi-identity read, psi images per (p, a)) are then
+The memos that step along n (the raw-sum records per (p, a, l) that
+normalized, thm1.0 and psi-identity read, psi images per (p, a)) are then
 built by the workers whose blocks read them, not by every worker. A pool
 takes the blocks largest first, each free worker the largest left, and
 concatenating the blocks' rows in expansion order gives the serial report.
@@ -660,7 +660,7 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
 def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) -> VerificationReport:
     """Expand the grid for one check, evaluate every tuple, and report.
 
-    workers > 1 spreads the shards over a process pool; the report is
+    workers > 1 runs the check's blocks in a process pool; the report is
     identical apart from elapsed_ms. An unknown check id, and a grid that
     gives the check no tuples, raise ValueError; the CLI prints the text.
     """

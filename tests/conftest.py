@@ -16,7 +16,6 @@ def empty_coefficient_memos():
 
 def _empty():
     coefficients.clear_caches()
-    coefficients._sums.clear()
     psi_series._images.clear()
     psi_series._twists.clear()
     verifier._thm1_0_row.cache_clear()

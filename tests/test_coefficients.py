@@ -17,6 +17,7 @@ from cycpsi import (
     recurrence_residue,
     t_coeff,
     totient_prime_power,
+    verifier,
 )
 from cycpsi.coefficients import factorization_sides, normalized, normalized_table
 from cycpsi.exactmath import is_prime
@@ -135,14 +136,14 @@ class TestNormalized:
         monkeypatch.setattr(coefficients, "_direct_fleck_sum", lambda n, r, m, l: 7)
         with pytest.raises(IntegrityError):
             normalized(3, 1, 11, 1, 0)
-        assert normalized_table(3, 1, 0) == [0, [[1]], {}]
+        assert normalized_table(3, 1, 0) == {} and coefficients._sums == {}
 
 
 class TestNormalizedMemo:
     def test_values_and_hits(self):
         assert normalized(3, 2, 15, 1, 0) == 332
-        assert normalized_table(3, 2, 0) == [0, [[1]], {1: (1, [None] * 15 + [332], 1, ())}]
-        assert normalized_table(3, 2, 0)[2][1][1][15] == 332
+        assert normalized_table(3, 2, 0) == {1: (1, [None] * 15 + [332], 1, ())}
+        assert normalized_table(3, 2, 0)[1][1][15] == 332
         assert normalized(3, 2, 15, 1, 0) == 332
         assert normalized_table.cache_info().currsize == 1
 
@@ -150,21 +151,21 @@ class TestNormalizedMemo:
         assert normalized(3, 2, 15, 1, 0) == 332
         assert normalized(3, 2, 4, 1, 0) == normalized_parts(3, 2, 4, 1, 0)[2]
         assert normalized(3, 2, 15, 1, 0) == 332
-        row = normalized_table(3, 2, 0)[2][1][1]
+        row = normalized_table(3, 2, 0)[1][1]
         assert len(row) == 16 and row[15] == 332 and row[4] == normalized_parts(3, 2, 4, 1, 0)[2]
         assert [n for n, v in enumerate(row) if v is not None] == [4, 15]
 
     def test_a_negative_n_is_refused_and_stores_nothing(self):
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             normalized(3, 1, -1, 0, 0)
-        assert normalized_table(3, 1, 0) == [0, [[1]], {}]
+        assert normalized_table(3, 1, 0) == {} and coefficients._sums == {}
         # with a row in place, n = -1 must not read its last entry
         for n in range(4):
             normalized(3, 1, n, 0, 0)
-        before = copy.deepcopy(normalized_table(3, 1, 0))
+        before = copy.deepcopy((normalized_table(3, 1, 0), coefficients._sums))
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             normalized(3, 1, -1, 0, 0)
-        assert normalized_table(3, 1, 0) == before
+        assert (normalized_table(3, 1, 0), coefficients._sums) == before
 
     def test_validates_the_prime_power(self):
         for args, message in (((4, 1), "p must be prime, got 4"), ((3, 0), "a must be >= 1, got 0")):
@@ -220,7 +221,7 @@ class TestNormalizedMemo:
             want = raw // p**e if e >= 0 else raw * p ** (-e)
             if e >= 0:
                 assert raw % p**e == 0
-            assert normalized_table(p, a, l)[2][r][1][n] == normalized(p, a, n, r, l) == want
+            assert normalized_table(p, a, l)[r][1][n] == normalized(p, a, n, r, l) == want
             assert normalized_parts(p, a, n, r, l)[2] == want
 
 
@@ -253,15 +254,17 @@ class TestPascalFill:
                     assert normalized(p, a, n, r, l) == normalized_parts(p, a, n, r, l)[2]
         # the fill also wrote rows between their queries
         for l in {l for _, _, l, _ in rows}:
-            at, raw, targets = normalized_table(p, a, l)
-            for r, (r_, row, r0, shift) in targets.items():
+            for r, (r_, row, r0, shift) in normalized_table(p, a, l).items():
                 assert (r_, r0, shift) == (r, r % m, coefficients._shift(r // m, l))
                 for n, value in enumerate(row):
                     if value is not None:
                         assert value == normalized_parts(p, a, n, r, l)[2]
-            # the raw sums of every level at the record's n, for the residues r0 <= min(n, m - 1) only
-            assert raw == [[coefficients._direct_fleck_sum(at, r0, m, i) for r0 in range(min(at + 1, m))]
-                           for i in range(l + 1)]
+            # the raw sums of every level at the record's n, for the residues r0 <= min(n, m - 1) only;
+            # a first query past n = 1 makes no record
+            if (p, a, l) in coefficients._sums:
+                at, raw = coefficients._sums[p, a, l]
+                assert raw == [[coefficients._direct_fleck_sum(at, r0, m, i) for r0 in range(min(at + 1, m))]
+                               for i in range(l + 1)]
 
     def test_a_trapped_step_raises_the_direct_text_and_stores_nothing(self, monkeypatch):
         # the first n whose sum p^floor_exponent divides but p^(floor_exponent + 1) does not
@@ -270,7 +273,7 @@ class TestPascalFill:
         for k in range(n):
             normalized(3, 1, k, 1, 0)
         before = copy.deepcopy(normalized_table(3, 1, 0))
-        assert before[0] == n - 1 and list(before[2]) == [1]
+        assert coefficients._sums[3, 1, 0][0] == n - 1 and list(before) == [1]
         exponent = coefficients.floor_exponent
         monkeypatch.setattr(coefficients, "floor_exponent", lambda p, a, n, l: exponent(p, a, n, l) + 1)
         with pytest.raises(IntegrityError) as direct:
@@ -279,33 +282,33 @@ class TestPascalFill:
         with pytest.raises(IntegrityError) as filled:
             normalized(3, 1, n, 1, 0)
         assert str(filled.value) == str(direct.value)
-        # the rows, the raw sums and the record's n are as before
+        # the rows are as before; the record has stepped to n, where the next read finds it
         assert normalized_table(3, 1, 0) == before
+        assert coefficients._sums[3, 1, 0][0] == n
         monkeypatch.undo()
         assert normalized(3, 1, n, 1, 0) == normalized_parts(3, 1, n, 1, 0)[2]
 
-    def test_a_trapped_or_refused_first_step_makes_no_state(self, monkeypatch):
+    def test_a_trapped_or_refused_first_step_stores_no_value(self, monkeypatch):
         for n in (0, 1):
             with pytest.raises(ValueError, match="^l must be >= 0, got -1$"):
                 normalized(3, 1, n, 0, -1)
-        assert normalized_table.cache_info().currsize == 0
+        assert normalized_table.cache_info().currsize == 0 and coefficients._sums == {}
         # S(1, 0, 3, 0) = 1, which p^5 does not divide
         monkeypatch.setattr(coefficients, "floor_exponent", lambda p, a, n, l: 5)
         with pytest.raises(IntegrityError, match=r"^p\^5 does not divide the sum 1 \(p=3, a=1, n=1, r=0, l=0\)$"):
             normalized(3, 1, 1, 0, 0)
-        # the record is still at n = 0 with l + 1 integers and no rows
-        assert normalized_table(3, 1, 0) == [0, [[1]], {}]
+        # the record has stepped to n = 1, but the table holds no row
+        assert normalized_table(3, 1, 0) == {} and coefficients._sums == {(3, 1, 0): (1, [[1, -1]])}
         assert normalized_table.cache_info().currsize == 1
 
     def test_only_a_miss_at_or_one_past_the_state_is_filled(self, monkeypatch):
         calls = []
         direct = coefficients.normalized_parts
         monkeypatch.setattr(coefficients, "normalized_parts", lambda *args: calls.append(args) or direct(*args))
-        # an isolated query far from n = 0 is one direct sum and leaves the record's sums at n = 0
+        # an isolated query far from n = 0 is one direct sum and makes no record
         normalized(5, 3, 10_000, 7, 2)
         assert calls == [(5, 3, 10_000, 7, 2)]
-        record = normalized_table(5, 3, 2)
-        assert record[:2] == [0, [[1], [0], [0]]] and list(record[2]) == [7]
+        assert coefficients._sums == {} and list(normalized_table(5, 3, 2)) == [7]
         for n in (0, 1, 2, 2, 3):
             normalized(3, 2, n, 4, 1)
         # a new row at the state's n, one past it, behind it, and two past it
@@ -313,7 +316,7 @@ class TestPascalFill:
             normalized(3, 2, n, r, 1)
         assert calls[1:] == [(3, 2, 2, 7, 1), (3, 2, 6, 4, 1)]
         # the step to 4 wrote every row the state held; rows made since are written from the next step on
-        rows = {r: row for r, row, _, _ in normalized_table(3, 2, 1)[2].values()}
+        rows = {r: row for r, row, _, _ in normalized_table(3, 2, 1).values()}
         assert [n for n, v in enumerate(rows[4]) if v is not None] == [0, 1, 2, 3, 4, 6]
         assert [n for n, v in enumerate(rows[5]) if v is not None] == [3, 4]
         assert [n for n, v in enumerate(rows[7]) if v is not None] == [2]
@@ -322,10 +325,10 @@ class TestPascalFill:
 
     def test_clear_caches_drops_the_states(self):
         normalized(2, 1, 1, 0, 0)
-        assert normalized_table(2, 1, 0)[0] == 1
+        assert coefficients._sums[2, 1, 0][0] == 1
         coefficients.clear_caches()
-        assert normalized_table.cache_info().currsize == 0
-        assert normalized_table(2, 1, 0) == [0, [[1]], {}]
+        assert normalized_table.cache_info().currsize == 0 and coefficients._sums == {}
+        assert normalized_table(2, 1, 0) == {}
 
     def test_a_record_holds_only_the_residues_up_to_its_n(self):
         # raw sums for all p^a (l + 1) = 4,121,204 residues from n = 0 would peak at ~31 MiB here
@@ -336,23 +339,27 @@ class TestPascalFill:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert normalized_table(101, 3, 3)[:2] == [0, [[1], [0], [0], [0]]]
+        assert coefficients._sums[101, 3, 3] == (0, [[1], [0], [0], [0]])
 
-    def test_a_bare_cache_clear_drops_the_rows_and_their_sums_together(self, monkeypatch):
-        # the tracer empties the memo by normalized_table.cache_clear() alone
+    def test_values_stay_correct_after_a_bare_cache_clear(self, monkeypatch):
+        # the tracer empties the rows by normalized_table.cache_clear() alone, and the record stays at its n
         for n in range(41):
             normalized(3, 1, n, 2, 1)
-        orphan = copy.deepcopy(normalized_table(3, 1, 1))
-        old_row = normalized_table(3, 1, 1)[2][2][1]
         normalized_table.cache_clear()
+        assert coefficients._sums[3, 1, 1][0] == 40
         calls = []
         direct = coefficients.normalized_parts
         monkeypatch.setattr(coefficients, "normalized_parts", lambda *args: calls.append(args) or direct(*args))
         for n in range(41):
             assert normalized(3, 1, n, 2, 1) == direct(3, 1, n, 2, 1)[2]
+        # every n behind the record is summed directly
+        assert calls == [(3, 1, n, 2, 1) for n in range(40)]
+        # clear_caches empties the rows and the records together, so the record steps from n = 0 again
+        coefficients.clear_caches()
+        calls.clear()
+        for n in range(41):
+            assert normalized(3, 1, n, 2, 1) == direct(3, 1, n, 2, 1)[2]
         assert calls == []
-        # the new record filled a new row; the dropped one was not written again
-        assert normalized_table(3, 1, 1)[2][2][1] is not old_row and old_row == orphan[2][2][1]
 
 
 # the moduli q = p^a of the raw-sum record tests: 2, 4, 9 and 25
@@ -360,7 +367,7 @@ RECORD_MODULI = [(2, 1), (2, 2), (3, 2), (5, 2)]
 
 
 class TestRawSumRecord:
-    """The record _sums that psi-identity and thm1.0 step along n, against the oracle."""
+    """The record _sums that normalized, psi-identity and thm1.0 step along n, against the oracle."""
 
     @pytest.mark.parametrize("p, a", RECORD_MODULI)
     def test_stepped_record_matches_the_oracle(self, p, a):
@@ -414,6 +421,32 @@ class TestRawSumRecord:
         got = coefficients._class_sums(raw, r % q, coefficients._shift(r // q, l))
         assert got == [fleck_oracle(n, r, q, i) for i in range(l + 1)]
 
+
+    @given(
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]),
+        st.integers(0, 3),
+        # (reader, step of n from the last read, r): n moves on by one mostly, and now and then stays,
+        # jumps two ahead or falls behind
+        st.lists(st.tuples(st.sampled_from(("normalized", "psi", "thm1.0")), st.sampled_from((0, 1, 1, 1, 2, -1, -4)),
+                           st.integers(-30, 30)), min_size=1, max_size=60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_three_readers_interleaved_on_one_record(self, prime_power, l, reads):
+        p, a = prime_power
+        q = p ** a
+        coefficients.clear_caches()
+        verifier._thm1_0_row.cache_clear()
+        n = 0
+        for reader, step, r in reads:
+            n = max(n + step, 0)
+            if reader == "normalized":
+                assert normalized(p, a, n, r, l) == normalized_parts(p, a, n, r, l)[2], (n, r)
+            elif reader == "psi":
+                got, want = verifier.psi_sides(p, a, n, r, l)
+                assert want == [(-1) ** n * fleck_oracle(n, r, q, i) for i in range(l + 1)] == got, (n, r)
+            else:
+                row, _, _ = verifier._thm1_0_row(p, a, l, n)
+                assert row == [fleck_oracle(n, r0, q, l) for r0 in range(min(n + 1, q))], n
 
 class TestTCoeff:
     @pytest.mark.parametrize(

@@ -69,15 +69,17 @@ NORMALIZED_READERS = ALL_BUT_PSI - {"thm1.0", "cor1.3", "lem2.2", "lem3.1"}
 
 # The checks whose reads on CATALOG_GRID are values the Pascal fill wrote, or direct sums with
 # no term in range (r % p^a > n), so no mutant of the direct sum reaches them.
-FILLED = {"thm1.1", "thm1.5", "lem4.1"}
+FILLED = {"thm1.1", "thm1.5"}
 
 # name -> (module, function, source text, its replacement, the checks that fail)
 COEFFICIENT_MUTANTS = {
-    # the term it drops, k = r for 0 <= r < m, is 0 at l >= 1; lem3.3's l = 0 values are filled
+    # the term it drops, k = r for 0 <= r < m, is 0 at l >= 1; lem3.3's l = 0 values are filled. Rows are
+    # kept while the grid stays, so lem4.1, which sums nothing itself, reads values earlier sweeps summed
     "sum from k = r % m + m": (coefficients, "fleck_sum_general", "range(r % m, n + 1, m)",
                                "range(r % m + m, n + 1, m)", ALL_BUT_PSI - FILLED - {"lem3.3"}),
+    # without the sign, the direct sums that lem4.1, thm1.2 and thm1.4 read keep their verdicts on CATALOG_GRID
     "sum without (-1)^k": (coefficients, "fleck_sum_general", "total += -term if k & 1 else term",
-                           "total += term", ALL_BUT_PSI - FILLED),
+                           "total += term", ALL_BUT_PSI - FILLED - {"lem4.1", "thm1.2", "thm1.4"}),
     "floor_exponent + 1": (coefficients, "floor_exponent", "// totient_prime_power(p, a)",
                            "// totient_prime_power(p, a) + 1", ALL_BUT_PSI - {"cor1.3", "lem2.2", "lem3.1"}),
     # lem3.1's signed rows come from _fleck_row too; psi-identity reads the record on CATALOG_GRID
@@ -89,23 +91,30 @@ COEFFICIENT_MUTANTS = {
                                 "row[k % m] += c", {"thm1.0"}),
     "residues from k = l m + 1": (coefficients, "_fleck_residues", "range(l * m, n + 1)",
                                   "range(l * m + 1, n + 1)", {"thm1.0"}),
-    # the Pascal step of the normalized memo and of the raw-sum records that psi-identity and thm1.0 read
+    # the Pascal step of the raw-sum records that normalized, psi-identity and thm1.0 read
     "fill step S(n-1, r-1) - S(n-1, r)": (coefficients, "_step", "map(sub, level[1:], level[:-1])",
                                           "map(sub, level[:-1], level[1:])",
                                           NORMALIZED_READERS | {"psi-identity", "thm1.0"}),
     "fill boundary term + S(n-1, m-1, l-1)": (coefficients, "_step", "level[0] - last - below",
                                               "level[0] - last + below",
-                                              (NORMALIZED_READERS - {"thm1.1", "conj-perm"}) | {"psi-identity"}),
+                                              (NORMALIZED_READERS - {"thm1.1", "conj-perm", "lem3.2"})
+                                              | {"psi-identity"}),
     # a level holds the residues r0 <= n only, and grows by S(n+1, n+1) = -S(n, n) until it has p^a
     "fill growth S(n+1, n+1) = S(n, n)": (coefficients, "_step", "-level[-1]", "level[-1]",
-                                          NORMALIZED_READERS | {"psi-identity", "thm1.0"}),
+                                          (NORMALIZED_READERS - {"conj-perm"}) | {"psi-identity", "thm1.0"}),
+    # a read more than one step past a record steps it once, as if one past it; thm1.0, psi-identity and
+    # thm1.1 ask each record for n = 0, 1, 2, ... in turn on CATALOG_GRID, so they never jump
+    "record advance past a jump": (coefficients, "_raw_at", "if n == at + 1:", "if n > at:",
+                                   NORMALIZED_READERS - {"thm1.1"}),
     # binom(-k, i) for i >= 1 multiplies a sum that p^(e+1) divides, so no congruence sees it; psi-identity
     # compares the sums of the classes -1 and 1 - p^a exactly, and so does
-    # test_the_differential_route_catches_fill_mutants
+    # test_the_differential_route_catches_fill_mutants; the last two also break thm1.4's valuation bound
     "fill shift step (-k + i)": (coefficients, "_shift", "c * (-k - i)", "c * (-k + i)", {"psi-identity"}),
     "fill shift step (k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (k - i)", {"psi-identity"}),
-    "fill shift step (-k - i - 1)": (coefficients, "_shift", "c * (-k - i)", "c * (-k - i - 1)", {"psi-identity"}),
-    "fill shift step (1 - k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (1 - k - i)", {"psi-identity"}),
+    "fill shift step (-k - i - 1)": (coefficients, "_shift", "c * (-k - i)", "c * (-k - i - 1)",
+                                     {"psi-identity", "thm1.4"}),
+    "fill shift step (1 - k - i)": (coefficients, "_shift", "c * (-k - i)", "c * (1 - k - i)",
+                                    {"psi-identity", "thm1.4"}),
     # the congruence _congruent calls: p^e divides the numerator of x - y, which is 0 when the sides agree
     "congruence numerator mod p^(e+1)": (exactmath, "congruent_mod_p_power", "(x - y).numerator % p ** e",
                                          "(x - y).numerator % p ** (e + 1)", {"thm1.2", "cor1.3", "lem3.3"}),
@@ -118,7 +127,7 @@ OFF_RECORD_GRID = replace(CATALOG_GRID, n_range=(5, 14))
 OFF_RECORD = {"residues without (-1)^k", "residues from k = l m + 1"}
 # explore fails only on a bug trap, which these mutants spring in its reads
 TRAPPED_IN_EXPLORE = {"sum from k = r % m + m", "sum without (-1)^k", "floor_exponent + 1",
-                      "fill step S(n-1, r-1) - S(n-1, r)", "fill growth S(n+1, n+1) = S(n, n)"}
+                      "record advance past a jump"}
 
 
 def _rebind_everywhere(monkeypatch, module, name: str, mutant) -> None:

@@ -511,6 +511,35 @@ def test_thm1_1_fills_its_rows_by_the_pascal_step(monkeypatch):
     assert len(calls) < 10_000
 
 
+def test_rem2_1_after_thm1_1_sums_no_more_directly_than_alone(monkeypatch):
+    # rem2.1 reads behind the records it steps; each sweep starts its records at n = 0, so the ones
+    # thm1.1 left at the end of the grid do not turn rem2.1's reads into direct sums
+    calls = _counting_normalized_parts(monkeypatch)
+    run_sweep("rem2.1")
+    alone = len(calls)
+    coefficients.clear_caches()
+    run_sweep("thm1.1")
+    calls.clear()
+    run_sweep("rem2.1")
+    assert len(calls) <= alone
+
+
+def test_a_catalog_sharing_its_memos_reports_as_fresh_sweeps_do():
+    targets = [*(c for c in CHECK_IDS if c != "self-test"), "rem1.2"]
+
+    def sweep(target):
+        return _doc(run_explore(CATALOG_GRID) if target == "rem1.2" else run_sweep(target, CATALOG_GRID))
+
+    fresh = {}
+    for target in targets:
+        coefficients.clear_caches()
+        fresh[target] = sweep(target)
+    # forwards and backwards, each on memos left by the sweeps before it
+    for order in (targets, targets[::-1]):
+        coefficients.clear_caches()
+        assert {target: sweep(target) for target in order} == fresh
+
+
 def test_a_new_grid_starts_with_empty_memos():
     run_sweep("thm1.1", SMALL)
     run_sweep("cor1.3", SMALL)
@@ -529,8 +558,8 @@ def test_the_memo_holds_one_row_per_r_and_l():
     for p in SMALL.primes:
         for a in (2, 3):
             for l in range(SMALL.l_range[0], SMALL.l_range[1] + 1):
-                at, raw, rows = normalized_table(p, a, l)
-                assert rows and len(raw) == l + 1
+                rows = normalized_table(p, a, l)
+                assert rows and len(coefficients._sums[p, a, l][1]) == l + 1
                 for r, (r_, row, r0, shift) in rows.items():
                     assert type(r) is int and r_ == r and r0 == r % p**a and type(row) is list
                     for n, value in enumerate(row):
