@@ -210,8 +210,8 @@ def _class_sums(raw: list[list[int]], r0: int, shift: tuple[int, ...]) -> list[i
 # (p, a, l) -> (n, raw): raw[l'][r0] is the raw sum S(n, r0, p^a, l') for every
 # l' <= l and every residue r0 <= min(n, p^a - 1); a larger residue has no term
 # k <= n. The one store of stepped sums: normalized, psi-identity and thm1.0 read
-# it through _raw_at. Sweeps empty it at the start of each sweep, so each record
-# is stepped by the worker whose block reads it; clear_caches empties it too.
+# it through _raw_at. A sweep's blocks each empty it before their first tuple, so
+# a block steps its records from n = 0 wherever it runs; clear_caches empties it too.
 _sums: dict[tuple[int, int, int], tuple[int, list[list[int]]]] = {}
 
 

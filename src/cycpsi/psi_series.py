@@ -43,18 +43,10 @@ class TruncPoly:
         return cls(coeffs if coeffs else (0,))
 
     @classmethod
-    def zero(cls) -> "TruncPoly":
-        return cls((0,))
-
-    @classmethod
     def monomial(cls, n: int) -> "TruncPoly":
         if n < 0:
             raise ValueError(f"degree must be >= 0, got {n}")
         return cls((0,) * n + (1,))
-
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coeffs) - 1
 
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
@@ -163,8 +155,8 @@ def _monomial_images(p: int, a: int, through: int, last: int) -> list[tuple[int,
 
     exact after truncation, since T only raises degrees. So the images below q
     come from psi_power and each later one from the q before it, grown in
-    order of i. Sweeps empty the memo at the start of each sweep, so it holds
-    what one sweep needs.
+    order of i. A sweep's blocks each empty the memo before their first
+    tuple, so it holds what one block needs.
     """
     images = _images.setdefault((p, a, through), [])
     if len(images) > last:
@@ -212,14 +204,14 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
     return TruncPoly(tuple(sum(map(mul, core, unit[k::-1])) for k in range(l_max + 1)))
 
 
-# (p^a, r, l_max) -> monomial_twisted's constants, which repeat for every n of a sweep
+# (p^a, r, l_max) -> monomial_twisted's constants, which repeat for every n of a block
 _twists: dict[tuple[int, int, int], tuple[int, list[int], list[int]]] = {}
 
 
 def _twist(pa: int, r: int, l_max: int) -> tuple[int, list[int], list[int]]:
     """(e, [binom(e, j) for j = 0..e], [binom(-r1, i) for i = 0..l_max]) with
-    r1 = ceil(r / pa) and e = pa r1 - r, memoized in _twists. Sweeps empty the
-    memo at the start of each sweep, like the images.
+    r1 = ceil(r / pa) and e = pa r1 - r, memoized in _twists. A sweep's blocks
+    each empty the memo before their first tuple, like the images.
     """
     twist = _twists.get((pa, r, l_max))
     if twist is None:

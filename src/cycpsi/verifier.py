@@ -18,14 +18,13 @@ call time, never binding them earlier, so a tracer that rebinds those names
 sees every call.
 
 Every evaluation is a pure function of its parameters, so a sweep splits
-into blocks, and a block is the pool's unit of work. A block is one binding
-of the axes before n (before m where n is a function of m), and at least of
-the outermost axis, so one process evaluates every n of a block, in order.
-The memos that step along n (the raw-sum records per (p, a, l) that
-normalized, thm1.0 and psi-identity read, psi images per (p, a)) are then
-built by the workers whose blocks read them, not by every worker. A pool
-takes the blocks largest first, each free worker the largest left, and
-concatenating the blocks' rows in expansion order gives the serial report.
+into blocks, its unit of work in process and in a pool alike. A block is one
+binding of the axes before n (before m where n is a function of m), and at
+least of the outermost axis, so one process evaluates every n of a block, in
+order. The memos that step along n (the raw-sum records per (p, a, l) that
+normalized, thm1.0 and psi-identity read, psi images per (p, a)) live for
+one block, which empties them first. Every sweep runs its blocks largest
+first, and concatenating their rows in expansion order gives the report.
 """
 
 import multiprocessing
@@ -298,7 +297,7 @@ _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 # innermost axis, so one row gives the sums of every residue of a binding
 # (p, a, l, n): level l of the record _sums[p, a, l] when n is at it or one
 # past it, else one _fleck_residues pass. _thm1_0_row keeps the last binding's
-# row and bound, and _sweep empties it at the start of every sweep. Every other
+# row and bound, and _block empties it at the start of every block. Every other
 # representative is summed directly, so thm1.0 also checks fleck_sum_general.
 
 @lru_cache(maxsize=1)
@@ -587,11 +586,11 @@ def _check_of(target: str) -> Check:
     return CHECKS.get(target) or Check(_expand_rem1_2, _margin_rem1_2, _REM1_2_AXES, _blocks_rem1_2)
 
 
-def _block(target: str, grid: SweepGrid, block: tuple) -> tuple[int, list]:
-    """(tuples evaluated, [(params, outcome)] for each outcome not None) over one
-    block of target (a check id or "rem1.2"), as the check's expand gives its
-    tuples. params maps the axis names to the tuple's values; only a kept row
-    builds it.
+def _block(target: str, grid: SweepGrid, block: tuple) -> list:
+    """[(params, outcome)] for each outcome not None over one block of target (a
+    check id or "rem1.2"), as the check's expand gives its tuples. params maps
+    the axis names to the tuple's values; only a kept row builds it. The
+    stepping memos are emptied first, so a block does the same work anywhere.
 
     A bug trap of the package (IntegrityError, NotPIntegralError) raised while
     evaluating a tuple becomes that tuple's failure outcome, named after the
@@ -599,19 +598,21 @@ def _block(target: str, grid: SweepGrid, block: tuple) -> tuple[int, list]:
     each call, so rebinding CHECKS entries, _expand_rem1_2 or _margin_rem1_2
     (as a tracer does) takes effect.
     """
+    _sums.clear()
+    _images.clear()
+    _twists.clear()
+    _thm1_0_row.cache_clear()
     check = _check_of(target)
     evaluate, names = check.evaluate, check.names
-    checked = 0
     rows = []
     for values in check.expand(grid, block):
-        checked += 1
         try:
             outcome = evaluate(*values)
         except (IntegrityError, NotPIntegralError) as err:
             outcome = f"no {type(err).__name__}", str(err)
         if outcome is not None:
             rows.append((dict(zip(names, values)), outcome))
-    return checked, rows
+    return rows
 
 
 _last_grid: SweepGrid | None = None
@@ -619,17 +620,16 @@ _last_grid: SweepGrid | None = None
 
 def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     """(checked, rows in expansion order, elapsed_ms) over the nonempty blocks of
-    target. One worker, or one block, runs them in process in expansion order.
-    Otherwise each is a task of a pool of at most workers processes, dispatched
-    largest first (ties in expansion order), so each free worker takes the
-    largest block left; the results are put back in expansion order.
+    target, run largest first (ties in expansion order): by map in process when
+    there is one worker or one block, else as the tasks of a pool of at most
+    workers processes, so each free worker takes the largest block left. The
+    rows are put back in expansion order, and checked is the blocks' sizes summed.
 
     The coefficient memos are kept while sweeps run on the same grid, so
-    checks on one grid share them, and cleared when the grid changes. The
-    operator images and constants, the raw-sum records and thm1.0's row are
-    emptied at the start of every sweep. A grid that gives target no tuples
-    raises ValueError before any evaluation, since a sweep that checked
-    nothing proves nothing.
+    checks on one grid share them, and cleared when the grid changes; _block
+    empties the stepping memos. A grid that gives target no tuples raises
+    ValueError before any evaluation, since a sweep that checked nothing
+    proves nothing.
     """
     global _last_grid
     if workers < 1:
@@ -637,24 +637,19 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     if grid != _last_grid:
         coefficients.clear_caches()
         _last_grid = grid
-    _images.clear()
-    _twists.clear()
-    _sums.clear()
-    _thm1_0_row.cache_clear()
     start = perf_counter()
     blocks = [(block, size) for block, size in _check_of(target).blocks(grid) if size]
     if not blocks:
         raise ValueError(f"the grid gives {target} no tuples to check")
+    order = sorted(range(len(blocks)), key=lambda k: -blocks[k][1])
+    run, tasks = partial(_block, target, grid), [blocks[k][0] for k in order]
     if workers == 1 or len(blocks) == 1:
-        done = [_block(target, grid, block) for block, _ in blocks]
+        results = list(map(run, tasks))
     else:
-        order = sorted(range(len(blocks)), key=lambda k: -blocks[k][1])
         with multiprocessing.Pool(min(workers, len(blocks))) as pool:
-            results = pool.map(partial(_block, target, grid), [blocks[k][0] for k in order], chunksize=1)
-        done = [result for _, result in sorted(zip(order, results))]
-    checked = sum(count for count, _ in done)
-    rows = [row for _, part in done for row in part]
-    return checked, rows, int((perf_counter() - start) * 1000)
+            results = pool.map(run, tasks, chunksize=1)
+    rows = [row for _, part in sorted(zip(order, results)) for row in part]
+    return sum(size for _, size in blocks), rows, int((perf_counter() - start) * 1000)
 
 
 def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) -> VerificationReport:

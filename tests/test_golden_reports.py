@@ -109,7 +109,7 @@ def test_pooled_report_unchanged(grid_name, target):
 @pytest.mark.parametrize("grid", [SweepGrid(), GRIDS["small"]], ids=["default", "small"])
 @pytest.mark.parametrize("target", TARGETS)
 def test_two_and_three_workers_give_the_serial_report(grid, target):
-    # shards of whole blocks; self-test, one block, and any shard left without a block start no process
+    # pools of whole blocks; self-test, one block, runs in process, and a pool has no more processes than blocks
     serial = report_digest(target, grid, 1)
     assert [report_digest(target, grid, workers) for workers in (2, 3)] == [serial, serial]
 

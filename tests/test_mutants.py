@@ -325,7 +325,7 @@ GRIDS = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(grid=GRIDS, target=st.sampled_from(CHECK_IDS + ("rem1.2",)), workers=st.sampled_from([2, 3]),
        marked=st.integers(2, 4))
-def test_shard_merge_equals_the_serial_report(grid, target, workers, marked):
+def test_pooled_blocks_give_the_serial_report(grid, target, workers, marked):
     """A pool of 2 or 3 workers, run in process, gives the serial report.
     Tuples whose params print to a length divisible by marked are made to
     fail, so every block's failure rows must come back in expansion order."""
@@ -358,7 +358,7 @@ def test_shard_merge_equals_the_serial_report(grid, target, workers, marked):
 
 
 def test_results_left_in_dispatch_order_break_the_failure_list(monkeypatch):
-    mutated = _mutated_verifier("done = [result for _, result in sorted(zip(order, results))]", "done = results")
+    mutated = _mutated_verifier("for _, part in sorted(zip(order, results))", "for part in results")
     mutated.multiprocessing = SimpleNamespace(Pool=_InProcessPool)
     monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
     # self-test's evaluator on thm1.5's axes fails every tuple at p = 3, l = 0, so the failures
@@ -371,8 +371,9 @@ def test_results_left_in_dispatch_order_break_the_failure_list(monkeypatch):
     assert serial.checked == len(serial.failures) == 64
     assert [f.params["a"] for f in serial.failures] == [1] * 20 + [2] * 44
     assert run_sweep("thm1.5", grid, workers=2).failures == serial.failures
-    dispatched = mutated.run_sweep("thm1.5", grid, workers=2)
-    assert dispatched.checked == serial.checked
-    # the a = 2 block was dispatched first, so its failures come back ahead of the a = 1 block's
-    assert sorted(map(repr, dispatched.failures)) == sorted(map(repr, serial.failures))
-    assert [f.params["a"] for f in dispatched.failures] == [2] * 44 + [1] * 20
+    # in process and in a pool alike, the a = 2 block runs first, so its failures come back ahead
+    for workers in (1, 2):
+        dispatched = mutated.run_sweep("thm1.5", grid, workers=workers)
+        assert dispatched.checked == serial.checked
+        assert sorted(map(repr, dispatched.failures)) == sorted(map(repr, serial.failures))
+        assert [f.params["a"] for f in dispatched.failures] == [2] * 44 + [1] * 20

@@ -38,7 +38,7 @@ def _sum(x: TruncPoly, y: TruncPoly) -> TruncPoly:
 class TestTruncPoly:
     def test_equality_ignores_trailing_zeros(self):
         assert TruncPoly.of([1, 2, 0, 0]) == TruncPoly.of([1, 2])
-        assert TruncPoly.of([1, 2, 0, 0]).degree_bound == 3
+        assert len(TruncPoly.of([1, 2, 0, 0]).coeffs) - 1 == 3
         assert TruncPoly.of([0]) == TruncPoly.of([0, 0, 0])
 
     def test_refuses_an_empty_tuple(self):
@@ -57,12 +57,12 @@ class TestTruncPoly:
         x = TruncPoly.of([1, 1])
         assert _sum(x, x) == TruncPoly.of([2, 2])
         assert x * x == TruncPoly.of([1, 2, 1])
-        assert x * TruncPoly.zero() == TruncPoly.zero()
+        assert x * TruncPoly((0,)) == TruncPoly((0,))
 
     def test_truncated(self):
         x = TruncPoly.of([1, 2, 3])
         assert x.truncated(1) == TruncPoly.of([1, 2])
-        assert x.truncated(4).degree_bound == 4
+        assert len(x.truncated(4).coeffs) - 1 == 4
 
     def test_one_plus_t_power(self):
         # the oracle's (1+T)^e, which _twisted_direct below builds its polynomials from
@@ -111,7 +111,7 @@ class TestPsi:
 
     def test_values(self):
         assert psi_apply(TruncPoly.monomial(1), 2) == TruncPoly.of([-1])
-        assert psi_apply(TruncPoly.of([1, 1]), 2) == TruncPoly.zero()
+        assert psi_apply(TruncPoly.of([1, 1]), 2) == TruncPoly((0,))
 
     def test_not_right_inverse(self):
         # witness per prime: psi(1+T) = 0, so phi(psi(1+T)) != 1+T
@@ -131,7 +131,7 @@ class TestPsi:
     @given(small_polys, small_primes)
     def test_degree_contract(self, x, p):
         image = psi_apply(x, p)
-        assert image.degree_bound <= x.degree_bound // p
+        assert len(image.coeffs) - 1 <= (len(x.coeffs) - 1) // p
 
     @given(wide_coeffs, oracle_primes)
     @example([1] + [0] * 20, 2)
@@ -198,7 +198,7 @@ class TestMonomialTwisted:
 
     def test_valid_degree(self):
         # truncated to exactly l_max, the degree it is exact through
-        assert monomial_twisted(3, 1, 2, 1, 6).degree_bound == 6
+        assert len(monomial_twisted(3, 1, 2, 1, 6).coeffs) - 1 == 6
 
     def test_validation(self):
         with pytest.raises(ValueError):

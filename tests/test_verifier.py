@@ -204,16 +204,16 @@ def test_pool_start_methods_match_serial(method, tmp_path):
 
 
 def concatenated_blocks(target, grid):
-    """Every nonempty block of target run in process by _block, as pool tasks would run them,
-    and the blocks' rows concatenated in expansion order. Each block evaluates as many tuples
-    as its size."""
-    blocks = [(block, size) for block, size in verifier._check_of(target).blocks(grid) if size]
-    done = [_block(target, grid, block) for block, _ in blocks]
-    assert [count for count, _ in done] == [size for _, size in blocks]
-    return sum(count for count, _ in done), [row for _, rows in done for row in rows]
+    """The nonempty blocks' sizes summed, and their rows concatenated in expansion order,
+    each block run in process by _block as a pool task would run it. A block's size is the
+    number of tuples its expand gives."""
+    check = verifier._check_of(target)
+    blocks = [(block, size) for block, size in check.blocks(grid) if size]
+    assert [size for _, size in blocks] == [sum(1 for _ in check.expand(grid, block)) for block, _ in blocks]
+    return sum(size for _, size in blocks), [row for block, _ in blocks for row in _block(target, grid, block)]
 
 
-def test_three_shards_merge_to_the_serial_report(monkeypatch):
+def test_concatenated_blocks_give_the_serial_report(monkeypatch):
     serial = run_sweep("self-test", SMALL)
     checked, rows = concatenated_blocks("self-test", SMALL)
     assert checked == serial.checked == len(rows) == 20  # every tuple fails
@@ -245,7 +245,7 @@ def test_blocks_bind_the_axes_before_n():
     assert {target: check.names[:verifier._block_depth(check.axes)] for target, check in checks.items()} == BLOCK_AXES
 
 
-def test_two_thm1_0_shards_build_each_row_once(monkeypatch):
+def test_each_thm1_0_block_builds_its_rows_once(monkeypatch):
     grid = ACCEPTANCE_GRIDS[0][1]
     direct, steps = [], []
     step = coefficients._step
@@ -262,16 +262,14 @@ def test_two_thm1_0_shards_build_each_row_once(monkeypatch):
     monkeypatch.setattr(coefficients, "_step", counted_step)
     blocks = CHECKS["thm1.0"].blocks(grid)
     checked = stepped = 0
+    # in expansion order, so each block meets the record and row the one before it left
     for block, size in blocks:
-        # as a pool worker may meet any block first
-        coefficients._sums.clear()
-        verifier._thm1_0_row.cache_clear()
         steps.clear()
-        count, rows = _block("thm1.0", grid, block)
-        assert rows == [] and count == size
-        # the block's record (p, a, l) starts at n = 0 and takes one step per later n
+        assert _block("thm1.0", grid, block) == []
+        # _block empties the records, so the block's record (p, a, l) starts at n = 0 and takes
+        # one step per later n
         assert steps == [block[0] ** block[1]] * 120
-        checked += count
+        checked += size
         stepped += len(steps)
     # the 7,260 rows of the bindings (p, a, l, n) come from 7,200 steps and no direct pass
     assert stepped == 4 * 3 * 5 * 120 == 7_200 and direct == []
@@ -281,13 +279,17 @@ def test_two_thm1_0_shards_build_each_row_once(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_psi_identity_shards_build_each_image_once(monkeypatch, workers):
-    run_sweep("psi-identity")
-    serial = _images_held()
-    built, sizes = [], []
+def test_psi_identity_blocks_build_the_images_of_a_fresh_worker(monkeypatch, workers):
+    built, sizes = {}, []
+    block_of = verifier._block
+
+    def recording_block(target, grid, block):
+        rows = block_of(target, grid, block)
+        built[block] = _images_held()
+        return rows
 
     class FreshWorkerPool(_InProcessPool):
-        """Runs every block as if in a worker that has not met the block's (p, a) before."""
+        """Runs every block as if in a worker that has run no block before."""
 
         def __init__(self, workers: int):
             sizes.append(workers)
@@ -296,14 +298,21 @@ def test_psi_identity_shards_build_each_image_once(monkeypatch, workers):
             results = []
             for block in iterable:
                 _images.clear()
+                psi_series._twists.clear()
+                coefficients._sums.clear()
                 results.append(function(block))
-                built.append(_images_held())
             return results
 
+    monkeypatch.setattr(verifier, "_block", recording_block)
+    # in process, each block runs after the blocks larger than it, on the memos they left
+    run_sweep("psi-identity")
+    in_process = dict(built)
+    assert len(in_process) == 6 and all(in_process.values())
+    built.clear()
     monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=FreshWorkerPool))
     run_sweep("psi-identity", workers=workers)
     assert sizes == [workers]
-    assert sum(built) == serial > 0
+    assert built == in_process
 
 
 def test_tasks_go_largest_first_with_ties_in_expansion_order(monkeypatch):
@@ -333,7 +342,7 @@ def test_tasks_go_largest_first_with_ties_in_expansion_order(monkeypatch):
     assert dispatched == [(5,), (3,), (2,)]
 
 
-def test_shards_without_a_block_start_no_process(monkeypatch):
+def test_a_sweep_of_one_block_starts_no_process(monkeypatch):
     sizes = []
 
     class RecordingPool(_InProcessPool):
@@ -369,21 +378,36 @@ def test_psi_identity_leaves_the_sum_memo_empty():
 
 
 def test_every_sweep_starts_with_empty_records_and_operator_constants():
-    run_sweep("psi-identity", SMALL)
-    records, twists = dict(coefficients._sums), dict(psi_series._twists)
-    # one record per block (p, a) at coeff_degree 3, stepped to n = 8; one set of constants per (p^a, r)
-    blocks = [(p, a) for p in SMALL.primes for a in (1, 2)]
-    assert {key: at for key, (at, _) in records.items()} == {(p, a, 3): 8 for p, a in blocks}
-    assert set(twists) == {(p ** a, r, 3) for p, a in blocks for r in residue_system(p, a)}
-    # what a sweep leaves is gone at the start of the next
-    coefficients._sums[2, 1, 3] = 0, [[7], [7], [7], [7]]
-    psi_series._twists[0, 0, 0] = 0, [1], [1]
-    run_sweep("psi-identity", SMALL)
-    assert coefficients._sums == records and psi_series._twists == twists
-    run_sweep("thm1.0", SMALL)
+    # every block does: each psi-identity block (p, a) at coeff_degree 3 steps one record to n = 8 and
+    # keeps one set of constants per (p^a, r), whatever another block or a stray entry left before it
+    for p, a in [(p, a) for p in SMALL.primes for a in (1, 2)]:
+        coefficients._sums[7, 1, 0] = 0, [[1]]
+        psi_series._twists[0, 0, 0] = 0, [1], [1]
+        assert _block("psi-identity", SMALL, (p, a)) == []
+        assert {key: at for key, (at, _) in coefficients._sums.items()} == {(p, a, 3): 8}
+        assert set(psi_series._twists) == {(p ** a, r, 3) for r in residue_system(p, a)}
+    assert _block("thm1.0", SMALL, (3, 2, 1)) == []
     assert psi_series._twists == {}
-    assert {key: at for key, (at, _) in coefficients._sums.items()} == {
-        (p, a, l): 8 for p, a in blocks for l in range(3)}
+    assert {key: at for key, (at, _) in coefficients._sums.items()} == {(3, 2, 1): 8}
+    # so a sweep leaves its last block's: (2, 1), the smallest, of 9 n values times 3 residues
+    run_sweep("psi-identity", SMALL)
+    assert {key: at for key, (at, _) in coefficients._sums.items()} == {(2, 1, 3): 8}
+    assert set(psi_series._twists) == {(2, r, 3) for r in residue_system(2, 1)}
+
+
+def test_a_block_reads_no_stepping_memo_left_before_it(monkeypatch):
+    # stand-in verdicts that fail every tuple with both sides expose what each tuple read
+    monkeypatch.setattr(verifier, "_ord_at_least", lambda value, bound, p: (str(bound), str(value)))
+    monkeypatch.setattr(verifier, "_exact", lambda lhs, rhs: (str(rhs), str(lhs)))
+    blocks = [("thm1.0", (2, 1, 0)), ("psi-identity", (2, 1))]
+    clean = [_block(target, SMALL, block) for target, block in blocks]
+    assert [len(rows) for rows in clean] == [dict(CHECKS[target].blocks(SMALL))[block] for target, block in blocks]
+    for (target, block), rows in zip(blocks, clean):
+        # wrong records at n = 0 for thm1.0's (2, 1, 0) and psi-identity's (2, 1, 3), and wrong images
+        coefficients._sums[2, 1, 0] = 0, [[7]]
+        coefficients._sums[2, 1, 3] = 0, [[7], [7], [7], [7]]
+        _images[2, 1, 3] = [(0, 0, 0, 0)] * 40
+        assert _block(target, SMALL, block) == rows, target
 
 
 # psi_sides reads its Fleck side from the record _sums[p, a, l_max] while n steps from 0, and sums it
@@ -553,13 +577,16 @@ def test_a_new_grid_starts_with_empty_memos():
 
 def test_the_memo_holds_one_row_per_r_and_l():
     run_sweep("thm1.1", SMALL)
+    # the records left are the last block's, one per depth it read, each with levels 0..l
+    assert len(coefficients._sums) == 2
+    assert all(len(raw) == l + 1 for (p, a, l), (at, raw) in coefficients._sums.items())
     stored = 0
     # thm1.1 reads depths a and a + 1 for a >= 2, at every l of the grid
     for p in SMALL.primes:
         for a in (2, 3):
             for l in range(SMALL.l_range[0], SMALL.l_range[1] + 1):
                 rows = normalized_table(p, a, l)
-                assert rows and len(coefficients._sums[p, a, l][1]) == l + 1
+                assert rows
                 for r, (r_, row, r0, shift) in rows.items():
                     assert type(r) is int and r_ == r and r0 == r % p**a and type(row) is list
                     for n, value in enumerate(row):
