@@ -132,6 +132,8 @@ def normalized_table(p: int, a: int, l: int) -> dict:
     return {}
 
 
+# psi_sides asks for the same few (k, l) at every n of a block; bounded, since nothing clears it
+@lru_cache(maxsize=128)
 def _shift(k: int, l: int) -> tuple[int, ...]:
     """(binom(-k, i) for i = 1..l), cut before the first zero, so a residue
     itself (k = 0) gets the empty tuple.

@@ -139,13 +139,14 @@ def psi_power(x: TruncPoly, p: int, a: int) -> TruncPoly:
     return x
 
 
-# (p, a, through) -> [coefficients 0..through of psi^a(T^i) for i = 0, 1, ...]
-_images: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+# (p, a, through) -> [column d for d = 0..through], entry i of column d the coefficient of T^d in psi^a(T^i)
+_images: dict[tuple[int, int, int], list[list[int]]] = {}
 
 
-def _monomial_images(p: int, a: int, through: int, last: int) -> list[tuple[int, ...]]:
-    """The memo behind monomial_twisted: coefficients 0..through of psi^a(T^i),
-    at index i, for every i up to at least last.
+def _monomial_images(p: int, a: int, through: int, last: int) -> list[list[int]]:
+    """The memo behind monomial_twisted: the images psi^a(T^i) truncated after
+    degree through, for every i up to at least last, stored by columns: entry
+    i of columns[d] is the coefficient of T^d in psi^a(T^i).
 
     With q = p^a, phi^a(T) = (1+T)^q - 1 gives T^q = phi^a(T) - sum_{0<k<q}
     binom(q, k) T^k, and the projection rule psi^a(x phi^a(y)) = psi^a(x) y
@@ -154,22 +155,27 @@ def _monomial_images(p: int, a: int, through: int, last: int) -> list[tuple[int,
         psi^a(T^i) = T psi^a(T^(i-q)) - sum_{0<k<q} binom(q, k) psi^a(T^(i-q+k)),
 
     exact after truncation, since T only raises degrees. So the images below q
-    come from psi_power and each later one from the q before it, grown in
-    order of i. A sweep's blocks each empty the memo before their first
+    come from psi_power, and for i >= q, entry i of a column comes from its
+    entries i-q+1..i-1 and from entry i - q of the column below, which the T
+    shift moves up. A sweep's blocks each empty the memo before their first
     tuple, so it holds what one block needs.
     """
-    images = _images.setdefault((p, a, through), [])
-    if len(images) > last:
-        return images
+    key = p, a, through
+    columns = _images.get(key) or _images.setdefault(key, [[] for _ in range(through + 1)])
+    start = len(columns[0])
+    if start > last:
+        return columns
     q = p ** a
+    for i in range(start, min(q, last + 1)):
+        for column, c in zip(columns, psi_power(TruncPoly.monomial(i), p, a).truncated(through).coeffs):
+            column.append(c)
     weights = [comb(q, k) for k in range(1, q)]
-    for i in range(len(images), last + 1):
-        if i < q:
-            images.append(psi_power(TruncPoly.monomial(i), p, a).truncated(through).coeffs)
-        else:
-            columns = zip((0, *images[i - q]), zip(*images[i - q + 1:i]))
-            images.append(tuple(t - sum(map(mul, weights, column)) for t, column in columns))
-    return images
+    below = [0] * (last + 1)  # T psi^a(T^(i-q)) has no constant term
+    for column in columns:
+        for i in range(max(start, q), last + 1):
+            column.append(below[i - q] - sum(map(mul, weights, column[i - q + 1:i])))
+        below = column
+    return columns
 
 
 def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
@@ -187,9 +193,9 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
 
         psi^a(T^n (1+T)^e) = sum_j binom(e, j) psi^a(T^(n+j)),
 
-    an exact sum, degree by degree, of the images n..n+e that
-    _monomial_images holds; the final multiplication by the unit
-    (1+T)^(-r1) forms only the product coefficients 0..l_max.
+    an exact sum per degree over entries n..n+e of a _monomial_images column;
+    the final multiplication by the unit (1+T)^(-r1) forms only the product
+    coefficients 0..l_max, each a dot product with a reversed row of _twist.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -198,20 +204,21 @@ def monomial_twisted(n: int, r: int, p: int, a: int, l_max: int) -> TruncPoly:
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     _require_prime(p)
-    e, weights, unit = _twist(p ** a, r, l_max)
-    images = _monomial_images(p, a, l_max, n + e)[n:n + e + 1]
-    core = [sum(map(mul, weights, column)) for column in zip(*images)]
-    return TruncPoly(tuple(sum(map(mul, core, unit[k::-1])) for k in range(l_max + 1)))
+    e, weights, rows = _twist(p ** a, r, l_max)
+    core = [sum(map(mul, weights, column[n:n + e + 1])) for column in _monomial_images(p, a, l_max, n + e)]
+    return TruncPoly(tuple([sum(map(mul, core, row)) for row in rows]))
 
 
 # (p^a, r, l_max) -> monomial_twisted's constants, which repeat for every n of a block
-_twists: dict[tuple[int, int, int], tuple[int, list[int], list[int]]] = {}
+_twists: dict[tuple[int, int, int], tuple[int, list[int], list[list[int]]]] = {}
 
 
-def _twist(pa: int, r: int, l_max: int) -> tuple[int, list[int], list[int]]:
-    """(e, [binom(e, j) for j = 0..e], [binom(-r1, i) for i = 0..l_max]) with
-    r1 = ceil(r / pa) and e = pa r1 - r, memoized in _twists. A sweep's blocks
-    each empty the memo before their first tuple, like the images.
+def _twist(pa: int, r: int, l_max: int) -> tuple[int, list[int], list[list[int]]]:
+    """(e, [binom(e, j) for j = 0..e], rows) with r1 = ceil(r / pa), e = pa r1 - r
+    and rows[k] = [binom(-r1, i) for i = k..0], the unit (1+T)^(-r1) through
+    degree k reversed, so coefficient k of a product with the unit is one dot
+    product. Memoized in _twists; a sweep's blocks each empty the memo before
+    their first tuple, like the images.
     """
     twist = _twists.get((pa, r, l_max))
     if twist is None:
@@ -221,7 +228,7 @@ def _twist(pa: int, r: int, l_max: int) -> tuple[int, list[int], list[int]]:
         unit = [1]
         for i in range(l_max):
             unit.append(unit[i] * (-r1 - i) // (i + 1))
-        twist = _twists[pa, r, l_max] = e, [comb(e, j) for j in range(e + 1)], unit
+        twist = _twists[pa, r, l_max] = e, [comb(e, j) for j in range(e + 1)], [unit[k::-1] for k in range(l_max + 1)]
     return twist
 
 

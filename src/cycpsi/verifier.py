@@ -22,8 +22,8 @@ into blocks, its unit of work in process and in a pool alike. A block is one
 binding of the axes before n (before m where n is a function of m), and at
 least of the outermost axis, so one process evaluates every n of a block, in
 order. The memos that step along n (the raw-sum records per (p, a, l) that
-normalized, thm1.0 and psi-identity read, psi images per (p, a)) live for
-one block, which empties them first. Every sweep runs its blocks largest
+normalized, thm1.0 and psi-identity read, psi images per (p, a, l_max)) live
+for one block, which empties them first. Every sweep runs its blocks largest
 first, and concatenating their rows in expansion order gives the report.
 """
 

@@ -23,13 +23,17 @@ PSI_ROUTE_MUTANTS = {
     "weight binom(e, j) as 1": (psi_series, "_twist", "[comb(e, j) for j in range(e + 1)]", "[1] * (e + 1)"),
     "row step (j + l)": (coefficients, "_fleck_row", "term * (j - l)", "term * (j + l)"),
     "unit step (-r1 + i)": (psi_series, "_twist", "(-r1 - i)", "(-r1 + i)"),
+    # coefficient k of the product with the unit dots the core with unit[k], ..., unit[0]
+    "unit row unreversed": (psi_series, "_twist", "unit[k::-1]", "unit[:k + 1]"),
     # the record read: level l - i times the i-th shift coefficient, read from level i - 1 instead
     "class sums shift level i - 1": (coefficients, "_class_sums", "column[l - i]", "column[i - 1]"),
-    # the recurrence psi^a(T^i) = T psi^a(T^(i-q)) - sum_{0<k<q} binom(q, k) psi^a(T^(i-q+k))
-    "recurrence T-shift at the top": (psi_series, "_monomial_images", "(0, *images[i - q])",
-                                      "(*images[i - q], 0)"),
+    # the recurrence psi^a(T^i) = T psi^a(T^(i-q)) - sum_{0<k<q} binom(q, k) psi^a(T^(i-q+k)), per degree:
+    # entries i-q+1..i-1 of the degree's own column, and the T-shift, entry i-q of the degree below
+    "recurrence T-shift at the top": (psi_series, "_monomial_images", "(below[i - q]", "(column[i - q]"),
     "recurrence weight binom(q, k - 1)": (psi_series, "_monomial_images", "comb(q, k)", "comb(q, k - 1)"),
-    "recurrence sum added": (psi_series, "_monomial_images", "t - sum(", "t + sum("),
+    "recurrence sum added": (psi_series, "_monomial_images", " - sum(", " + sum("),
+    "recurrence column slice one back": (psi_series, "_monomial_images", "column[i - q + 1:i]",
+                                         "column[i - q:i - 1]"),
 }
 # psi-identity steps the record _sums along n from 0, so its Fleck side reaches _fleck_row only
 # where a block's n starts past the record's next step

@@ -221,8 +221,14 @@ def _twisted_direct(n: int, r: int, p: int, a: int, l_max: int) -> tuple[int, ..
 
 
 def _images_held() -> int:
-    """The operator images the memo holds, over every (p, a, l_max) list."""
-    return sum(map(len, psi_series._images.values()))
+    """The operator images the memo holds, over every (p, a, l_max) store: the
+    length of a store's columns, which all hold the same images."""
+    return sum(len(columns[0]) for columns in psi_series._images.values())
+
+
+def _image(columns: list[list[int]], i: int) -> tuple[int, ...]:
+    """The coefficients of image i, read across the columns _monomial_images returns."""
+    return tuple(column[i] for column in columns)
 
 
 class TestMonomialImageMemo:
@@ -261,7 +267,7 @@ class TestMonomialImages:
         q = p ** a
         psi_series._images.clear()
         for i in (3 * q, 3 * q - 1, 2 * q + 1, q, q - 1, 1, 0):
-            assert psi_series._monomial_images(p, a, 6, i)[i] == _image_oracle(i, p, a, 6), i
+            assert _image(psi_series._monomial_images(p, a, 6, i), i) == _image_oracle(i, p, a, 6), i
 
     @given(oracle_primes, st.sampled_from((1, 2, 3)), st.integers(0, 6), st.data())
     @settings(max_examples=40, deadline=None)
@@ -274,7 +280,7 @@ class TestMonomialImages:
             wanted = data.draw(st.permutations(wanted), label="shuffled")
         psi_series._images.clear()
         for i in wanted:
-            assert psi_series._monomial_images(p, a, through, i)[i] == _image_oracle(i, p, a, through), i
+            assert _image(psi_series._monomial_images(p, a, through, i), i) == _image_oracle(i, p, a, through), i
         assert _images_held() == max(wanted) + 1
 
 

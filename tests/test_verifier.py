@@ -406,7 +406,7 @@ def test_a_block_reads_no_stepping_memo_left_before_it(monkeypatch):
         # wrong records at n = 0 for thm1.0's (2, 1, 0) and psi-identity's (2, 1, 3), and wrong images
         coefficients._sums[2, 1, 0] = 0, [[7]]
         coefficients._sums[2, 1, 3] = 0, [[7], [7], [7], [7]]
-        _images[2, 1, 3] = [(0, 0, 0, 0)] * 40
+        _images[2, 1, 3] = [[0] * 40 for _ in range(4)]
         assert _block(target, SMALL, block) == rows, target
 
 
@@ -451,8 +451,8 @@ def test_every_sweep_starts_with_an_empty_image_memo():
     first = dict(_images)
     assert _images_held() > 0
     # the grid is the same, so the coefficient memos stay, but the images are computed again
-    # and a list left between the two sweeps is gone
-    _images[0, 0, 0] = ["left over"]
+    # and a store left between the two sweeps is gone
+    _images[0, 0, 0] = [["left over"]]
     run_sweep("psi-identity", SMALL)
     assert _images == first
     run_sweep("thm1.0", SMALL)
