@@ -52,9 +52,9 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
 
 
 # The sum without the memo: normalized values are memoized in normalized_table
-# instead, lem3.1's factors in their own vectors, and thm1.0 reads its residues
-# from the raw-sum records or _fleck_residues' rows and sums each other
-# representative once.
+# instead, lem3.1's factors in their own vectors, and thm1.0 reads every class
+# from the raw-sum records, summing a class outside [0, p^a) once only where a
+# binding is off the record.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
 
 

@@ -212,8 +212,9 @@ def _exact(lhs, rhs) -> tuple[str, str] | None:
 
 def _ord_at_least(value: int, bound: int, p: int) -> tuple[str, str] | None:
     """None when ord_p of the integer value reaches bound >= 0, that is when
-    p^bound divides it, else both valuations as text."""
-    if value % p ** bound == 0:
+    p^bound divides it, else both valuations as text. A zero bound holds at
+    once: p^0 = 1 divides every integer."""
+    if not bound or value % p ** bound == 0:
         return None
     return f"ord_{p} >= {bound}", f"ord_{p} = {ord_p(value, p)}"
 
@@ -293,28 +294,35 @@ _L_POSITIVE = _where(_L, lambda l, bound: l >= 1)
 _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
 
-# thm1.0: ord_p of every Fleck sum reaches the floor exponent. r is the
-# innermost axis, so one row gives the sums of every residue of a binding
-# (p, a, l, n): level l of the record _sums[p, a, l] when n is at it or one
-# past it, else one _fleck_residues pass. _thm1_0_row keeps the last binding's
-# row and bound, and _block empties it at the start of every block. Every other
-# representative is summed directly, so thm1.0 also checks fleck_sum_general.
+# thm1.0: ord_p of every Fleck sum reaches the floor exponent. r is the innermost
+# axis, so _thm1_0_row keeps the last binding (p, a, l, n)'s residue row, bound and
+# levels: those of the record _sums[p, a, l] when n is at it or one past it, else
+# one _fleck_residues pass and None; _block empties it per block. Any other r is
+# read as _fill reads one level, level l of r % p^a plus the Vandermonde terms of
+# the levels below, or summed directly off the record.
 
 @lru_cache(maxsize=1)
 def _thm1_0_row(p, a, l, n):
     m = p ** a
     raw = _raw_at(p, a, n, l)
     row = _fleck_residues(n, m, l) if raw is None else raw[l]
-    return row, max(floor_exponent(p, a, n, l), 0), m
+    return row, max(floor_exponent(p, a, n, l), 0), m, raw
 
 
 def _eval_thm1_0(p, a, l, n, r):
-    row, bound, m = _thm1_0_row(p, a, l, n)
-    if 0 <= r < m:
-        raw = row[r] if r <= n else 0  # a residue past n has no term k <= n
+    row, bound, m, raw = _thm1_0_row(p, a, l, n)
+    r0 = r % m
+    if r0 > n:
+        total = 0  # a residue past n has no term k <= n
+    elif r == r0:
+        total = row[r]
+    elif raw is None:
+        total = _direct_fleck_sum(n, r, m, l)
     else:
-        raw = _direct_fleck_sum(n, r, m, l)
-    return _ord_at_least(raw, bound, p)
+        total = row[r0]
+        for i, c in enumerate(_shift(r // m, l), 1):
+            total += c * raw[l - i][r0]
+    return _ord_at_least(total, bound, p)
 
 
 # thm1.1 and lem3.2: <pn+s, pr+t> at depth a+1 against (-1)^t binom(s,t) <n,r>

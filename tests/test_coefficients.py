@@ -445,7 +445,7 @@ class TestRawSumRecord:
                 got, want = verifier.psi_sides(p, a, n, r, l)
                 assert want == [(-1) ** n * fleck_oracle(n, r, q, i) for i in range(l + 1)] == got, (n, r)
             else:
-                row, _, _ = verifier._thm1_0_row(p, a, l, n)
+                row, _, _, _ = verifier._thm1_0_row(p, a, l, n)
                 assert row == [fleck_oracle(n, r0, q, l) for r0 in range(min(n + 1, q))], n
 
 class TestTCoeff:

@@ -78,12 +78,13 @@ FILLED = {"thm1.1", "thm1.5"}
 # name -> (module, function, source text, its replacement, the checks that fail)
 COEFFICIENT_MUTANTS = {
     # the term it drops, k = r for 0 <= r < m, is 0 at l >= 1; lem3.3's l = 0 values are filled. Rows are
-    # kept while the grid stays, so lem4.1, which sums nothing itself, reads values earlier sweeps summed
+    # kept while the grid stays, so lem4.1, which sums nothing itself, reads values earlier sweeps summed.
+    # thm1.0 reads every class from its record on CATALOG_GRID, so it sums nothing directly there
     "sum from k = r % m + m": (coefficients, "fleck_sum_general", "range(r % m, n + 1, m)",
-                               "range(r % m + m, n + 1, m)", ALL_BUT_PSI - FILLED - {"lem3.3"}),
+                               "range(r % m + m, n + 1, m)", ALL_BUT_PSI - FILLED - {"lem3.3", "thm1.0"}),
     # without the sign, the direct sums that lem4.1, thm1.2 and thm1.4 read keep their verdicts on CATALOG_GRID
     "sum without (-1)^k": (coefficients, "fleck_sum_general", "total += -term if k & 1 else term",
-                           "total += term", ALL_BUT_PSI - FILLED - {"lem4.1", "thm1.2", "thm1.4"}),
+                           "total += term", ALL_BUT_PSI - FILLED - {"lem4.1", "thm1.2", "thm1.4", "thm1.0"}),
     "floor_exponent + 1": (coefficients, "floor_exponent", "// totient_prime_power(p, a)",
                            "// totient_prime_power(p, a) + 1", ALL_BUT_PSI - {"cor1.3", "lem2.2", "lem3.1"}),
     # lem3.1's signed rows come from _fleck_row too; psi-identity reads the record on CATALOG_GRID

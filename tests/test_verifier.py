@@ -28,7 +28,7 @@ from cycpsi.coefficients import floor_exponent, normalized_table
 from cycpsi.psi_series import _images
 from cycpsi.verifier import CHECKS, CheckFailure, _block, _lem3_2_exceptional, _sigma, _thm1_2_branch
 from oracles import fleck_oracle, nested_expand
-from test_mutants import CATALOG_GRID, _doc, _InProcessPool
+from test_mutants import CATALOG_GRID, _doc, _InProcessPool, _mutated_verifier
 from test_psi_series import _images_held
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
@@ -440,8 +440,10 @@ def test_thm1_0_rows_off_the_record_are_summed_directly(monkeypatch):
     residues = coefficients._fleck_residues
     monkeypatch.setattr(verifier, "_fleck_residues", lambda n, m, l: direct.append(n) or residues(n, m, l))
     for n in (0, 1, 2, 3, 1, 5, 4):
-        row, bound, m = verifier._thm1_0_row(3, 1, 2, n)
+        row, bound, m, raw = verifier._thm1_0_row(3, 1, 2, n)
         assert row == [fleck_oracle(n, r0, 3, 2) for r0 in range(min(n + 1, 3))]
+        # the record's levels come along on it, for the classes outside [0, 3)
+        assert (raw is None) if n in direct else (raw[2] is row)
     # 1 lies behind the record at 3, and 5 two past it; 4 is one past it
     assert direct == [1, 5] and coefficients._sums[3, 1, 2][0] == 4
 
@@ -459,8 +461,9 @@ def test_every_sweep_starts_with_an_empty_image_memo():
     assert _images_held() == 0
 
 
-# thm1.0 reads the residues 0 <= r < p^a from one row per binding and sums every
-# other representative directly: negative classes, and classes at or above p^a
+# thm1.0 reads the residues 0 <= r < p^a from one row per binding, and every other representative
+# (negative classes, and classes at or above p^a) from its residue's levels in the same record; only a
+# binding off the record sums those directly
 THM1_0_GRIDS = [
     SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 14), l_range=(0, 3),
               r_values=(-10, -4, -1, 0, 1, 2, 4, 8, 9, 25)),
@@ -469,19 +472,61 @@ THM1_0_GRIDS = [
 ]
 
 
+def _thm1_0_reads(sweeps, grid, monkeypatch) -> list:
+    """[(bound, sum)] of every thm1.0 tuple of grid as the verifier module sweeps reads it: a
+    stand-in verdict that fails every tuple with its bound and sum exposes what each tuple read."""
+    monkeypatch.setattr(sweeps, "_ord_at_least", lambda value, bound, p: (bound, value))
+    return [(f.expected, f.actual) for f in sweeps.run_sweep("thm1.0", grid).failures]
+
+
+def _thm1_0_oracle_reads(grid) -> list:
+    """[(bound, sum)] of every thm1.0 tuple of grid, the sum from the oracle."""
+    return [(max(floor_exponent(p, a, n, l), 0), fleck_oracle(n, r, p ** a, l))
+            for p, a, l, n, r in CHECKS["thm1.0"].expand(grid)]
+
+
 @pytest.mark.parametrize("grid", THM1_0_GRIDS)
 def test_thm1_0_matches_an_evaluator_on_the_oracle(grid, monkeypatch):
-    def oracle_outcome(p, a, l, n, r):
-        return verifier._ord_at_least(fleck_oracle(n, r, p ** a, l), max(floor_exponent(p, a, n, l), 0), p)
-
     tuples = list(CHECKS["thm1.0"].expand(grid))
     assert any(r < 0 for *_, r in tuples) and any(r >= p ** a for p, a, *_, r in tuples)
-    assert [oracle_outcome(*values) for values in tuples] == [None] * len(tuples)
+    assert [verifier._ord_at_least(value, bound, p)
+            for (bound, value), (p, *_) in zip(_thm1_0_oracle_reads(grid), tuples)] == [None] * len(tuples)
     assert run_sweep("thm1.0", grid).verdict == "pass"
-    # a stand-in verdict that fails every tuple with its sum and bound exposes what each tuple read
-    monkeypatch.setattr(verifier, "_ord_at_least", lambda value, bound, p: (bound, value))
-    failures = run_sweep("thm1.0", grid).failures
-    assert [(f.expected, f.actual) for f in failures] == [oracle_outcome(*values) for values in tuples]
+    assert _thm1_0_reads(verifier, grid, monkeypatch) == _thm1_0_oracle_reads(grid)
+
+
+# The read of a class outside [0, p^a): its residue's level l plus shift coefficient i times level l - i.
+# Every level l' <= l reaches level l's bound, so an integer combination of them does too: thm1.0's own
+# verdict passes under each of these, and only the differential against the oracle sees them
+THM1_0_READ_MUTANTS = {
+    "shift term subtracted": ("total += c * raw[l - i][r0]", "total -= c * raw[l - i][r0]"),
+    "shift term one level up": ("raw[l - i][r0]", "raw[l - i + 1][r0]"),
+    "shift term from level i - 1": ("raw[l - i][r0]", "raw[i - 1][r0]"),
+}
+
+
+@pytest.mark.parametrize("mutant", THM1_0_READ_MUTANTS)
+def test_the_oracle_differential_catches_thm1_0_read_mutants(mutant, monkeypatch):
+    mutated = _mutated_verifier(*THM1_0_READ_MUTANTS[mutant])
+    assert any(_thm1_0_reads(mutated, grid, monkeypatch) != _thm1_0_oracle_reads(grid) for grid in THM1_0_GRIDS)
+
+
+def _direct_sums(grid) -> int:
+    """The direct sums a passing thm1.0 sweep of grid makes."""
+    calls = []
+    direct = verifier._direct_fleck_sum
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_direct_fleck_sum", lambda n, r, m, l: calls.append(n) or direct(n, r, m, l))
+        assert run_sweep("thm1.0", grid).verdict == "pass"
+    return len(calls)
+
+
+@pytest.mark.parametrize("grid", [*THM1_0_GRIDS, SweepGrid()])
+def test_thm1_0_sums_directly_only_off_the_record(grid):
+    # every block steps its records from n = 0, so each binding is on the record; where n starts
+    # at 5, every block starts past its records' first step and sums the other classes directly
+    assert _direct_sums(grid) == 0
+    assert _direct_sums(replace(grid, n_range=(5, 14))) > 0
 
 
 def test_a_sweep_after_the_row_kernel_is_patched_sees_the_patch(monkeypatch):
@@ -721,6 +766,25 @@ def test_other_exceptions_propagate(monkeypatch):
     monkeypatch.setitem(CHECKS, "thm1.5", replace(CHECKS["thm1.5"], evaluate=broken))
     with pytest.raises(ZeroDivisionError, match="not a bug trap"):
         run_sweep("thm1.5", SMALL)
+
+
+# (value, bound, p, outcome): p^0 = 1 divides every integer, and a failure prints the bound and ord_p
+ORD_AT_LEAST_CASES = [
+    *((value, 0, p, None) for value in (0, 1, -1, -12, 3 ** 41 * 5 + 2) for p in (2, 3, 5)),
+    (0, 7, 3, None), (8, 3, 2, None), (-27, 3, 3, None), (250, 3, 5, None), (3 ** 40, 40, 3, None),
+    (12, 3, 2, ("ord_2 >= 3", "ord_2 = 2")), (7, 1, 3, ("ord_3 >= 1", "ord_3 = 0")),
+    (-50, 3, 5, ("ord_5 >= 3", "ord_5 = 2")), (3 ** 40, 41, 3, ("ord_3 >= 41", "ord_3 = 40")),
+]
+
+
+@pytest.mark.parametrize("value, bound, p, outcome", ORD_AT_LEAST_CASES)
+def test_ord_at_least(value, bound, p, outcome):
+    assert verifier._ord_at_least(value, bound, p) == outcome
+
+
+def test_an_inverted_zero_bound_return_breaks_ord_at_least():
+    mutated = _mutated_verifier("if not bound or ", "if bound or ")
+    assert [mutated._ord_at_least(*case[:3]) for case in ORD_AT_LEAST_CASES] != [c[3] for c in ORD_AT_LEAST_CASES]
 
 
 def test_valuation_failure_texts(monkeypatch):
