@@ -3,7 +3,8 @@ operator checks, and conjecture exploration.
 
 Exit codes: 0 all checks pass, 1 mathematical mismatch or a bug trap hit
 during a sweep (its failure row names the trap), 2 usage or validation
-error: main maps every ValueError, the CLI's or the library's, to it.
+error: main maps every ValueError, the CLI's or the library's, to it, 3 out
+of memory: main prints one error line for a MemoryError, not a traceback.
 """
 
 import argparse
@@ -355,6 +356,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; narrow the grid or the arguments", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

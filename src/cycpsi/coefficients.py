@@ -3,6 +3,7 @@ the exact reduction identities they satisfy."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from operator import mul, sub
 
@@ -51,11 +52,22 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
     return total
 
 
-# The sum without the memo: normalized values are memoized in normalized_table
-# instead, lem3.1's factors in their own vectors, and thm1.0 reads every class
-# from the raw-sum records, summing a class outside [0, p^a) once only where a
-# binding is off the record.
+# The sum without fleck_sum_general's memo, which now serves only t_coeff (cor1.3):
+# lem2.2's and lem3.1's sums live in _lines, normalized values in normalized_table,
+# and thm1.0 sums a class directly only where a binding is off the raw-sum records.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
+
+# (m, l, r, slope) -> [S(i, r + slope i, m, l) for i = 0, 1, ...], grown in place
+# by _line through _direct_fleck_sum; lem2.2 and lem3.1 read them, clear_caches empties them.
+_lines: dict[tuple[int, int, int, int], list[int]] = {}
+
+
+def _line(m: int, l: int, r: int, slope: int, length: int) -> list[int]:
+    """The line _lines[m, l, r, slope], grown to at least length values."""
+    line = _lines.setdefault((m, l, r, slope), [])
+    if len(line) < length:
+        line.extend(_direct_fleck_sum(i, r + slope * i, m, l) for i in range(len(line), length))
+    return line
 
 
 def _fleck_row(n: int, r: int, m: int, l_max: int) -> list[int]:
@@ -305,21 +317,17 @@ def index_reduction_identity(n: int, r: int, l: int, m: int) -> tuple[int, int]:
     right = -sum_j binom(n,j) S(j,r,0) S(n-j-1, r-j+m-1, l-1)
 
     with S the general Fleck sum; holds for every modulus m >= 1, composite
-    included, and for every integer r. Returns (left, right).
+    included, and for every integer r. Returns (left, right). Every sum is
+    read from a line: S(j,r,0) and both sums at n from those of slope 0, and
+    S(n-j-1, r-j+m-1, l-1) = S(i, r+m-n+i, l-1), i = n-j-1, from the line of
+    slope 1 that starts at r + m - n, read backwards.
     """
     if n < 1 or l < 1 or m < 1:
         raise ValueError(f"need n, l, m >= 1, got n={n}, l={l}, m={m}")
-    left = fleck_sum_general(n, r, m, l) - binom((n - r) // m, l) * fleck_sum_general(
-        n, r, m, 0
-    )
-    right = 0
-    for j in range(n):
-        rj = r - j + m - 1
-        right -= (
-            comb(n, j)
-            * fleck_sum_general(j, r, m, 0)
-            * fleck_sum_general(n - j - 1, rj, m, l - 1)
-        )
+    column = _line(m, 0, r, 0, n + 1)
+    left = _line(m, l, r, 0, n + 1)[n] - binom((n - r) // m, l) * column[n]
+    diagonal = _line(m, l - 1, r + m - n, 1, n)
+    right = -sum(map(mul, map(mul, map(comb, repeat(n), range(n)), column), diagonal[n - 1::-1]))
     return left, right
 
 
@@ -342,10 +350,8 @@ def _truncation_error(j_max: int, d: int, q: int, n: int, r: int, t: int, l: int
     )
 
 
-# The two factors of factorization_sides, keyed by what each depends on:
-# signed rows by (d, n, t), columns by (q, r, l). clear_caches empties both.
+# The signed rows of factorization_sides by (d, n, t); clear_caches empties them.
 _signed_rows: dict[tuple[int, int, int], list[int]] = {}
-_columns: dict[tuple[int, int, int], list[int]] = {}
 
 
 def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple[int, int]:
@@ -354,8 +360,8 @@ def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple
 
     The row (-1)^j S_d(n,t,j) for j <= j_max depends only on (d, n, t) and
     comes from one _fleck_row pass, whose extra entry at j_max + 1 is the
-    truncation trap. The column S_q(j,r,l) depends only on (q, r, l) and grows
-    in place to the longest row it meets. The rhs is the direct sum, so the
+    truncation trap. The column S_q(j,r,l) is the line (q, l, r, 0), grown in
+    place to the longest row it meets. The rhs is the direct sum, so the
     two sides share no memo. The arguments are validated on a row miss; on a
     hit (d, n, t) already were, and the rhs, computed first, refuses q < 1 and
     l < 0 before a column is made.
@@ -368,18 +374,18 @@ def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple
             raise _truncation_error(j_max, d, q, n, r, t, l)
         row = _signed_rows[d, n, t] = [-v if j & 1 else v for j, v in enumerate(head)]
     rhs = _direct_fleck_sum(n, d * r + t, d * q, l)
-    column = _columns.get((q, r, l)) or _columns.setdefault((q, r, l), [])  # a list only on a miss
-    if len(column) < len(row):
-        column.extend(_direct_fleck_sum(j, r, q, l) for j in range(len(column), len(row)))
+    column = _lines.get((q, l, r, 0))
+    if column is None or len(column) < len(row):
+        column = _line(q, l, r, 0, len(row))
     return sum(map(mul, row, column)), rhs
 
 
 def clear_caches() -> None:
-    """Drop the memoized Fleck sums, normalized rows, raw-sum records and lem3.1
-    factors; sweeps call this when the grid changes, to bound memory by what one
-    grid needs."""
+    """Drop the memoized Fleck sums, normalized rows, raw-sum records, lines and
+    lem3.1 rows; sweeps call this when the grid changes, to bound memory by what
+    one grid needs."""
     fleck_sum_general.cache_clear()
     normalized_table.cache_clear()
     _sums.clear()
     _signed_rows.clear()
-    _columns.clear()
+    _lines.clear()

@@ -6,8 +6,10 @@ over a window wider than [0, n] so the finite-support property is exercised
 rather than assumed. Congruences of rationals come from valuations counted
 by dividing p out of numerator and denominator. modulus_factorization_identity
 is the direct form of lem3.1's convolution, which the library computes as a
-dot product. Polynomials here are coefficient lists, and phi is Horner's
-substitution, where the library takes Taylor shifts through the basis 1+T.
+dot product, and index_reduction_oracle the term-by-term form of lem2.2's
+identity, which the library reads from lines of sums. Polynomials here are
+coefficient lists, and phi is Horner's substitution, where the library
+takes Taylor shifts through the basis 1+T.
 """
 
 from fractions import Fraction
@@ -153,3 +155,18 @@ def modulus_factorization_identity(d: int, q: int, n: int, r: int, t: int, l: in
         raise _truncation_error(j_max, d, q, n, r, t, l)
     rhs = fleck_sum_general(n, d * r + t, d * q, l)
     return lhs, rhs
+
+
+def index_reduction_oracle(n: int, r: int, l: int, m: int) -> tuple[int, int]:
+    """Both sides of lem2.2's order-lowering identity, the right one summed
+    term by term over j, each sum a separate fleck_sum_general call:
+
+    left  = S(n,r,l) - binom(floor((n-r)/m), l) S(n,r,0)
+    right = -sum_j binom(n,j) S(j,r,0) S(n-j-1, r-j+m-1, l-1)
+    """
+    left = fleck_sum_general(n, r, m, l) - binom_product((n - r) // m, l) * fleck_sum_general(n, r, m, 0)
+    right = 0
+    for j in range(n):
+        term = fleck_sum_general(j, r, m, 0) * fleck_sum_general(n - j - 1, r - j + m - 1, m, l - 1)
+        right -= binom_product(n, j) * term
+    return left, right

@@ -150,6 +150,16 @@ class TestVerify:
         assert failures and {f["expected"] for f in failures} == {"no IntegrityError"}
         assert failures[0]["actual"].startswith("p^1 does not divide the sum")
 
+    def test_out_of_memory_exits_three(self, monkeypatch, capsys):
+        # a MemoryError is neither a failed theorem (1) nor a refused input (2), and prints no traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_sweep", exhausted)
+        code, out, err = run_cli(["verify", "lem2.2"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: out of memory; narrow the grid or the arguments\n"
+
     def test_unknown_id(self, capsys):
         code, _, err = run_cli(["verify", "thm9.9"], capsys)
         assert code == 2

@@ -21,7 +21,7 @@ from cycpsi import (
 )
 from cycpsi.coefficients import factorization_sides, normalized, normalized_table
 from cycpsi.exactmath import is_prime
-from oracles import fleck_oracle, modulus_factorization_identity
+from oracles import fleck_oracle, index_reduction_oracle, modulus_factorization_identity
 
 
 class TestFleckSum:
@@ -505,6 +505,17 @@ class TestIndexReduction:
                         left, right = index_reduction_identity(n, r, l, m)
                         assert left == right, (n, r, l, m)
 
+    @given(tuples=st.lists(st.tuples(st.integers(1, 30), st.integers(-12, 12), st.integers(1, 4),
+                                     st.sampled_from((4, 6, 8, 9))), min_size=1, max_size=12),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_oracle_on_composite_moduli(self, tuples, data):
+        # tuples in any order grow the lines out of order; after clear_caches they grow again in another
+        for order in (tuples, data.draw(st.permutations(tuples))):
+            for n, r, l, m in order:
+                assert index_reduction_identity(n, r, l, m) == index_reduction_oracle(n, r, l, m)
+            coefficients.clear_caches()
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             index_reduction_identity(0, 0, 1, 2)
@@ -567,11 +578,13 @@ class TestFactorizationSides:
             assert factorization_sides(d, q, n, r, t, l) == modulus_factorization_identity(d, q, n, r, t, l)
 
     def test_a_column_grows_in_place(self):
+        # the column S_2(j, -3, 1) is the slope-0 line (q, l, r, 0) = (2, 1, -3, 0)
         factorization_sides(1, 2, 4, -3, 0, 1)
-        column = coefficients._columns[2, -3, 1]
-        assert len(column) == 5
+        column = coefficients._lines[2, 1, -3, 0]
+        assert column == [fleck_oracle(j, -3, 2, 1) for j in range(5)]
         factorization_sides(1, 2, 12, -3, -2, 1)
-        assert coefficients._columns[2, -3, 1] is column and len(column) == 15
+        assert coefficients._lines[2, 1, -3, 0] is column
+        assert column == [fleck_oracle(j, -3, 2, 1) for j in range(15)]
 
     def test_truncation_trap(self, monkeypatch):
         # a row whose entry past j_max does not vanish: nothing is stored
@@ -590,10 +603,10 @@ class TestFactorizationSides:
         for q, l, message in ((0, 0, "modulus must be positive, got 0"), (2, -1, "l must be >= 0, got -1")):
             with pytest.raises(ValueError, match=message):
                 factorization_sides(2, q, 5, 0, 1, l)
-        assert set(coefficients._columns) == {(2, 0, 0)}
+        assert set(coefficients._lines) == {(2, 0, 0, 0)}
 
     def test_clear_caches_empties_both_memos(self):
         factorization_sides(3, 2, 10, 1, 2, 1)
-        assert coefficients._signed_rows and coefficients._columns
+        assert coefficients._signed_rows and coefficients._lines
         coefficients.clear_caches()
-        assert coefficients._signed_rows == {} and coefficients._columns == {}
+        assert coefficients._signed_rows == {} and coefficients._lines == {}

@@ -377,6 +377,15 @@ def test_psi_identity_leaves_the_sum_memo_empty():
     assert normalized_table.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("check, lines, values", [("lem2.2", 1_584, 49_824), ("lem3.1", 180, 7_740)])
+def test_composite_moduli_keep_their_sums_in_lines(check, lines, values):
+    # lem2.2: a slope-0 line per (m, l, r) for 0 <= l <= 3 and a slope-1 line per (m, l - 1, r + m - n);
+    # lem3.1: a column per (q, l, r)
+    assert run_sweep(check, SweepGrid()).verdict == "pass"
+    assert fleck_sum_general.cache_info().currsize == 0
+    assert (len(coefficients._lines), sum(map(len, coefficients._lines.values()))) == (lines, values)
+
+
 def test_every_sweep_starts_with_empty_records_and_operator_constants():
     # every block does: each psi-identity block (p, a) at coeff_degree 3 steps one record to n = 8 and
     # keeps one set of constants per (p^a, r), whatever another block or a stray entry left before it
