@@ -53,8 +53,10 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
 
 
 # The sum without fleck_sum_general's memo, which now serves only t_coeff (cor1.3):
-# lem2.2's and lem3.1's sums live in _lines, normalized values in normalized_table,
-# and thm1.0 sums a class directly only where a binding is off the raw-sum records.
+# lem2.2's sums and lem3.1's columns live in _lines and normalized values in
+# normalized_table, but lem3.1's right side is a direct sum, one per tuple (354,240
+# at SweepGrid()), and thm1.0 sums a class directly only where a binding is off the
+# raw-sum records.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
 
 # (m, l, r, slope) -> [S(i, r + slope i, m, l) for i = 0, 1, ...], grown in place

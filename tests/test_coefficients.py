@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from cycpsi import (
 from cycpsi.coefficients import factorization_sides, normalized, normalized_table
 from cycpsi.exactmath import is_prime
 from oracles import fleck_oracle, index_reduction_oracle, modulus_factorization_identity
+from work import count_work, empty_memos, work_of
 
 
 class TestFleckSum:
@@ -61,9 +63,7 @@ class TestFleckSum:
     @example(10, -7, 4, 6)
     @settings(max_examples=100, deadline=None)
     def test_one_pass_row_matches_every_sum(self, n, r, m, l_max):
-        fleck_sum_general.cache_clear()
         row = coefficients._fleck_row(n, r, m, l_max)
-        assert fleck_sum_general.cache_info().currsize == 0  # the row stores no sum
         assert row == [fleck_sum_general(n, r, m, l) for l in range(l_max + 1)]
 
     @given(st.integers(0, 60), st.integers(1, 90), st.integers(0, 6))
@@ -141,37 +141,33 @@ class TestNormalized:
 
 class TestNormalizedMemo:
     def test_values_and_hits(self):
-        assert normalized(3, 2, 15, 1, 0) == 332
-        assert normalized_table(3, 2, 0) == {1: (1, [None] * 15 + [332], 1, ())}
-        assert normalized_table(3, 2, 0)[1][1][15] == 332
-        assert normalized(3, 2, 15, 1, 0) == 332
-        assert normalized_table.cache_info().currsize == 1
+        # n = 15 lies off the record, which starts at n = 0: one direct sum, then a read
+        for expected in (Counter(normalized_parts=1, direct_sums=1), Counter()):
+            with count_work() as work:
+                assert normalized(3, 2, 15, 1, 0) == 332
+            assert work == expected
 
     def test_a_row_serves_a_smaller_n_after_a_larger_one(self):
-        assert normalized(3, 2, 15, 1, 0) == 332
-        assert normalized(3, 2, 4, 1, 0) == normalized_parts(3, 2, 4, 1, 0)[2]
-        assert normalized(3, 2, 15, 1, 0) == 332
-        row = normalized_table(3, 2, 0)[1][1]
-        assert len(row) == 16 and row[15] == 332 and row[4] == normalized_parts(3, 2, 4, 1, 0)[2]
-        assert [n for n, v in enumerate(row) if v is not None] == [4, 15]
+        want = normalized_parts(3, 2, 4, 1, 0)[2]
+        with count_work() as work:
+            assert [normalized(3, 2, n, 1, 0) for n in (15, 4, 15, 4)] == [332, want, 332, want]
+        assert work == Counter(normalized_parts=2, direct_sums=2)
 
     def test_a_negative_n_is_refused_and_stores_nothing(self):
-        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
-            normalized(3, 1, -1, 0, 0)
-        assert normalized_table(3, 1, 0) == {} and coefficients._sums == {}
-        # with a row in place, n = -1 must not read its last entry
-        for n in range(4):
-            normalized(3, 1, n, 0, 0)
-        before = copy.deepcopy((normalized_table(3, 1, 0), coefficients._sums))
-        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
-            normalized(3, 1, -1, 0, 0)
-        assert (normalized_table(3, 1, 0), coefficients._sums) == before
+        values = [normalized_parts(3, 1, n, 0, 0)[2] for n in range(4)]
+        # refused, so the record then starts at n = 0 as from empty memos; and with a row in place,
+        # n = -1 must not read its last entry
+        for expected in (Counter(steps=3, fill_writes=4), Counter()):
+            with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+                normalized(3, 1, -1, 0, 0)
+            with count_work() as work:
+                assert [normalized(3, 1, n, 0, 0) for n in range(4)] == values
+            assert work == expected
 
     def test_validates_the_prime_power(self):
         for args, message in (((4, 1), "p must be prime, got 4"), ((3, 0), "a must be >= 1, got 0")):
             with pytest.raises(ValueError, match=message):
                 normalized(*args, 0, 0, 0)
-        assert normalized_table.cache_info().currsize == 0
 
     def test_each_prime_power_is_validated_once(self):
         # every query checks (p, a), and is_prime's cache runs the primality test once per prime
@@ -187,26 +183,20 @@ class TestNormalizedMemo:
         assert is_prime.cache_info().misses == 2
 
     def test_clear_caches_empties_both_memos(self):
-        normalized(2, 1, 4, 0, 0)
-        fleck_sum_general(4, 0, 2, 0)
-        coefficients.clear_caches()
-        assert normalized_table.cache_info().currsize == 0
-        assert fleck_sum_general.cache_info().currsize == 0
+        # the rows and the records: a value summed directly and two from a record are worked out again
+        def ask():
+            for n in (4, 0, 1):
+                normalized(2, 1, n, 0, 0)
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from((2, 3, 5, 7)),
-                st.integers(1, 3),
-                st.integers(0, 300),
-                st.integers(-60, -1),
-                st.integers(0, 5),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        st.randoms(use_true_random=False),
-    )
+        first, again = work_of(ask), work_of(ask)
+        coefficients.clear_caches()
+        assert work_of(ask) == first == Counter(normalized_parts=1, direct_sums=1, steps=1, fill_writes=2)
+        assert again == Counter()
+
+    # (p, a, n, r, l) with r < 0, asked in a random order first
+    @given(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(0, 300),
+                              st.integers(-60, -1), st.integers(0, 5)), min_size=1, max_size=6),
+           st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_memo_matches_direct_route_and_oracle(self, coeffs, rng):
         coefficients.clear_caches()
@@ -214,15 +204,18 @@ class TestNormalizedMemo:
         rng.shuffle(warm)
         for args in warm:
             normalized(*args)
-        for p, a, n, r, l in coeffs:
+        # every value asked is kept
+        with count_work() as work:
+            kept = [normalized(*args) for args in coeffs]
+        assert work == Counter()
+        for (p, a, n, r, l), value in zip(coeffs, kept):
             raw = fleck_oracle(n, r, p**a, l)
             # the guaranteed power of p, written out independently of floor_exponent
             e = (n - p ** (a - 1) - l * p**a) // ((p - 1) * p ** (a - 1))
             want = raw // p**e if e >= 0 else raw * p ** (-e)
             if e >= 0:
                 assert raw % p**e == 0
-            assert normalized_table(p, a, l)[r][1][n] == normalized(p, a, n, r, l) == want
-            assert normalized_parts(p, a, n, r, l)[2] == want
+            assert value == normalized_parts(p, a, n, r, l)[2] == want
 
 
 # prime powers up to 125, each with p^a > 1
@@ -251,20 +244,8 @@ class TestPascalFill:
             for k, residue, l, first in rows:
                 if index >= first:
                     r = k * m + residue % m
+                    # a query another row's step has filled reads the value the fill wrote
                     assert normalized(p, a, n, r, l) == normalized_parts(p, a, n, r, l)[2]
-        # the fill also wrote rows between their queries
-        for l in {l for _, _, l, _ in rows}:
-            for r, (r_, row, r0, shift) in normalized_table(p, a, l).items():
-                assert (r_, r0, shift) == (r, r % m, coefficients._shift(r // m, l))
-                for n, value in enumerate(row):
-                    if value is not None:
-                        assert value == normalized_parts(p, a, n, r, l)[2]
-            # the raw sums of every level at the record's n, for the residues r0 <= min(n, m - 1) only;
-            # a first query past n = 1 makes no record
-            if (p, a, l) in coefficients._sums:
-                at, raw = coefficients._sums[p, a, l]
-                assert raw == [[coefficients._direct_fleck_sum(at, r0, m, i) for r0 in range(min(at + 1, m))]
-                               for i in range(l + 1)]
 
     def test_a_trapped_step_raises_the_direct_text_and_stores_nothing(self, monkeypatch):
         # the first n whose sum p^floor_exponent divides but p^(floor_exponent + 1) does not
@@ -301,34 +282,26 @@ class TestPascalFill:
         assert normalized_table(3, 1, 0) == {} and coefficients._sums == {(3, 1, 0): (1, [[1, -1]])}
         assert normalized_table.cache_info().currsize == 1
 
-    def test_only_a_miss_at_or_one_past_the_state_is_filled(self, monkeypatch):
-        calls = []
-        direct = coefficients.normalized_parts
-        monkeypatch.setattr(coefficients, "normalized_parts", lambda *args: calls.append(args) or direct(*args))
-        # an isolated query far from n = 0 is one direct sum and makes no record
-        normalized(5, 3, 10_000, 7, 2)
-        assert calls == [(5, 3, 10_000, 7, 2)]
-        assert coefficients._sums == {} and list(normalized_table(5, 3, 2)) == [7]
-        for n in (0, 1, 2, 2, 3):
-            normalized(3, 2, n, 4, 1)
-        # a new row at the state's n, one past it, behind it, and two past it
-        for n, r in ((3, 5), (4, 6), (2, 7), (6, 4)):
-            normalized(3, 2, n, r, 1)
-        assert calls[1:] == [(3, 2, 2, 7, 1), (3, 2, 6, 4, 1)]
-        # the step to 4 wrote every row the state held; rows made since are written from the next step on
-        rows = {r: row for r, row, _, _ in normalized_table(3, 2, 1).values()}
-        assert [n for n, v in enumerate(rows[4]) if v is not None] == [0, 1, 2, 3, 4, 6]
-        assert [n for n, v in enumerate(rows[5]) if v is not None] == [3, 4]
-        assert [n for n, v in enumerate(rows[7]) if v is not None] == [2]
-        normalized(3, 2, 5, 4, 1)
-        assert calls[3:] == [] and [n for n, v in enumerate(rows[7]) if v is not None] == [2, 5]
+    def test_only_a_miss_at_or_one_past_the_state_is_filled(self):
+        def asked(*queries, p=3, a=2, l=1) -> Counter:
+            with count_work() as work:
+                values = [normalized(p, a, n, r, l) for n, r in queries]
+            assert values == [normalized_parts(p, a, n, r, l)[2] for n, r in queries]
+            return work
 
-    def test_clear_caches_drops_the_states(self):
-        normalized(2, 1, 1, 0, 0)
-        assert coefficients._sums[2, 1, 0][0] == 1
-        coefficients.clear_caches()
-        assert normalized_table.cache_info().currsize == 0 and coefficients._sums == {}
-        assert normalized_table(2, 1, 0) == {}
+        direct = Counter(normalized_parts=1, direct_sums=1)
+        # an isolated query far from n = 0 is one direct sum and makes no record, so n = 0 starts one
+        assert asked((10_000, 7), p=5, a=3, l=2) == direct
+        assert asked((0, 7), p=5, a=3, l=2) == Counter(fill_writes=1)
+        assert asked(*((n, 4) for n in (0, 1, 2, 2, 3))) == Counter(steps=3, fill_writes=4)
+        # a new row at the state's n, one past it, behind it, and two past it: the step to 4 writes
+        # every row the state holds
+        assert [asked((n, r)) for n, r in ((3, 5), (4, 6), (2, 7), (6, 4))] == [
+            Counter(fill_writes=1), Counter(steps=1, fill_writes=3), direct, direct]
+        # rows made since are written from the next step on, 7's included
+        assert asked((5, 4)) == Counter(steps=1, fill_writes=4)
+        assert asked(*((n, 4) for n in range(7)), (3, 5), (4, 5), (4, 6), *((5, r) for r in (5, 6, 7))) == Counter()
+        assert asked((2, 5)) == direct
 
     def test_a_record_holds_only_the_residues_up_to_its_n(self):
         # raw sums for all p^a (l + 1) = 4,121,204 residues from n = 0 would peak at ~31 MiB here
@@ -339,27 +312,23 @@ class TestPascalFill:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert coefficients._sums[101, 3, 3] == (0, [[1], [0], [0], [0]])
 
-    def test_values_stay_correct_after_a_bare_cache_clear(self, monkeypatch):
+    def test_values_stay_correct_after_a_bare_cache_clear(self):
         # the tracer empties the rows by normalized_table.cache_clear() alone, and the record stays at its n
         for n in range(41):
             normalized(3, 1, n, 2, 1)
         normalized_table.cache_clear()
         assert coefficients._sums[3, 1, 1][0] == 40
-        calls = []
-        direct = coefficients.normalized_parts
-        monkeypatch.setattr(coefficients, "normalized_parts", lambda *args: calls.append(args) or direct(*args))
-        for n in range(41):
-            assert normalized(3, 1, n, 2, 1) == direct(3, 1, n, 2, 1)[2]
+        want = [normalized_parts(3, 1, n, 2, 1)[2] for n in range(41)]
+        with count_work() as work:
+            assert [normalized(3, 1, n, 2, 1) for n in range(41)] == want
         # every n behind the record is summed directly
-        assert calls == [(3, 1, n, 2, 1) for n in range(40)]
+        assert work == Counter(normalized_parts=40, direct_sums=40, fill_writes=1)
         # clear_caches empties the rows and the records together, so the record steps from n = 0 again
         coefficients.clear_caches()
-        calls.clear()
-        for n in range(41):
-            assert normalized(3, 1, n, 2, 1) == direct(3, 1, n, 2, 1)[2]
-        assert calls == []
+        with count_work() as work:
+            assert [normalized(3, 1, n, 2, 1) for n in range(41)] == want
+        assert work == Counter(steps=40, fill_writes=41)
 
 
 # the moduli q = p^a of the raw-sum record tests: 2, 4, 9 and 25
@@ -391,21 +360,20 @@ class TestRawSumRecord:
                 got = coefficients._class_sums(raw, r % q, coefficients._shift(r // q, 4))
                 assert got == [fleck_oracle(n, r, q, l) for l in range(5)], (n, r)
 
-    def test_only_the_record_n_or_one_past_it_is_read(self, monkeypatch):
-        steps = []
-        step = coefficients._step
-        monkeypatch.setattr(coefficients, "_step", lambda raw, m: steps.append(m) or step(raw, m))
+    def test_only_the_record_n_or_one_past_it_is_read(self):
         # a record starts at n = 0, so n = 2 is two past it, and a read that misses stores no record
-        assert coefficients._raw_at(3, 1, 2, 1) is None
-        assert coefficients._sums == {} and steps == []
-        for n in range(4):
-            coefficients._raw_at(3, 1, n, 1)
-        assert coefficients._sums[3, 1, 1][0] == 3 and steps == [3] * 3
+        with count_work() as work:
+            assert coefficients._raw_at(3, 1, 2, 1) is None
+            assert coefficients._sums == {}
+            for n in range(4):
+                coefficients._raw_at(3, 1, n, 1)
+        assert coefficients._sums[3, 1, 1][0] == 3 and work == Counter(steps=3)
         # at the record's n it reads without a step; behind it and two past it, it reads nothing
-        assert coefficients._raw_at(3, 1, 3, 1) is coefficients._sums[3, 1, 1][1]
-        assert coefficients._raw_at(3, 1, 2, 1) is None
-        assert coefficients._raw_at(3, 1, 5, 1) is None
-        assert coefficients._sums[3, 1, 1][0] == 3 and steps == [3] * 3
+        with count_work() as work:
+            assert coefficients._raw_at(3, 1, 3, 1) is coefficients._sums[3, 1, 1][1]
+            assert coefficients._raw_at(3, 1, 2, 1) is None
+            assert coefficients._raw_at(3, 1, 5, 1) is None
+        assert coefficients._sums[3, 1, 1][0] == 3 and work == Counter()
         # each (p, a, l) has its own record
         assert coefficients._raw_at(3, 1, 1, 2) == [[1, -1], [0, 0], [0, 0]]
         assert set(coefficients._sums) == {(3, 1, 1), (3, 1, 2)}
@@ -434,8 +402,7 @@ class TestRawSumRecord:
     def test_three_readers_interleaved_on_one_record(self, prime_power, l, reads):
         p, a = prime_power
         q = p ** a
-        coefficients.clear_caches()
-        verifier._thm1_0_row.cache_clear()
+        empty_memos()
         n = 0
         for reader, step, r in reads:
             n = max(n + step, 0)
@@ -445,8 +412,10 @@ class TestRawSumRecord:
                 got, want = verifier.psi_sides(p, a, n, r, l)
                 assert want == [(-1) ** n * fleck_oracle(n, r, q, i) for i in range(l + 1)] == got, (n, r)
             else:
-                row, _, _, _ = verifier._thm1_0_row(p, a, l, n)
-                assert row == [fleck_oracle(n, r0, q, l) for r0 in range(min(n + 1, q))], n
+                # a stand-in verdict that returns the sum thm1.0 read for the class r
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(verifier, "_ord_at_least", lambda value, bound, p: value)
+                    assert verifier.CHECKS["thm1.0"].evaluate(p, a, l, n, r) == fleck_oracle(n, r, q, l), (n, r)
 
 class TestTCoeff:
     @pytest.mark.parametrize(
@@ -578,13 +547,12 @@ class TestFactorizationSides:
             assert factorization_sides(d, q, n, r, t, l) == modulus_factorization_identity(d, q, n, r, t, l)
 
     def test_a_column_grows_in_place(self):
-        # the column S_2(j, -3, 1) is the slope-0 line (q, l, r, 0) = (2, 1, -3, 0)
-        factorization_sides(1, 2, 4, -3, 0, 1)
-        column = coefficients._lines[2, 1, -3, 0]
-        assert column == [fleck_oracle(j, -3, 2, 1) for j in range(5)]
-        factorization_sides(1, 2, 12, -3, -2, 1)
-        assert coefficients._lines[2, 1, -3, 0] is column
-        assert column == [fleck_oracle(j, -3, 2, 1) for j in range(15)]
+        # the column S_2(j, -3, 1) of 5 values, then the 10 more a row of 15 needs; each rhs is one more sum
+        for (d, n, t), sums in (((1, 4, 0), 6), ((1, 12, -2), 11)):
+            with count_work() as work:
+                sides = factorization_sides(d, 2, n, -3, t, 1)
+            assert sides == modulus_factorization_identity(d, 2, n, -3, t, 1)
+            assert work == Counter(fleck_rows=1, direct_sums=sums)
 
     def test_truncation_trap(self, monkeypatch):
         # a row whose entry past j_max does not vanish: nothing is stored
@@ -600,13 +568,17 @@ class TestFactorizationSides:
     def test_refuses_q_and_l_on_a_row_hit(self):
         # the row of (d, n, t) = (2, 5, 1) is stored, so only the direct sums see q and l
         factorization_sides(2, 2, 5, 0, 1, 0)
-        for q, l, message in ((0, 0, "modulus must be positive, got 0"), (2, -1, "l must be >= 0, got -1")):
-            with pytest.raises(ValueError, match=message):
-                factorization_sides(2, q, 5, 0, 1, l)
-        assert set(coefficients._lines) == {(2, 0, 0, 0)}
+        with count_work() as work:
+            for q, l, message in ((0, 0, "modulus must be positive, got 0"), (2, -1, "l must be >= 0, got -1")):
+                with pytest.raises(ValueError, match=message):
+                    factorization_sides(2, q, 5, 0, 1, l)
+        # no sum is made: the right side is refused, and no column is summed
+        assert work == Counter()
 
     def test_clear_caches_empties_both_memos(self):
-        factorization_sides(3, 2, 10, 1, 2, 1)
-        assert coefficients._signed_rows and coefficients._lines
+        # the signed row and the column are summed again; a hit sums only the right side
+        args = 3, 2, 10, 1, 2, 1
+        first, again = work_of(factorization_sides, *args), work_of(factorization_sides, *args)
         coefficients.clear_caches()
-        assert coefficients._signed_rows == {} and coefficients._lines == {}
+        assert work_of(factorization_sides, *args) == first == Counter(fleck_rows=1, direct_sums=4)
+        assert again == Counter(direct_sums=1)

@@ -14,9 +14,9 @@ from cycpsi import (
     projection_rule_check,
     psi_apply,
     psi_power,
-    psi_series,
 )
 from oracles import fleck_oracle, one_plus_t_power, phi_by_substitution, poly_add, psi_oracle
+from work import count_work, empty_memos
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=10).map(TruncPoly.of)
 small_primes = st.sampled_from((2, 3, 5))
@@ -220,17 +220,6 @@ def _twisted_direct(n: int, r: int, p: int, a: int, l_max: int) -> tuple[int, ..
     return (psi_power(inner, p, a) * unit).truncated(l_max).coeffs
 
 
-def _images_held() -> int:
-    """The operator images the memo holds, over every (p, a, l_max) store: the
-    length of a store's columns, which all hold the same images."""
-    return sum(len(columns[0]) for columns in psi_series._images.values())
-
-
-def _image(columns: list[list[int]], i: int) -> tuple[int, ...]:
-    """The coefficients of image i, read across the columns _monomial_images returns."""
-    return tuple(column[i] for column in columns)
-
-
 class TestMonomialImageMemo:
     @given(st.integers(0, 150), st.integers(-60, 60), oracle_primes, st.sampled_from((1, 2, 3)),
            st.integers(0, 6))
@@ -239,12 +228,12 @@ class TestMonomialImageMemo:
     @settings(max_examples=40, deadline=None)
     def test_matches_direct_route_cold_and_warm(self, n, r, p, a, l_max):
         want = _twisted_direct(n, r, p, a, l_max)
-        images = n + -r % p ** a + 1  # psi^a(T^i) for i in 0..n+e, grown in order of i
-        psi_series._images.clear()
-        assert monomial_twisted(n, r, p, a, l_max).coeffs == want  # cold: every image computed
-        assert _images_held() == images
-        assert monomial_twisted(n, r, p, a, l_max).coeffs == want  # warm: every image read back
-        assert _images_held() == images
+        empty_memos()
+        # cold: psi^a(T^i) for i in 0..n+e, grown in order of i; warm: every image read back
+        for images in (n + -r % p ** a + 1, 0):
+            with count_work() as work:
+                assert monomial_twisted(n, r, p, a, l_max).coeffs == want
+            assert work["images"] == images
 
     def test_deep_row_does_not_recurse(self):
         # 3,004 images of psi(T^i), each from the two before it
@@ -259,15 +248,17 @@ def _image_oracle(i: int, p: int, a: int, through: int) -> tuple[int, ...]:
 class TestMonomialImages:
     """The recurrence images against psi_power, each run from a cold memo, with
     the images asked for out of order so that one request grows the list past
-    the images a later one reads back."""
+    the images a later one reads back; monomial_twisted(i, 0, ...) is psi^a(T^i)."""
 
     @pytest.mark.parametrize("a", (1, 2, 3))
     @pytest.mark.parametrize("p", (2, 3, 5, 7))
     def test_descending_to_three_periods(self, p, a):
         q = p ** a
-        psi_series._images.clear()
-        for i in (3 * q, 3 * q - 1, 2 * q + 1, q, q - 1, 1, 0):
-            assert _image(psi_series._monomial_images(p, a, 6, i), i) == _image_oracle(i, p, a, 6), i
+        with count_work() as work:
+            for i in (3 * q, 3 * q - 1, 2 * q + 1, q, q - 1, 1, 0):
+                assert monomial_twisted(i, 0, p, a, 6).coeffs == _image_oracle(i, p, a, 6), i
+        # the first request builds every image up to 3 q
+        assert work["images"] == 3 * q + 1
 
     @given(oracle_primes, st.sampled_from((1, 2, 3)), st.integers(0, 6), st.data())
     @settings(max_examples=40, deadline=None)
@@ -278,10 +269,11 @@ class TestMonomialImages:
             wanted.sort(reverse=True)
         else:
             wanted = data.draw(st.permutations(wanted), label="shuffled")
-        psi_series._images.clear()
-        for i in wanted:
-            assert _image(psi_series._monomial_images(p, a, through, i), i) == _image_oracle(i, p, a, through), i
-        assert _images_held() == max(wanted) + 1
+        empty_memos()
+        with count_work() as work:
+            for i in wanted:
+                assert monomial_twisted(i, 0, p, a, through).coeffs == _image_oracle(i, p, a, through), i
+        assert work["images"] == max(wanted) + 1
 
 
 class TestProjectionRule:

@@ -6,44 +6,37 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cycpsi import (
     CHECK_IDS,
     SweepGrid,
     congruent_mod_p_power,
     delta_for,
-    fleck_sum_general,
     normalized_parts,
     residue_system,
     run_explore,
     run_sweep,
 )
-from cycpsi import coefficients, psi_series, verifier
-from cycpsi.coefficients import floor_exponent, normalized_table
+from cycpsi import coefficients, verifier
+from cycpsi.coefficients import floor_exponent, normalized
 from cycpsi.psi_series import _images
 from cycpsi.verifier import CHECKS, CheckFailure, _block, _lem3_2_exceptional, _sigma, _thm1_2_branch
 from oracles import fleck_oracle, nested_expand
+from test_golden_reports import GRIDS
 from test_mutants import CATALOG_GRID, _doc, _InProcessPool, _mutated_verifier
-from test_psi_series import _images_held
+from work import count_work, empty_memos, work_of
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 
-SMALL = SweepGrid(
-    primes=(2, 3),
-    a_range=(1, 2),
-    n_range=(0, 8),
-    l_range=(0, 2),
-    m_range=(1, 4),
-    d_range=(1, 3),
-    q_range=(1, 3),
-    abs_r_max=3,
-    coeff_degree=3,
-)
+SMALL = GRIDS["small"]  # the golden reports' small grid
 
 
 def test_residue_system():
@@ -245,35 +238,15 @@ def test_blocks_bind_the_axes_before_n():
     assert {target: check.names[:verifier._block_depth(check.axes)] for target, check in checks.items()} == BLOCK_AXES
 
 
-def test_each_thm1_0_block_builds_its_rows_once(monkeypatch):
+def test_each_thm1_0_block_builds_its_rows_once():
     grid = ACCEPTANCE_GRIDS[0][1]
-    direct, steps = [], []
-    step = coefficients._step
-
-    def counted_residues(n, m, l):
-        direct.append((n, m, l))
-        return coefficients._fleck_residues(n, m, l)
-
-    def counted_step(raw, m):
-        steps.append(m)
-        return step(raw, m)
-
-    monkeypatch.setattr(verifier, "_fleck_residues", counted_residues)
-    monkeypatch.setattr(coefficients, "_step", counted_step)
     blocks = CHECKS["thm1.0"].blocks(grid)
-    checked = stepped = 0
-    # in expansion order, so each block meets the record and row the one before it left
-    for block, size in blocks:
-        steps.clear()
-        assert _block("thm1.0", grid, block) == []
-        # _block empties the records, so the block's record (p, a, l) starts at n = 0 and takes
-        # one step per later n
-        assert steps == [block[0] ** block[1]] * 120
-        checked += size
-        stepped += len(steps)
-    # the 7,260 rows of the bindings (p, a, l, n) come from 7,200 steps and no direct pass
-    assert stepped == 4 * 3 * 5 * 120 == 7_200 and direct == []
-    assert checked == 381_150
+    # in expansion order, so each block meets the record and row the one before it left; _block empties
+    # the records, so the block's record (p, a, l) starts at n = 0, takes one step per later n, and gives
+    # the row of every binding (p, a, l, n) with no direct pass
+    for block, _ in blocks:
+        assert work_of(_block, "thm1.0", grid, block) == Counter(steps=120), block
+    assert sum(size for _, size in blocks) == 381_150
     # the largest block is (7, 3, l): 121 values of n times 7^3 + 2 residues
     assert max(size for _, size in blocks) == 121 * (7 ** 3 + 2) == 41_745
 
@@ -284,8 +257,9 @@ def test_psi_identity_blocks_build_the_images_of_a_fresh_worker(monkeypatch, wor
     block_of = verifier._block
 
     def recording_block(target, grid, block):
-        rows = block_of(target, grid, block)
-        built[block] = _images_held()
+        with count_work() as work:
+            rows = block_of(target, grid, block)
+        built[block] = work
         return rows
 
     class FreshWorkerPool(_InProcessPool):
@@ -295,19 +269,13 @@ def test_psi_identity_blocks_build_the_images_of_a_fresh_worker(monkeypatch, wor
             sizes.append(workers)
 
         def map(self, function, iterable, chunksize=1):
-            results = []
-            for block in iterable:
-                _images.clear()
-                psi_series._twists.clear()
-                coefficients._sums.clear()
-                results.append(function(block))
-            return results
+            return [empty_memos() or function(block) for block in iterable]
 
     monkeypatch.setattr(verifier, "_block", recording_block)
     # in process, each block runs after the blocks larger than it, on the memos they left
     run_sweep("psi-identity")
     in_process = dict(built)
-    assert len(in_process) == 6 and all(in_process.values())
+    assert len(in_process) == 6 and all(work["images"] for work in in_process.values())
     built.clear()
     monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=FreshWorkerPool))
     run_sweep("psi-identity", workers=workers)
@@ -370,38 +338,25 @@ def test_workers_below_one_rejected(workers):
 
 
 def test_psi_identity_leaves_the_sum_memo_empty():
-    # psi-identity reads its sums from the raw-sum record of each (p, a, coeff_degree), not from these memos
-    report = run_sweep("psi-identity", SMALL)
-    assert report.verdict == "pass" and report.checked > 0
-    assert fleck_sum_general.cache_info().currsize == 0
-    assert normalized_table.cache_info().currsize == 0
-
-
-@pytest.mark.parametrize("check, lines, values", [("lem2.2", 1_584, 49_824), ("lem3.1", 180, 7_740)])
-def test_composite_moduli_keep_their_sums_in_lines(check, lines, values):
-    # lem2.2: a slope-0 line per (m, l, r) for 0 <= l <= 3 and a slope-1 line per (m, l - 1, r + m - n);
-    # lem3.1: a column per (q, l, r)
-    assert run_sweep(check, SweepGrid()).verdict == "pass"
-    assert fleck_sum_general.cache_info().currsize == 0
-    assert (len(coefficients._lines), sum(map(len, coefficients._lines.values()))) == (lines, values)
+    # psi-identity reads its sums from the raw-sum record of each (p, a, coeff_degree), never summing directly
+    work = work_of(run_sweep, "psi-identity", SMALL)
+    assert work["steps"] and set(+work) <= {"steps", "psi_power", "images", "constants"}
 
 
 def test_every_sweep_starts_with_empty_records_and_operator_constants():
-    # every block does: each psi-identity block (p, a) at coeff_degree 3 steps one record to n = 8 and
-    # keeps one set of constants per (p^a, r), whatever another block or a stray entry left before it
-    for p, a in [(p, a) for p in SMALL.primes for a in (1, 2)]:
-        coefficients._sums[7, 1, 0] = 0, [[1]]
-        psi_series._twists[0, 0, 0] = 0, [1], [1]
-        assert _block("psi-identity", SMALL, (p, a)) == []
-        assert {key: at for key, (at, _) in coefficients._sums.items()} == {(p, a, 3): 8}
-        assert set(psi_series._twists) == {(p ** a, r, 3) for r in residue_system(p, a)}
-    assert _block("thm1.0", SMALL, (3, 2, 1)) == []
-    assert psi_series._twists == {}
-    assert {key: at for key, (at, _) in coefficients._sums.items()} == {(3, 2, 1): 8}
-    # so a sweep leaves its last block's: (2, 1), the smallest, of 9 n values times 3 residues
+    # every block does: each psi-identity block (p, a) at coeff_degree 3 steps one record from n = 0 to 8
+    # and builds its images and constants, the same work whatever ran before it, a sweep of the same grid
+    # included
+    blocks = [(p, a) for p in SMALL.primes for a in (1, 2)]
+    fresh = {}
+    for block in blocks:
+        empty_memos()
+        fresh[block] = work_of(_block, "psi-identity", SMALL, block)
+    assert all(work["steps"] == 8 and work["images"] for work in fresh.values())
     run_sweep("psi-identity", SMALL)
-    assert {key: at for key, (at, _) in coefficients._sums.items()} == {(2, 1, 3): 8}
-    assert set(psi_series._twists) == {(2, r, 3) for r in residue_system(2, 1)}
+    _block("thm1.0", SMALL, (3, 2, 1))
+    assert [work_of(_block, "psi-identity", SMALL, block) for block in blocks[::-1]] == [
+        fresh[block] for block in blocks[::-1]]
 
 
 def test_a_block_reads_no_stepping_memo_left_before_it(monkeypatch):
@@ -422,52 +377,39 @@ def test_a_block_reads_no_stepping_memo_left_before_it(monkeypatch):
 # psi_sides reads its Fleck side from the record _sums[p, a, l_max] while n steps from 0, and sums it
 # with _fleck_row behind the record or two past it; the moduli q are 2, 4, 9 and 25
 @pytest.mark.parametrize("p, a", [(2, 1), (2, 2), (3, 2), (5, 2)])
-def test_psi_sides_matches_the_oracle_on_and_off_the_record(p, a, monkeypatch):
+def test_psi_sides_matches_the_oracle_on_and_off_the_record(p, a):
     q = p ** a
-    direct = []
-    row = coefficients._fleck_row
-    monkeypatch.setattr(verifier, "_fleck_row", lambda n, r, m, l_max: direct.append(n) or row(n, r, m, l_max))
 
-    def check(n):
+    def check(*ns) -> tuple[int, int]:
+        """(record steps, direct rows) of psi_sides at every n of ns, every r checked against the oracle."""
         # negative r, r >= q, and for n < q - 1 the residues r0 > n, which have no term
-        for r in range(-3 * q, 3 * q + 1):
-            got, want = verifier.psi_sides(p, a, n, r, 4)
+        with count_work() as work:
+            sides = {(n, r): verifier.psi_sides(p, a, n, r, 4) for n in ns for r in range(-3 * q, 3 * q + 1)}
+        for (n, r), (got, want) in sides.items():
             assert want == [verifier._sign(n) * fleck_oracle(n, r, q, l) for l in range(5)] == got, (n, r)
+        return work["steps"], work["fleck_rows"]
 
-    for n in range(q + 3):
-        check(n)
-    assert direct == [] and coefficients._sums[p, a, 4][0] == q + 2
-    off = (q // 2, q + 4, 3 * q + 5)  # behind the record, two past it, and far past it
-    for n in off:
-        check(n)
-    assert direct == [n for n in off for _ in range(6 * q + 1)]
-    assert coefficients._sums[p, a, 4][0] == q + 2
+    assert check(*range(q + 3)) == (q + 2, 0)
+    # behind the record, two past it, and far past it, each r summed directly; the record stays at q + 2
+    assert check(q // 2, q + 4, 3 * q + 5) == (0, 3 * (6 * q + 1))
+    assert check(q + 2, q + 3) == (1, 0)
 
 
 def test_thm1_0_rows_off_the_record_are_summed_directly(monkeypatch):
-    direct = []
-    residues = coefficients._fleck_residues
-    monkeypatch.setattr(verifier, "_fleck_residues", lambda n, m, l: direct.append(n) or residues(n, m, l))
+    # a stand-in verdict that returns the sum each tuple read, for residues and for classes outside [0, 3)
+    monkeypatch.setattr(verifier, "_ord_at_least", lambda value, bound, p: value)
+    classes = (-4, -1, 0, 1, 2, 4, 5)
+    works = []
     for n in (0, 1, 2, 3, 1, 5, 4):
-        row, bound, m, raw = verifier._thm1_0_row(3, 1, 2, n)
-        assert row == [fleck_oracle(n, r0, 3, 2) for r0 in range(min(n + 1, 3))]
-        # the record's levels come along on it, for the classes outside [0, 3)
-        assert (raw is None) if n in direct else (raw[2] is row)
-    # 1 lies behind the record at 3, and 5 two past it; 4 is one past it
-    assert direct == [1, 5] and coefficients._sums[3, 1, 2][0] == 4
-
-
-def test_every_sweep_starts_with_an_empty_image_memo():
-    run_sweep("psi-identity", SMALL)
-    first = dict(_images)
-    assert _images_held() > 0
-    # the grid is the same, so the coefficient memos stay, but the images are computed again
-    # and a store left between the two sweeps is gone
-    _images[0, 0, 0] = [["left over"]]
-    run_sweep("psi-identity", SMALL)
-    assert _images == first
-    run_sweep("thm1.0", SMALL)
-    assert _images_held() == 0
+        with count_work() as work:
+            sums = [CHECKS["thm1.0"].evaluate(3, 1, 2, n, r) for r in classes]
+        assert sums == [fleck_oracle(n, r, 3, 2) for r in classes], n
+        works.append(work)
+    # 1 lies behind the record at 3, and 5 two past it: one residue row each, and every class outside
+    # [0, 3) whose residue is at most n summed directly; 4 is one past it
+    step = Counter(steps=1)
+    assert works == [Counter(), step, step, step, Counter(residue_rows=1, direct_sums=1),
+                     Counter(residue_rows=1, direct_sums=4), step]
 
 
 # thm1.0 reads the residues 0 <= r < p^a from one row per binding, and every other representative
@@ -520,22 +462,14 @@ def test_the_oracle_differential_catches_thm1_0_read_mutants(mutant, monkeypatch
     assert any(_thm1_0_reads(mutated, grid, monkeypatch) != _thm1_0_oracle_reads(grid) for grid in THM1_0_GRIDS)
 
 
-def _direct_sums(grid) -> int:
-    """The direct sums a passing thm1.0 sweep of grid makes."""
-    calls = []
-    direct = verifier._direct_fleck_sum
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifier, "_direct_fleck_sum", lambda n, r, m, l: calls.append(n) or direct(n, r, m, l))
-        assert run_sweep("thm1.0", grid).verdict == "pass"
-    return len(calls)
-
-
 @pytest.mark.parametrize("grid", [*THM1_0_GRIDS, SweepGrid()])
 def test_thm1_0_sums_directly_only_off_the_record(grid):
     # every block steps its records from n = 0, so each binding is on the record; where n starts
     # at 5, every block starts past its records' first step and sums the other classes directly
-    assert _direct_sums(grid) == 0
-    assert _direct_sums(replace(grid, n_range=(5, 14))) > 0
+    for n_range, direct in ((grid.n_range, False), ((5, 14), True)):
+        with count_work() as work:
+            assert run_sweep("thm1.0", replace(grid, n_range=n_range)).verdict == "pass"
+        assert bool(work["direct_sums"]) is direct, n_range
 
 
 def test_a_sweep_after_the_row_kernel_is_patched_sees_the_patch(monkeypatch):
@@ -549,105 +483,69 @@ def test_a_sweep_after_the_row_kernel_is_patched_sees_the_patch(monkeypatch):
     assert run_sweep("thm1.0", grid).verdict == "pass"
 
 
-def _counting_normalized_parts(monkeypatch) -> list:
-    """Count the calls that reach normalized_parts, i.e. the memo misses."""
-    calls = []
-    direct = coefficients.normalized_parts
-
-    def counted(*args):
-        calls.append(args)
-        return direct(*args)
-
-    monkeypatch.setattr(coefficients, "normalized_parts", counted)
-    return calls
+def test_memo_is_kept_while_the_grid_stays():
+    assert work_of(run_sweep, "thm1.1", SMALL)["normalized_parts"]
+    assert work_of(run_sweep, "thm1.1", SMALL) == Counter()
+    # lem3.2 reads every coefficient thm1.1 reads (thm1.1 after it computes none), so after thm1.1
+    # it computes fewer than alone
+    after = work_of(run_sweep, "lem3.2", SMALL)["normalized_parts"]
+    coefficients.clear_caches()
+    assert work_of(run_sweep, "lem3.2", SMALL)["normalized_parts"] > after
+    assert work_of(run_sweep, "thm1.1", SMALL) == Counter()
 
 
-def _doc(report) -> dict:
-    doc = report.to_json_dict()
-    del doc["elapsed_ms"]
-    return doc
-
-
-def test_memo_is_kept_while_the_grid_stays(monkeypatch):
-    calls = _counting_normalized_parts(monkeypatch)
-    first = _doc(run_sweep("thm1.1", SMALL))
-    thm1_1_misses = set(calls)
-    assert thm1_1_misses
-    calls.clear()
-    assert _doc(run_sweep("thm1.1", SMALL)) == first
-    assert calls == []
-    # lem3.2 reads every coefficient thm1.1 read and computes none of them again
-    run_sweep("lem3.2", SMALL)
-    assert calls and thm1_1_misses.isdisjoint(calls)
-    assert len(calls) == len(set(calls))
-
-
-def test_thm1_1_fills_its_rows_by_the_pascal_step(monkeypatch):
-    # 130,872 tuples read two coefficients each; without the fill, 138,088 of those reads were direct sums
-    calls = _counting_normalized_parts(monkeypatch)
-    assert run_sweep("thm1.1").checked == 130_872
-    assert len(calls) < 10_000
-
-
-def test_rem2_1_after_thm1_1_sums_no_more_directly_than_alone(monkeypatch):
+def test_rem2_1_after_thm1_1_sums_no_more_directly_than_alone():
     # rem2.1 reads behind the records it steps; each sweep starts its records at n = 0, so the ones
     # thm1.1 left at the end of the grid do not turn rem2.1's reads into direct sums
-    calls = _counting_normalized_parts(monkeypatch)
-    run_sweep("rem2.1")
-    alone = len(calls)
+    alone = work_of(run_sweep, "rem2.1")["normalized_parts"]
     coefficients.clear_caches()
     run_sweep("thm1.1")
-    calls.clear()
-    run_sweep("rem2.1")
-    assert len(calls) <= alone
+    assert work_of(run_sweep, "rem2.1")["normalized_parts"] <= alone
 
 
-def test_a_catalog_sharing_its_memos_reports_as_fresh_sweeps_do():
-    targets = [*(c for c in CHECK_IDS if c != "self-test"), "rem1.2"]
+CATALOG_TARGETS = [*(c for c in CHECK_IDS if c != "self-test"), "rem1.2"]
 
-    def sweep(target):
-        return _doc(run_explore(CATALOG_GRID) if target == "rem1.2" else run_sweep(target, CATALOG_GRID))
 
-    fresh = {}
-    for target in targets:
-        coefficients.clear_caches()
-        fresh[target] = sweep(target)
-    # forwards and backwards, each on memos left by the sweeps before it
-    for order in (targets, targets[::-1]):
-        coefficients.clear_caches()
-        assert {target: sweep(target) for target in order} == fresh
+def _catalog_doc(target: str) -> dict:
+    """target's report on CATALOG_GRID, bar elapsed_ms, on the memos as they stand."""
+    return _doc(run_explore(CATALOG_GRID) if target == "rem1.2" else run_sweep(target, CATALOG_GRID))
+
+
+@cache
+def _fresh_catalog() -> dict:
+    """Every catalog target's report on CATALOG_GRID from empty memos, bar elapsed_ms."""
+    return {target: empty_memos() or _catalog_doc(target) for target in CATALOG_TARGETS}
+
+
+@given(st.lists(st.sampled_from(CATALOG_TARGETS), min_size=3, max_size=6))
+@example(CATALOG_TARGETS)
+@example(CATALOG_TARGETS[::-1])
+@settings(max_examples=10, deadline=None)
+def test_a_catalog_sharing_its_memos_reports_as_fresh_sweeps_do(targets):
+    # each on memos left by the sweeps before it: rows are kept for a grid and shared between checks,
+    # records restart in every block
+    fresh = _fresh_catalog()
+    empty_memos()
+    assert [_catalog_doc(target) for target in targets] == [fresh[target] for target in targets]
 
 
 def test_a_new_grid_starts_with_empty_memos():
-    run_sweep("thm1.1", SMALL)
-    run_sweep("cor1.3", SMALL)
-    assert normalized_table.cache_info().currsize > 0
-    assert fleck_sum_general.cache_info().currsize > 0
     other = SweepGrid(primes=(3,), a_range=(1, 1), l_range=(0, 0), m_range=(1, 2))
-    run_sweep("thm1.5", other)
-    assert normalized_table.cache_info().currsize == 1  # only the (3, 1, 0) record thm1.5 filled
-    assert fleck_sum_general.cache_info().currsize == 0
+    fresh = work_of(run_sweep, "thm1.5", other)
+    # SMALL's sweep reads the same coefficients; each change of grid empties the memos
+    run_sweep("thm1.5", SMALL)
+    assert fresh["normalized_parts"] and work_of(run_sweep, "thm1.5", other) == fresh
 
 
 def test_the_memo_holds_one_row_per_r_and_l():
+    # every coefficient thm1.1 reads is kept for the grid, each the direct route's value
     run_sweep("thm1.1", SMALL)
-    # the records left are the last block's, one per depth it read, each with levels 0..l
-    assert len(coefficients._sums) == 2
-    assert all(len(raw) == l + 1 for (p, a, l), (at, raw) in coefficients._sums.items())
-    stored = 0
-    # thm1.1 reads depths a and a + 1 for a >= 2, at every l of the grid
-    for p in SMALL.primes:
-        for a in (2, 3):
-            for l in range(SMALL.l_range[0], SMALL.l_range[1] + 1):
-                rows = normalized_table(p, a, l)
-                assert rows
-                for r, (r_, row, r0, shift) in rows.items():
-                    assert type(r) is int and r_ == r and r0 == r % p**a and type(row) is list
-                    for n, value in enumerate(row):
-                        if value is not None:
-                            assert value == normalized_parts(p, a, n, r, l)[2]
-                            stored += 1
-    assert stored > 0
+    reads = {args for p, a, l, n, r, s, t in CHECKS["thm1.1"].expand(SMALL)
+             for args in ((p, a + 1, p * n + s, p * r + t, l), (p, a, n, r, l))}
+    with count_work() as work:
+        kept = {args: normalized(*args) for args in reads}
+    assert work == Counter()
+    assert all(value == normalized_parts(*args)[2] for args, value in kept.items())
 
 
 def test_abs_r_max_bounds_lem2_2_only():
