@@ -303,6 +303,14 @@ class TestPascalFill:
         assert asked(*((n, 4) for n in range(7)), (3, 5), (4, 5), (4, 6), *((5, r) for r in (5, 6, 7))) == Counter()
         assert asked((2, 5)) == direct
 
+    def test_clear_caches_drops_the_states(self):
+        # the record at n = 1 steps to n = 2; once it is dropped, n = 2 is summed directly
+        for n in (0, 1):
+            normalized(2, 1, n, 0, 0)
+        assert work_of(normalized, 2, 1, 2, 0, 0) == Counter(steps=1, fill_writes=1)
+        coefficients.clear_caches()
+        assert work_of(normalized, 2, 1, 2, 0, 0) == Counter(normalized_parts=1, direct_sums=1)
+
     def test_a_record_holds_only_the_residues_up_to_its_n(self):
         # raw sums for all p^a (l + 1) = 4,121,204 residues from n = 0 would peak at ~31 MiB here
         tracemalloc.start()

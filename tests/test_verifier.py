@@ -359,6 +359,12 @@ def test_every_sweep_starts_with_empty_records_and_operator_constants():
         fresh[block] for block in blocks[::-1]]
 
 
+def test_every_sweep_starts_with_an_empty_image_memo():
+    # a second sweep of the same grid builds every image again
+    works = [work_of(run_sweep, "psi-identity", SMALL) for _ in range(2)]
+    assert works[0]["images"] > 0 and works[0] == works[1]
+
+
 def test_a_block_reads_no_stepping_memo_left_before_it(monkeypatch):
     # stand-in verdicts that fail every tuple with both sides expose what each tuple read
     monkeypatch.setattr(verifier, "_ord_at_least", lambda value, bound, p: (str(bound), str(value)))
