@@ -63,7 +63,9 @@ class TestFleckSum:
     @example(10, -7, 4, 6)
     @settings(max_examples=100, deadline=None)
     def test_one_pass_row_matches_every_sum(self, n, r, m, l_max):
-        row = coefficients._fleck_row(n, r, m, l_max)
+        with count_work() as work:
+            row = coefficients._fleck_row(n, r, m, l_max)
+        assert work == Counter(fleck_rows=1)  # the row stores no sum
         assert row == [fleck_sum_general(n, r, m, l) for l in range(l_max + 1)]
 
     @given(st.integers(0, 60), st.integers(1, 90), st.integers(0, 6))
@@ -183,14 +185,14 @@ class TestNormalizedMemo:
         assert is_prime.cache_info().misses == 2
 
     def test_clear_caches_empties_both_memos(self):
-        # the rows and the records: a value summed directly and two from a record are worked out again
+        # a row value summed directly and a memoized Fleck sum are worked out again
         def ask():
-            for n in (4, 0, 1):
-                normalized(2, 1, n, 0, 0)
+            normalized(2, 1, 4, 0, 0)
+            t_coeff(2, 1, 4, 0, 0)
 
         first, again = work_of(ask), work_of(ask)
         coefficients.clear_caches()
-        assert work_of(ask) == first == Counter(normalized_parts=1, direct_sums=1, steps=1, fill_writes=2)
+        assert work_of(ask) == first == Counter(normalized_parts=1, direct_sums=1, memo_sums=1)
         assert again == Counter()
 
     # (p, a, n, r, l) with r < 0, asked in a random order first

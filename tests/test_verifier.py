@@ -345,22 +345,17 @@ def test_psi_identity_leaves_the_sum_memo_empty():
 
 def test_every_sweep_starts_with_empty_records_and_operator_constants():
     # every block does: each psi-identity block (p, a) at coeff_degree 3 steps one record from n = 0 to 8
-    # and builds its images and constants, the same work whatever ran before it, a sweep of the same grid
-    # included
+    # and builds its images and constants, the same work whatever blocks ran before it, thm1.0's included
     blocks = [(p, a) for p in SMALL.primes for a in (1, 2)]
-    fresh = {}
-    for block in blocks:
-        empty_memos()
-        fresh[block] = work_of(_block, "psi-identity", SMALL, block)
+    fresh = {block: empty_memos() or work_of(_block, "psi-identity", SMALL, block) for block in blocks}
     assert all(work["steps"] == 8 and work["images"] for work in fresh.values())
-    run_sweep("psi-identity", SMALL)
     _block("thm1.0", SMALL, (3, 2, 1))
     assert [work_of(_block, "psi-identity", SMALL, block) for block in blocks[::-1]] == [
         fresh[block] for block in blocks[::-1]]
 
 
 def test_every_sweep_starts_with_an_empty_image_memo():
-    # a second sweep of the same grid builds every image again
+    # a second sweep of the same grid, whose coefficient memos stay, builds every image again
     works = [work_of(run_sweep, "psi-identity", SMALL) for _ in range(2)]
     assert works[0]["images"] > 0 and works[0] == works[1]
 
@@ -490,13 +485,14 @@ def test_a_sweep_after_the_row_kernel_is_patched_sees_the_patch(monkeypatch):
 
 
 def test_memo_is_kept_while_the_grid_stays():
-    assert work_of(run_sweep, "thm1.1", SMALL)["normalized_parts"]
+    thm1_1 = work_of(run_sweep, "thm1.1", SMALL)
     assert work_of(run_sweep, "thm1.1", SMALL) == Counter()
-    # lem3.2 reads every coefficient thm1.1 reads (thm1.1 after it computes none), so after thm1.1
-    # it computes fewer than alone
-    after = work_of(run_sweep, "lem3.2", SMALL)["normalized_parts"]
+    # lem3.2 reads every coefficient thm1.1 reads (thm1.1 after it computes none), so after thm1.1 it
+    # does its work alone less all of thm1.1's
+    after = work_of(run_sweep, "lem3.2", SMALL)
     coefficients.clear_caches()
-    assert work_of(run_sweep, "lem3.2", SMALL)["normalized_parts"] > after
+    assert work_of(run_sweep, "lem3.2", SMALL) == thm1_1 + after
+    assert (thm1_1["normalized_parts"], after["normalized_parts"]) == (210, 92)
     assert work_of(run_sweep, "thm1.1", SMALL) == Counter()
 
 
@@ -537,10 +533,12 @@ def test_a_catalog_sharing_its_memos_reports_as_fresh_sweeps_do(targets):
 
 def test_a_new_grid_starts_with_empty_memos():
     other = SweepGrid(primes=(3,), a_range=(1, 1), l_range=(0, 0), m_range=(1, 2))
-    fresh = work_of(run_sweep, "thm1.5", other)
-    # SMALL's sweep reads the same coefficients; each change of grid empties the memos
-    run_sweep("thm1.5", SMALL)
-    assert fresh["normalized_parts"] and work_of(run_sweep, "thm1.5", other) == fresh
+    fresh = {target: empty_memos() or work_of(run_sweep, target, other) for target in ("thm1.5", "cor1.3")}
+    assert fresh["thm1.5"]["normalized_parts"] == 10 and fresh["cor1.3"] == Counter(memo_sums=521)
+    # SMALL's sweeps read the same coefficients and sums; each change of grid empties the memos
+    for target, work in fresh.items():
+        run_sweep(target, SMALL)
+        assert work_of(run_sweep, target, other) == work
 
 
 def test_the_memo_holds_one_row_per_r_and_l():

@@ -26,7 +26,7 @@ WORK = {
     # the Pascal fill writes ~14 values for each one summed directly
     "catalog-default": (_sweeps(SweepGrid(), *CATALOG), dict(
         normalized_parts=14_153, direct_sums=14_153, steps=5_796, fill_writes=199_234, psi_power=48, images=288,
-        constants=59)),
+        constants=59, memo_sums=8_084)),
     # 60 blocks (p, a, l), each stepping one record from n = 0 to 120 and reading every class from it
     "thm1.0-acceptance": (_sweeps(ACCEPTANCE_GRIDS[0][1], "thm1.0"), dict(steps=7_200)),
     # the images below p^a from psi_power and the rest by the recurrence; the Fleck side from the records

@@ -35,12 +35,27 @@ _images_added = _counter(lambda columns: len(columns[0]),
 _constants_added = _counter(lambda twist: len(psi_series._twists), lambda *args: len(psi_series._twists))
 
 
+def _memo_misses(work: Counter, key: str, memo):
+    """memo, an lru_cache, adding each call's misses to work[key]; its cache_clear
+    stays reachable, since clear_caches looks the memo up at call time."""
+    def counted(*args):
+        start = memo.cache_info().misses
+        result = memo(*args)
+        work[key] += memo.cache_info().misses - start
+        return result
+
+    counted.cache_clear, counted.cache_info = memo.cache_clear, memo.cache_info
+    return counted
+
+
 # key -> (what counts, the kernel, the modules whose binding of it is looked up at call time)
 KERNELS = {
     # coefficients summed directly where normalized misses its rows and records
     "normalized_parts": (_calls, "normalized_parts", (coefficients,)),
     # Fleck sums summed term by term, normalized_parts' included
     "direct_sums": (_calls, "_direct_fleck_sum", (coefficients, verifier)),
+    # Fleck sums computed for fleck_sum_general's memo, which serves cor1.3's t_coeff
+    "memo_sums": (_memo_misses, "fleck_sum_general", (coefficients,)),
     # one-pass rows of a sum at every l, and of every residue
     "fleck_rows": (_calls, "_fleck_row", (coefficients, verifier)),
     "residue_rows": (_calls, "_fleck_residues", (verifier,)),
