@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .coefficients import normalized_parts, t_coeff
-from .verifier import CHECK_IDS, SweepGrid, psi_sides, run_explore, run_sweep
+from .verifier import CHECK_IDS, SweepGrid, _refuse_repeats, psi_sides, run_explore, run_sweep
 
 OUT_DIR_ENV = "CYCPSI_OUT_DIR"
 
@@ -142,6 +142,8 @@ def _cmd_table(args) -> int:
     l_values = _parse_int_list(args.l, "--l")
     if any(l < 0 for l in l_values):
         raise ValueError("l values must be >= 0")
+    _refuse_repeats("--r", r_values)
+    _refuse_repeats("--l", l_values)
     rows = [
         _coeff_row(args.p, args.a, n, r, l)
         for n in range(args.n_min, args.n_max + 1)

@@ -55,8 +55,8 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
 # The sum without fleck_sum_general's memo, which now serves only t_coeff (cor1.3):
 # lem2.2's sums and lem3.1's columns live in _lines and normalized values in
 # normalized_table, but lem3.1's right side is a direct sum, one per tuple (354,240
-# at SweepGrid()), and thm1.0 sums a class directly only where a binding is off the
-# raw-sum records.
+# at SweepGrid()), and thm1.0 sums a class directly only where a binding with a
+# positive bound is off the raw-sum records.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
 
 # (m, l, r, slope) -> [S(i, r + slope i, m, l) for i = 0, 1, ...], grown in place
@@ -225,9 +225,9 @@ def _class_sums(raw: list[list[int]], r0: int, shift: tuple[int, ...]) -> list[i
 
 # (p, a, l) -> (n, raw): raw[l'][r0] is the raw sum S(n, r0, p^a, l') for every
 # l' <= l and every residue r0 <= min(n, p^a - 1); a larger residue has no term
-# k <= n. The one store of stepped sums: normalized, psi-identity and thm1.0 read
-# it through _raw_at. A sweep's blocks each empty it before their first tuple, so
-# a block steps its records from n = 0 wherever it runs; clear_caches empties it too.
+# k <= n. The one store of stepped sums: normalized, psi-identity and thm1.0 read it
+# through _raw_at. Each sweep block empties it first, as clear_caches does, so a block steps
+# its records from n = 0 wherever it runs, thm1.0's only as far as a positive bound needs.
 _sums: dict[tuple[int, int, int], tuple[int, list[list[int]]]] = {}
 
 

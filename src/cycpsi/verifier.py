@@ -78,6 +78,12 @@ def residue_system(p: int, a: int) -> tuple[int, ...]:
     return tuple(range(pa)) + extras
 
 
+def _refuse_repeats(name: str, values: Iterable[int]) -> None:
+    """Refuse a list of values that repeats one, which would check or print a tuple twice."""
+    if repeated := sorted(v for v, k in Counter(values).items() if k > 1):
+        raise ValueError(f"{name} has repeated values: {', '.join(map(str, repeated))}")
+
+
 _RANGE_FLOORS = {
     "a_range": 1,
     "n_range": 0,
@@ -128,9 +134,7 @@ class SweepGrid:
         if self.r_values is not None and not self.r_values:
             raise ValueError("r_values must be nonempty when given")
         for name in ("primes", "r_values", "s_values", "t_values"):
-            repeated = sorted(v for v, k in Counter(getattr(self, name) or ()).items() if k > 1)
-            if repeated:
-                raise ValueError(f"{name} has repeated values: {', '.join(map(str, repeated))}")
+            _refuse_repeats(name, getattr(self, name) or ())
         if self.abs_r_max < 0:
             raise ValueError("abs_r_max must be >= 0")
         if self.coeff_degree < 0:
@@ -296,23 +300,33 @@ _L_POSITIVE = _where(_L, lambda l, bound: l >= 1)
 _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
 
-# thm1.0: ord_p of every Fleck sum reaches the floor exponent. r is the innermost
-# axis, so _thm1_0_row keeps the last binding (p, a, l, n)'s residue row, bound and
-# levels: those of the record _sums[p, a, l] when n is at it or one past it, else
-# one _fleck_residues pass and None; _block empties it per block. Any other r is
-# read as _fill reads one level, level l of r % p^a plus the Vandermonde terms of
-# the levels below, or summed directly off the record.
+# thm1.0: ord_p of every Fleck sum reaches the floor exponent. r is the innermost axis, so
+# _thm1_0_row keeps the last binding (p, a, l, n)'s state; _block empties it per block. A bound <= 0
+# says nothing (p^0 divides every sum), so its state is None and no sum is read; at n <= 1 it starts
+# the record _sums[p, a, l], as a block from n = 0 or 1 does. A positive bound first steps a record
+# lagging behind n - 1 over the (vacuous) rows it skipped, then keeps the residue row, bound and
+# levels of the record at n, or off it one _fleck_residues pass and None. Any other r is read from
+# the record as _fill reads one level (level l of r % p^a plus Vandermonde terms), or summed off it.
 
 @lru_cache(maxsize=1)
 def _thm1_0_row(p, a, l, n):
+    bound = floor_exponent(p, a, n, l)
+    if bound <= 0:
+        if n <= 1:
+            _raw_at(p, a, n, l)
+        return None
+    for k in range(_sums.get((p, a, l), (n,))[0] + 1, n):
+        _raw_at(p, a, k, l)
     m = p ** a
     raw = _raw_at(p, a, n, l)
     row = _fleck_residues(n, m, l) if raw is None else raw[l]
-    return row, max(floor_exponent(p, a, n, l), 0), m, raw
+    return row, bound, m, raw
 
 
 def _eval_thm1_0(p, a, l, n, r):
-    row, bound, m, raw = _thm1_0_row(p, a, l, n)
+    if (state := _thm1_0_row(p, a, l, n)) is None:
+        return None
+    row, bound, m, raw = state
     r0 = r % m
     if r0 > n:
         total = 0  # a residue past n has no term k <= n

@@ -281,6 +281,24 @@ def test_repeated_grid_values_refused(argv, error, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["table", "--p", "3", "--a", "1", "--n-max", "3", "--r", "1,1"], "--r has repeated values: 1"),
+        (["table", "--p", "3", "--a", "1", "--n-max", "3", "--l", "0,2,0,2"], "--l has repeated values: 0, 2"),
+        (["table", "--p", "3", "--a", "1", "--n-max", "3", "--r=-1,0,-1", "--l", "0,0"],
+         "--r has repeated values: -1"),
+    ],
+)
+def test_repeated_table_values_refused(argv, error, monkeypatch, capsys):
+    # a repeated r or l would print the same row twice
+    def no_coefficient(*args, **kwargs):
+        raise AssertionError("a coefficient was computed")
+
+    monkeypatch.setattr(cli, "normalized_parts", no_coefficient)
+    assert run_cli(argv, capsys) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "thm1.0"],

@@ -408,6 +408,9 @@ class TestRawSumRecord:
         st.lists(st.tuples(st.sampled_from(("normalized", "psi", "thm1.0")), st.sampled_from((0, 1, 1, 1, 2, -1, -4)),
                            st.integers(-30, 30)), min_size=1, max_size=60),
     )
+    # thm1.0's bound n - 3 at (2, 1, 1) is positive from n = 4: it steps the record at 1 over 2..4 to read n = 5
+    @example((2, 1), 1, [("psi", 0, 5), ("normalized", 1, -3), ("thm1.0", 2, 1), ("thm1.0", 2, -7),
+                         ("thm1.0", 1, 4), ("normalized", 1, 2), ("thm1.0", -4, 9), ("psi", 2, 1), ("thm1.0", 1, -1)])
     @settings(max_examples=60, deadline=None)
     def test_three_readers_interleaved_on_one_record(self, prime_power, l, reads):
         p, a = prime_power
@@ -422,10 +425,12 @@ class TestRawSumRecord:
                 got, want = verifier.psi_sides(p, a, n, r, l)
                 assert want == [(-1) ** n * fleck_oracle(n, r, q, i) for i in range(l + 1)] == got, (n, r)
             else:
-                # a stand-in verdict that returns the sum thm1.0 read for the class r
+                # a stand-in verdict that returns the sum thm1.0 read for the class r; where the bound is
+                # <= 0 it reads none, and a positive row steps a record lagging behind it up to n
+                want = fleck_oracle(n, r, q, l) if floor_exponent(p, a, n, l) > 0 else None
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(verifier, "_ord_at_least", lambda value, bound, p: value)
-                    assert verifier.CHECKS["thm1.0"].evaluate(p, a, l, n, r) == fleck_oracle(n, r, q, l), (n, r)
+                    assert verifier.CHECKS["thm1.0"].evaluate(p, a, l, n, r) == want, (n, r)
 
 class TestTCoeff:
     @pytest.mark.parametrize(

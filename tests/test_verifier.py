@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
+from operator import ne
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -242,10 +243,15 @@ def test_each_thm1_0_block_builds_its_rows_once():
     grid = ACCEPTANCE_GRIDS[0][1]
     blocks = CHECKS["thm1.0"].blocks(grid)
     # in expansion order, so each block meets the record and row the one before it left; _block empties
-    # the records, so the block's record (p, a, l) starts at n = 0, takes one step per later n, and gives
-    # the row of every binding (p, a, l, n) with no direct pass
+    # the records, so the block's record (p, a, l) starts at n = 0 and steps to n = 1. A block with a
+    # positive bound at n = 120 steps it on to 120 and gives the row of every binding (p, a, l, n) with a
+    # positive bound with no direct pass; a block whose every bound is <= 0 (floor_exponent grows with n)
+    # reads no row and steps no further
+    positive = {(p, a, l) for (p, a, l), _ in blocks if floor_exponent(p, a, 120, l) > 0}
     for block, _ in blocks:
-        assert work_of(_block, "thm1.0", grid, block) == Counter(steps=120), block
+        assert work_of(_block, "thm1.0", grid, block) == Counter(steps=120 if block in positive else 1), block
+    # every 7^3 and 5^3 block, 7^2 at l >= 2, and 3^3 and 5^2 at l = 4 is vacuous
+    assert len(blocks) - len(positive) == 15
     assert sum(size for _, size in blocks) == 381_150
     # the largest block is (7, 3, l): 121 values of n times 7^3 + 2 residues
     assert max(size for _, size in blocks) == 121 * (7 ** 3 + 2) == 41_745
@@ -361,12 +367,13 @@ def test_every_sweep_starts_with_an_empty_image_memo():
 
 
 def test_a_block_reads_no_stepping_memo_left_before_it(monkeypatch):
-    # stand-in verdicts that fail every tuple with both sides expose what each tuple read
+    # stand-in verdicts that fail every tuple with both sides expose what each tuple read; thm1.0's block
+    # (2, 1, 0) reads a sum at n >= 2, where its bound n - 1 is positive, 7 rows of 3 classes on SMALL
     monkeypatch.setattr(verifier, "_ord_at_least", lambda value, bound, p: (str(bound), str(value)))
     monkeypatch.setattr(verifier, "_exact", lambda lhs, rhs: (str(rhs), str(lhs)))
     blocks = [("thm1.0", (2, 1, 0)), ("psi-identity", (2, 1))]
     clean = [_block(target, SMALL, block) for target, block in blocks]
-    assert [len(rows) for rows in clean] == [dict(CHECKS[target].blocks(SMALL))[block] for target, block in blocks]
+    assert [len(rows) for rows in clean] == [7 * 3, dict(CHECKS["psi-identity"].blocks(SMALL))[2, 1]]
     for (target, block), rows in zip(blocks, clean):
         # wrong records at n = 0 for thm1.0's (2, 1, 0) and psi-identity's (2, 1, 3), and wrong images
         coefficients._sums[2, 1, 0] = 0, [[7]]
@@ -397,20 +404,21 @@ def test_psi_sides_matches_the_oracle_on_and_off_the_record(p, a):
 
 
 def test_thm1_0_rows_off_the_record_are_summed_directly(monkeypatch):
-    # a stand-in verdict that returns the sum each tuple read, for residues and for classes outside [0, 3)
+    # a stand-in verdict that returns the sum each tuple read, for residues and for classes outside [0, 3);
+    # the bound floor((n - 7) / 2) of (3, 1, 2, n) is positive from n = 9, and below it nothing is read
     monkeypatch.setattr(verifier, "_ord_at_least", lambda value, bound, p: value)
     classes = (-4, -1, 0, 1, 2, 4, 5)
     works = []
-    for n in (0, 1, 2, 3, 1, 5, 4):
+    for n in (10, 0, 1, 8, 9, 10, 11, 9, 13, 12):
         with count_work() as work:
             sums = [CHECKS["thm1.0"].evaluate(3, 1, 2, n, r) for r in classes]
-        assert sums == [fleck_oracle(n, r, 3, 2) for r in classes], n
+        assert sums == ([fleck_oracle(n, r, 3, 2) for r in classes] if n >= 9 else [None] * 7), n
         works.append(work)
-    # 1 lies behind the record at 3, and 5 two past it: one residue row each, and every class outside
-    # [0, 3) whose residue is at most n summed directly; 4 is one past it
-    step = Counter(steps=1)
-    assert works == [Counter(), step, step, step, Counter(residue_rows=1, direct_sums=1),
-                     Counter(residue_rows=1, direct_sums=4), step]
+    # with no record, 10 is off it: one residue row, and every class outside [0, 3) summed directly. Then
+    # n = 0 and 1 start the record, and 8 leaves it at 1; 9 steps it over 2..8 first, and 13 over 12.
+    # 9 lies behind the record at 11, and 12 behind the one at 13, so both are off it too
+    step, off = Counter(steps=1), Counter(residue_rows=1, direct_sums=4)
+    assert works == [off, Counter(), step, Counter(), Counter(steps=8), step, step, off, Counter(steps=2), off]
 
 
 # thm1.0 reads the residues 0 <= r < p^a from one row per binding, and every other representative
@@ -431,20 +439,42 @@ def _thm1_0_reads(sweeps, grid, monkeypatch) -> list:
     return [(f.expected, f.actual) for f in sweeps.run_sweep("thm1.0", grid).failures]
 
 
+def _positive(values) -> bool:
+    """Whether the thm1.0 tuple values = (p, a, l, n, r) has a positive bound, the only ones read."""
+    p, a, l, n, _ = values
+    return floor_exponent(p, a, n, l) > 0
+
+
 def _thm1_0_oracle_reads(grid) -> list:
-    """[(bound, sum)] of every thm1.0 tuple of grid, the sum from the oracle."""
-    return [(max(floor_exponent(p, a, n, l), 0), fleck_oracle(n, r, p ** a, l))
-            for p, a, l, n, r in CHECKS["thm1.0"].expand(grid)]
+    """[(bound, sum)] of every thm1.0 tuple of grid with a positive bound, the sum from the oracle."""
+    return [(floor_exponent(p, a, n, l), fleck_oracle(n, r, p ** a, l))
+            for p, a, l, n, r in filter(_positive, CHECKS["thm1.0"].expand(grid))]
 
 
 @pytest.mark.parametrize("grid", THM1_0_GRIDS)
 def test_thm1_0_matches_an_evaluator_on_the_oracle(grid, monkeypatch):
-    tuples = list(CHECKS["thm1.0"].expand(grid))
+    tuples = list(filter(_positive, CHECKS["thm1.0"].expand(grid)))
     assert any(r < 0 for *_, r in tuples) and any(r >= p ** a for p, a, *_, r in tuples)
     assert [verifier._ord_at_least(value, bound, p)
             for (bound, value), (p, *_) in zip(_thm1_0_oracle_reads(grid), tuples)] == [None] * len(tuples)
     assert run_sweep("thm1.0", grid).verdict == "pass"
     assert _thm1_0_reads(verifier, grid, monkeypatch) == _thm1_0_oracle_reads(grid)
+
+
+@pytest.mark.parametrize("grid", THM1_0_GRIDS)
+def test_thm1_0_vacuous_tuples_read_nothing(grid, monkeypatch):
+    # a bound <= 0 holds for every sum: such a tuple reaches no verdict and no kernel. Past n = 1 it does
+    # not touch the record either; at n <= 1 it starts the record, which may take the step to n = 1
+    def no_verdict(value, bound, p):
+        raise AssertionError("a vacuous tuple reached _ord_at_least")
+
+    monkeypatch.setattr(verifier, "_ord_at_least", no_verdict)
+    vacuous = [values for values in CHECKS["thm1.0"].expand(grid) if not _positive(values)]
+    assert any(n >= 2 for _, _, _, n, _ in vacuous)
+    for values in vacuous:
+        record_work = set() if values[3] >= 2 else {"steps"}
+        assert set(+work_of(CHECKS["thm1.0"].evaluate, *values)) <= record_work, values
+    assert [CHECKS["thm1.0"].evaluate(*values) for values in vacuous] == [None] * len(vacuous)
 
 
 # The read of a class outside [0, p^a): its residue's level l plus shift coefficient i times level l - i.
@@ -460,7 +490,13 @@ THM1_0_READ_MUTANTS = {
 @pytest.mark.parametrize("mutant", THM1_0_READ_MUTANTS)
 def test_the_oracle_differential_catches_thm1_0_read_mutants(mutant, monkeypatch):
     mutated = _mutated_verifier(*THM1_0_READ_MUTANTS[mutant])
-    assert any(_thm1_0_reads(mutated, grid, monkeypatch) != _thm1_0_oracle_reads(grid) for grid in THM1_0_GRIDS)
+    differ = 0
+    for grid in THM1_0_GRIDS:
+        reads, oracle = _thm1_0_reads(mutated, grid, monkeypatch), _thm1_0_oracle_reads(grid)
+        # the mutant reads the same tuples, so it is caught by the sums it reads, not by their number
+        assert len(reads) == len(oracle)
+        differ += sum(map(ne, reads, oracle))
+    assert differ
 
 
 @pytest.mark.parametrize("grid", [*THM1_0_GRIDS, SweepGrid()])
