@@ -1,10 +1,11 @@
 """Command-line front end: single coefficients, tables, verification sweeps,
 operator checks, and conjecture exploration.
 
-Exit codes: 0 all checks pass, 1 mathematical mismatch or a bug trap hit
-during a sweep (its failure row names the trap), 2 usage or validation
-error: main maps every ValueError, the CLI's or the library's, to it, 3 out
-of memory: main prints one error line for a MemoryError, not a traceback.
+Exit codes: 0 all checks pass, 1 mathematical mismatch (a failed sweep, or a
+psi-check row whose two sides differ) or a bug trap hit during a sweep (its
+failure row names the trap), 2 usage or validation error: main maps every
+ValueError, the CLI's or the library's, to it, 3 out of memory: main prints
+one error line for a MemoryError, not a traceback.
 """
 
 import argparse
@@ -189,60 +190,40 @@ def _emit_report(args, report) -> None:
     _emit(args, report.to_json_dict(), rows, lines)
 
 
-def _sweep(args, grid_of, run) -> int:
+def _sweep(args, run) -> int:
     """Check --workers, build the grid, run the sweep and emit its report;
     exit 1 when the verdict is fail."""
     _require_workers(args.workers)
-    grid = grid_of(args)
-    report = run(grid, workers=args.workers)
+    report = run(_grid_from_args(args), workers=args.workers)
     _emit_report(args, report)
     return 1 if report.verdict == "fail" else 0
 
 
 def _cmd_verify(args) -> int:
-    return _sweep(args, _grid_from_args, partial(run_sweep, args.check))
+    return _sweep(args, partial(run_sweep, args.check))
 
 
 def _cmd_explore(args) -> int:
     if args.target != "rem1.2":
         raise ValueError(f"unknown explore target {args.target!r}; valid: rem1.2")
-    return _sweep(args, _grid_from_args, run_explore)
-
-
-def _psi_grid(args) -> SweepGrid:
-    """The psi-identity grid named by psi-check's grid flags."""
-    kwargs = {}
-    if args.r_list is not None:
-        kwargs["r_values"] = _parse_int_list(args.r_list, "--r-list")
-    return SweepGrid(primes=(args.p,), a_range=(args.a, args.a), n_range=(0, args.n_max),
-                     coeff_degree=args.l_max, **kwargs)
+    return _sweep(args, run_explore)
 
 
 def _cmd_psi_check(args) -> int:
-    if args.a < 1:
-        raise ValueError(f"a must be >= 1, got {args.a}")
     if args.l_max < 0:
         raise ValueError(f"--l-max must be >= 0, got {args.l_max}")
-    if args.n is None and args.n_max is None:
-        raise ValueError("give --n for a single row or --n-max for a grid")
-    if args.n is not None and (args.n_max is not None or args.r_list is not None):
-        raise ValueError("--n (single row) cannot be combined with --n-max or --r-list (grid)")
-    if args.n is None and args.r is not None:
-        raise ValueError("--r (single row) cannot be combined with --n-max (grid); give --r-list")
     if args.n is None:
-        return _sweep(args, _psi_grid, partial(run_sweep, "psi-identity"))
-    _require_workers(args.workers)
-    r = 0 if args.r is None else args.r
-    got, want = psi_sides(args.p, args.a, args.n, r, args.l_max)
+        raise ValueError("give --n, the row to compare; verify psi-identity sweeps a grid")
+    got, want = psi_sides(args.p, args.a, args.n, args.r, args.l_max)
     match = got == want
     rows = [{"l": l, "psi": str(got[l]), "expected": str(want[l])} for l in range(args.l_max + 1)]
     lines = [
-        f"psi^{args.a} coefficients vs sign-adjusted sums (p={args.p} n={args.n} r={r})",
+        f"psi^{args.a} coefficients vs sign-adjusted sums (p={args.p} n={args.n} r={args.r})",
         "l  psi  expected",
         *(f"{row['l']}  {row['psi']}  {row['expected']}" for row in rows),
         f"match: {'yes' if match else 'NO'}",
     ]
-    doc = {"p": args.p, "a": args.a, "n": args.n, "r": r, "rows": rows, "match": match}
+    doc = {"p": args.p, "a": args.a, "n": args.n, "r": args.r, "rows": rows, "match": match}
     _emit(args, doc, rows, lines)
     return 0 if match else 1
 
@@ -280,12 +261,13 @@ def _add_output_flags(sp, default_format: str) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycpsi",
+        allow_abbrev=False,
         description="Exact Fleck sums, normalized cyclotomic psi-coefficients, "
         "and sweep verification of their Lucas-type congruences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("coeff", help="compute one coefficient")
+    sp = sub.add_parser("coeff", help="compute one coefficient", allow_abbrev=False)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
@@ -295,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp, "plain")
     sp.set_defaults(handler=_cmd_coeff)
 
-    sp = sub.add_parser("table", help="emit a table of coefficients")
+    sp = sub.add_parser("table", help="emit a table of coefficients", allow_abbrev=False)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--n-min", type=int, default=0)
@@ -305,26 +287,23 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp, "csv")
     sp.set_defaults(handler=_cmd_table)
 
-    sp = sub.add_parser("verify", help="run one verification sweep")
+    sp = sub.add_parser("verify", help="run one verification sweep", allow_abbrev=False)
     sp.add_argument("check", metavar="CHECK_ID", help=f"one of: {', '.join(CHECK_IDS)}")
     _add_grid_flags(sp)
     sp.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     _add_output_flags(sp, "json")
     sp.set_defaults(handler=_cmd_verify)
 
-    sp = sub.add_parser("psi-check", help="compare operator coefficients against the sums")
+    sp = sub.add_parser("psi-check", help="compare operator coefficients against the sums", allow_abbrev=False)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--n", type=int, help="single row mode")
-    sp.add_argument("--n-max", type=int, help="grid mode over 0..n-max")
-    sp.add_argument("--r", type=int, help="class r for single row mode (default 0)")
-    sp.add_argument("--r-list", help="comma-separated r values for grid mode")
-    sp.add_argument("--l-max", type=int, default=4)
-    sp.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    sp.add_argument("--n", type=int, help="the row n (required; grids are verify psi-identity)")
+    sp.add_argument("--r", type=int, default=0, help="the class r (default 0)")
+    sp.add_argument("--l-max", type=int, default=4, help="compare degrees 0..l-max (default 4)")
     _add_output_flags(sp, "plain")
     sp.set_defaults(handler=_cmd_psi_check)
 
-    sp = sub.add_parser("explore", help="tabulate margins for an open conjecture")
+    sp = sub.add_parser("explore", help="tabulate margins for an open conjecture", allow_abbrev=False)
     sp.add_argument("target", metavar="TARGET", help="rem1.2")
     _add_grid_flags(sp)
     sp.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
@@ -335,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Flags whose value is a comma-separated list of integers.
-_LIST_FLAGS = ("--p", "--r", "--s", "--t", "--r-list")
+_LIST_FLAGS = ("--p", "--r", "--s", "--t")
 
 
 def _join_negative_lists(argv: list[str]) -> list[str]:

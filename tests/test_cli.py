@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cycpsi import cli, coefficients, verifier
+from cycpsi import cli, coefficients
 from cycpsi.cli import main
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
@@ -267,7 +267,7 @@ def test_fixed_value_and_range_refused_together(command, name, bound, monkeypatc
         (["verify", "thm1.0", "--p", "3,3", "--n-max", "3"], "primes has repeated values: 3"),
         (["verify", "thm1.1", "--s", "1,1"], "s_values has repeated values: 1"),
         (["explore", "rem1.2", "--r=-1,0,-1"], "r_values has repeated values: -1"),
-        (["psi-check", "--p", "3", "--a", "1", "--n-max", "3", "--r-list", "2,2"],
+        (["verify", "psi-identity", "--p", "3", "--a", "1", "--n-max", "3", "--r", "2,2"],
          "r_values has repeated values: 2"),
     ],
 )
@@ -303,8 +303,6 @@ def test_repeated_table_values_refused(argv, error, monkeypatch, capsys):
     [
         ["verify", "thm1.0"],
         ["explore", "rem1.2"],
-        ["psi-check", "--p", "3", "--a", "1", "--n-max", "5"],
-        ["psi-check", "--p", "3", "--a", "1", "--n", "5"],
     ],
 )
 def test_workers_above_cpu_count_refused(argv, monkeypatch, capsys):
@@ -332,6 +330,37 @@ def test_workers_not_accepted_without_a_sweep(argv, capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each a prefix of one flag of its command (--d-max, --q-max, --coeff-degree,
+        # --abs-r-max, --l-max), which argparse would otherwise read as that flag
+        ["verify", "lem3.1", "--d", "3"],
+        ["verify", "lem3.1", "--q", "3"],
+        ["verify", "psi-identity", "--coeff", "2"],
+        ["verify", "lem2.2", "--abs", "3"],
+        ["explore", "rem1.2", "--coeff", "2"],
+        ["psi-check", "--p", "3", "--a", "1", "--n", "4", "--l", "2"],
+        # psi-check compares one row; grid sweeps are verify psi-identity
+        ["psi-check", "--p", "3", "--a", "1", "--n", "2", "--n-max", "5"],
+        ["psi-check", "--p", "3", "--a", "1", "--n", "2", "--r-list", "0,1"],
+        ["psi-check", "--p", "3", "--a", "1", "--n", "2", "--workers", "1"],
+    ],
+)
+def test_flags_the_command_lacks_refused(argv, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was started")
+
+    for name in ("run_sweep", "run_explore", "psi_sides"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
 THM1_1_DIGITS = ["verify", "thm1.1", "--p", "3", "--a", "2", "--l", "0", "--n-max", "2"]
 
 
@@ -347,8 +376,8 @@ THM1_1_DIGITS = ["verify", "thm1.1", "--p", "3", "--a", "2", "--l", "0", "--n-ma
         (THM1_1_DIGITS + ["--t", "1"], "--s", "-1,0", '"checked": 33'),
         (THM1_1_DIGITS + ["--s", "0"], "--t", "-1,1", '"checked": 33'),
         (["table", "--p", "3", "--a", "1", "--n-max", "2"], "--r", "-7,4", "3,1,2,-7,0,1,0,1,1\n"),
-        (["psi-check", "--p", "3", "--a", "2", "--n-max", "12", "--format", "json"], "--r-list",
-         "-5,0,7", '"checked": 39'),
+        (["verify", "psi-identity", "--p", "3", "--a", "2", "--n-max", "12"], "--r", "-5,0,7",
+         '"checked": 39'),
     ],
 )
 @pytest.mark.parametrize("joined", [False, True])
@@ -384,14 +413,6 @@ class TestPsiCheck:
         assert code == 0
         assert "match: yes" in out
 
-    def test_grid_mode(self, capsys):
-        code, out, _ = run_cli(
-            ["psi-check", "--p", "3", "--a", "1", "--n-max", "20", "--format", "json"],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out)["verdict"] == "pass"
-
     def test_json_single(self, capsys):
         code, out, _ = run_cli(
             ["psi-check", "--p", "2", "--a", "1", "--n", "1", "--r", "0", "--l-max", "2",
@@ -417,42 +438,9 @@ class TestPsiCheck:
         assert code == 2
         assert "--n" in err
 
-    @pytest.mark.parametrize("grid_flag", [["--n-max", "5"], ["--r-list", "0,1"]])
-    def test_row_and_grid_modes_refused_together(self, grid_flag, monkeypatch, capsys):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a comparison was started")
-
-        monkeypatch.setattr(cli, "psi_sides", no_work)
-        monkeypatch.setattr(cli, "run_sweep", no_work)
-        code, out, err = run_cli(["psi-check", "--p", "3", "--a", "1", "--n", "2"] + grid_flag, capsys)
-        assert code == 2
-        assert out == ""
-        assert grid_flag[0] in err
-
-    def test_r_refused_in_grid_mode(self, monkeypatch, capsys):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a comparison was started")
-
-        monkeypatch.setattr(cli, "run_sweep", no_work)
-        code, out, err = run_cli(["psi-check", "--p", "3", "--a", "1", "--n-max", "3", "--r", "2"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "--r" in err and "--r-list" in err
-
     def test_single_row_r_defaults_to_zero(self, capsys):
         argv = ["psi-check", "--p", "3", "--a", "1", "--n", "4"]
         assert run_cli(argv, capsys) == run_cli(argv + ["--r", "0"], capsys)
-
-    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-    def test_grid_mode_is_a_psi_identity_sweep(self, fmt, monkeypatch, capsys):
-        monkeypatch.setattr(verifier, "perf_counter", lambda: 0.0)
-        psi_check = ["psi-check", "--p", "3", "--a", "2", "--n-max", "12", "--r-list", "0,-3,7",
-                     "--l-max", "2", "--format", fmt]
-        verify = ["verify", "psi-identity", "--p", "3", "--a", "2", "--n-max", "12", "--r=0,-3,7",
-                  "--coeff-degree", "2", "--format", fmt]
-        code, out, err = run_cli(psi_check, capsys)
-        assert (code, err) == (0, "")
-        assert run_cli(verify, capsys) == (code, out, err)
 
 
 class TestExplore:

@@ -18,7 +18,7 @@ COEFF = "coeff --p 3 --a 2 --n 15 --r 1 --l 0"
 T_COEFF = "coeff --p 3 --a 1 --n 5 --r 2 --l 1 --t-coeff"
 TABLE = "table --p 3 --a 1 --n-max 6 --r 0,1 --l 0,1"
 PSI_ROW = "psi-check --p 3 --a 2 --n 7 --r -4 --l-max 2"
-PSI_GRID = "psi-check --p 3 --a 2 --n-max 12 --r-list 0,-3,7 --l-max 2"
+PSI_GRID = "verify psi-identity --p 3 --a 2 --n-max 12 --r=0,-3,7 --coeff-degree 2"
 VERIFY_PASS = "verify thm1.5 --p 3 --a 1 --l 0 --m-max 6"
 VERIFY_FAIL = "verify self-test --p 3 --a 1 --l 0"
 EXPLORE = "explore rem1.2 --p 3 --a 1 --n-max 6 --l-max 1"
@@ -43,19 +43,10 @@ COMMANDS = [
     "table --p 4 --a 1 --n-max 2",
     "table --p 3 --a 0 --n-max 2",
     "psi-check --p 3 --a 1 --n 4",
-    "psi-check --p 2 --a 1 --n-max 10",
     "psi-check --p 2 --a 1",
-    "psi-check --p 3 --a 1 --n 2 --n-max 5",
-    "psi-check --p 3 --a 1 --n 2 --r-list 0,1",
-    "psi-check --p 3 --a 1 --n-max 3 --r 2",
     "psi-check --p 3 --a 0 --n 3",
-    "psi-check --p 3 --a 0 --n-max 3",
     "psi-check --p 3 --a 1 --n 3 --l-max -1",
-    "psi-check --p 3 --a 1 --n-max 3 --l-max -1",
-    "psi-check --p 3 --a 1 --n-max -1",
     "psi-check --p 4 --a 1 --n 3",
-    "psi-check --p 4 --a 1 --n-max 3",
-    "psi-check --p 3 --a 1 --n-max 3 --r-list x",
     "verify thm9.9",
     "verify thm1.1 --a 1",
     "verify thm1.0 --n 2 --n-max 3",
@@ -111,11 +102,11 @@ DIGESTS = {
         "2b4ba62383d4aa8b6886e70d10676901bc79e9607d5b025929137417f4e862bf",
     "psi-check --p 3 --a 2 --n 7 --r -4 --l-max 2 --format plain":
         "df3dbb1dae44eab2054bcaa6fc7a2de2d542daeea262d794b5d0c528e89bbdf2",
-    "psi-check --p 3 --a 2 --n-max 12 --r-list 0,-3,7 --l-max 2 --format json":
+    "verify psi-identity --p 3 --a 2 --n-max 12 --r=0,-3,7 --coeff-degree 2 --format json":
         "87320b63b44e726db850d8b72f93f4023b86d0d57e27f7b481a9e4e3481b7ad6",
-    "psi-check --p 3 --a 2 --n-max 12 --r-list 0,-3,7 --l-max 2 --format csv":
+    "verify psi-identity --p 3 --a 2 --n-max 12 --r=0,-3,7 --coeff-degree 2 --format csv":
         "e114c515424c3cda3d9553a2f106ed18a51ce2d091df3be5c4b0026b0abb786b",
-    "psi-check --p 3 --a 2 --n-max 12 --r-list 0,-3,7 --l-max 2 --format plain":
+    "verify psi-identity --p 3 --a 2 --n-max 12 --r=0,-3,7 --coeff-degree 2 --format plain":
         "faab1fe1ff6764c348b2f2bfe7ff16504845d2cab3b9ddd1941d99895a5537b3",
     "verify thm1.5 --p 3 --a 1 --l 0 --m-max 6 --format json":
         "ebe8fbca44faaca0240e549fbabef70ae2c7bd7877ff6ab5e8d63808c75e12de",
@@ -163,32 +154,14 @@ DIGESTS = {
         "943c529207920331fa7b189ac97a24c1aa7869a46c28daac5fd1867d469b913c",
     "psi-check --p 3 --a 1 --n 4":
         "562c6127fec77d5e80dd9cc37ae4e74284a27bbc8f4a1dd9760bc17f72806ea3",
-    "psi-check --p 2 --a 1 --n-max 10":
-        "d4b72bd1c64cd4ef3ce1f6fd0e6abbc65fc7f4af105f47fcb4867edb06097879",
     "psi-check --p 2 --a 1":
-        "d168b76a17c248e997d747a53e55d589c28f150ddc233dcdaf1748721273175c",
-    "psi-check --p 3 --a 1 --n 2 --n-max 5":
-        "e4358ae132eb77e67ae8267fadb8364f9974e74e4ef04a50c886ee229cd016e8",
-    "psi-check --p 3 --a 1 --n 2 --r-list 0,1":
-        "e4358ae132eb77e67ae8267fadb8364f9974e74e4ef04a50c886ee229cd016e8",
-    "psi-check --p 3 --a 1 --n-max 3 --r 2":
-        "e0c57c6c0163ab47d55aa9d9c322b2c2c0a2450036a6ff289371e3a8befa7fc2",
+        "80d506f9013bc1844ba8611c7b2c43e8f51ddb64d555b9c1ac2f2bcebdec2f15",
     "psi-check --p 3 --a 0 --n 3":
-        "943c529207920331fa7b189ac97a24c1aa7869a46c28daac5fd1867d469b913c",
-    "psi-check --p 3 --a 0 --n-max 3":
         "943c529207920331fa7b189ac97a24c1aa7869a46c28daac5fd1867d469b913c",
     "psi-check --p 3 --a 1 --n 3 --l-max -1":
         "4d53fd3cf5465604508a814bb5c91a383b6b7a3e3cb6f629d397045b6bfac533",
-    "psi-check --p 3 --a 1 --n-max 3 --l-max -1":
-        "4d53fd3cf5465604508a814bb5c91a383b6b7a3e3cb6f629d397045b6bfac533",
-    "psi-check --p 3 --a 1 --n-max -1":
-        "bb2ebab90bbfd34eb35d97cbdb309578058224a08107976a1741e957207824c8",
     "psi-check --p 4 --a 1 --n 3":
         "89d4128b57edc879bb0c2594bfcd3eec79619129c7899ad0d4947078122cf998",
-    "psi-check --p 4 --a 1 --n-max 3":
-        "89d4128b57edc879bb0c2594bfcd3eec79619129c7899ad0d4947078122cf998",
-    "psi-check --p 3 --a 1 --n-max 3 --r-list x":
-        "0f96c6bbc6417183acadec166352c861eb7976998776b5b25630d87b0486c465",
     "verify thm9.9":
         "94ba08ba307070a2700a0eba9b88d92a78ad77727754d565d9b2ca819f50e462",
     "verify thm1.1 --a 1":
