@@ -15,11 +15,12 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
 from .coefficients import normalized_parts, t_coeff
-from .verifier import CHECK_IDS, SweepGrid, _refuse_repeats, psi_sides, run_explore, run_sweep
+from .verifier import CHECK_IDS, CHECKS, SweepGrid, _check_of, _refuse_repeats, psi_sides, run_explore, run_sweep
 
 OUT_DIR_ENV = "CYCPSI_OUT_DIR"
 
@@ -190,23 +191,28 @@ def _emit_report(args, report) -> None:
     _emit(args, report.to_json_dict(), rows, lines)
 
 
-def _sweep(args, run) -> int:
-    """Check --workers, build the grid, run the sweep and emit its report;
-    exit 1 when the verdict is fail."""
+def _sweep(args, target: str, check, run) -> int:
+    """Check --workers, build the grid and refuse it when it moves a field off its
+    default that check does not read (no check: an unknown id, which run refuses);
+    run the sweep and emit its report; exit 1 when the verdict is fail."""
     _require_workers(args.workers)
-    report = run(_grid_from_args(args), workers=args.workers)
+    grid = _grid_from_args(args)
+    if check and (unread := [f.name for f in fields(grid) if f.name not in check.fields
+                             and getattr(grid, f.name) != getattr(_GRID_DEFAULTS, f.name)]):
+        raise ValueError(f"{target} does not read {', '.join(unread)}")
+    report = run(grid, workers=args.workers)
     _emit_report(args, report)
     return 1 if report.verdict == "fail" else 0
 
 
 def _cmd_verify(args) -> int:
-    return _sweep(args, partial(run_sweep, args.check))
+    return _sweep(args, args.check, CHECKS.get(args.check), partial(run_sweep, args.check))
 
 
 def _cmd_explore(args) -> int:
     if args.target != "rem1.2":
         raise ValueError(f"unknown explore target {args.target!r}; valid: rem1.2")
-    return _sweep(args, run_explore)
+    return _sweep(args, args.target, _check_of(args.target), run_explore)
 
 
 def _cmd_psi_check(args) -> int:

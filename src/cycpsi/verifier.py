@@ -1,10 +1,10 @@
 """Sweep engine: expands parameter grids and mechanically checks every
 congruence in the catalog, producing machine-readable reports.
 
-Each check in CHECKS is declared as named axes plus an evaluator. An axis
-is a parameter name and the values it takes; a filter such as a >= 2 or
-n = l (mod p-1) lives on the axis it tests. A block axis (one that binds a
-block, below) reads no axis and an inner axis reads only block axes, so
+Each check in CHECKS is declared as named axes plus an evaluator. An axis is
+a parameter name, the grid fields it reads and the values it takes; a filter
+such as a >= 2 or n = l (mod p-1) lives on the axis it tests. A block axis
+(one that binds a block, below) reads no axis, an inner one only block axes, so
 _expander yields a block's tuples, one value per axis in axis order, from
 one itertools.product over the inner axes; thm1.2, whose valid tuples
 depend on its digits and its row together, filters that expansion. The
@@ -100,11 +100,9 @@ class SweepGrid:
 
     r_values = None means a full residue system per (p, a), including the
     negative representatives; s_values / t_values = None mean all digits
-    0..p-1 and are filtered below p per prime at expansion time. m_range
-    doubles as the multiplier range (thm1.5) and the modulus range (lem2.2);
-    abs_r_max bounds |r| for lem2.2 only (lem3.1 sweeps |r| <= 2 unless
-    r_values is given) and coeff_degree is the comparison depth for psi-identity. primes and the
-    explicit value lists may not repeat a value, which would check a tuple twice.
+    0..p-1 and are filtered below p per prime at expansion time. Each check
+    reads only some fields, those its axes name. primes and the explicit value
+    lists may not repeat a value, which would check a tuple twice.
     """
 
     primes: tuple[int, ...] = (2, 3, 5)
@@ -225,16 +223,16 @@ def _ord_at_least(value: int, bound: int, p: int) -> tuple[str, str] | None:
     return f"ord_{p} >= {bound}", f"ord_{p} = {ord_p(value, p)}"
 
 
-# Axes: (name, values), where values(grid, bound) gives the values of the axis'
-# parameter as a collection and bound maps names of outer axes to their values.
-# A block axis (one before n, or before m, per _block_depth) reads no axis, and an
+# Axes: (name, fields, values), where values(grid, bound) gives the values of the axis' parameter as a
+# collection, reading of grid exactly the SweepGrid fields named in fields, and bound maps names of outer
+# axes to their values. A block axis (one before n, or before m, per _block_depth) reads no axis, and an
 # inner axis reads only block axes: an axis that reads more raises KeyError.
 
-Axis = tuple[str, Callable[[SweepGrid, dict], Collection]]
+Axis = tuple[str, tuple[str, ...], Callable[[SweepGrid, dict], Collection]]
 
 
 def _names(axes: tuple[Axis, ...]) -> tuple[str, ...]:
-    return tuple(name for name, _ in axes)
+    return tuple(name for name, _, _ in axes)
 
 
 def _block_depth(axes: tuple[Axis, ...]) -> int:
@@ -252,11 +250,11 @@ def _expander(*axes: Axis) -> tuple[Callable[..., Iterator[tuple]], Callable]:
     outer, inner = _names(axes[:depth]), axes[depth:]
 
     def bindings(grid: SweepGrid) -> Iterator[tuple]:
-        return product(*(values(grid, {}) for _, values in axes[:depth]))
+        return product(*(values(grid, {}) for _, _, values in axes[:depth]))
 
     def columns(grid: SweepGrid, block: tuple) -> list[Collection]:
         bound = dict(zip(outer, block))
-        return [values(grid, bound) for _, values in inner]
+        return [values(grid, bound) for _, _, values in inner]
 
     def expand(grid: SweepGrid, block: tuple | None = None) -> Iterator[tuple]:
         if block is None:
@@ -277,25 +275,25 @@ def _span(name: str) -> Axis:
         first, last = getattr(grid, field)
         return range(first, last + 1)
 
-    return name, values
+    return name, (field,), values
 
 
 def _where(axis: Axis, keep: Callable[[int, dict], bool]) -> Axis:
     """axis restricted to the values v for which keep(v, bound) holds."""
-    name, values = axis
-    return name, lambda grid, bound: [v for v in values(grid, bound) if keep(v, bound)]
+    name, fields, values = axis
+    return name, fields, lambda grid, bound: [v for v in values(grid, bound) if keep(v, bound)]
 
 
 def _residues_at(depth: int) -> Axis:
     """r over the residue system mod p^depth, for checks stated at one depth."""
-    return "r", lambda grid, bound: grid.residues(bound["p"], depth)
+    return "r", ("r_values",), lambda grid, bound: grid.residues(bound["p"], depth)
 
 
-_P = ("p", lambda grid, bound: grid.primes)
+_P = ("p", ("primes",), lambda grid, bound: grid.primes)
 _A, _L, _N, _M = _span("a"), _span("l"), _span("n"), _span("m")
-_R = ("r", lambda grid, bound: grid.residues(bound["p"], bound["a"]))
-_S = ("s", lambda grid, bound: grid.digits(bound["p"], grid.s_values))
-_T = ("t", lambda grid, bound: grid.digits(bound["p"], grid.t_values))
+_R = ("r", ("r_values",), lambda grid, bound: grid.residues(bound["p"], bound["a"]))
+_S = ("s", ("s_values",), lambda grid, bound: grid.digits(bound["p"], grid.s_values))
+_T = ("t", ("t_values",), lambda grid, bound: grid.digits(bound["p"], grid.t_values))
 _L_POSITIVE = _where(_L, lambda l, bound: l >= 1)
 _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
@@ -461,7 +459,7 @@ def _lem3_1_t(grid: SweepGrid, bound: dict) -> Iterable[int]:
     return (*low, d - 1) if d > 3 else low
 
 
-_LEM3_1_T = ("t", _lem3_1_t)
+_LEM3_1_T = ("t", (), _lem3_1_t)
 
 
 def _eval_lem3_1(d, q, n, r, t, l):
@@ -516,7 +514,7 @@ def _eval_rem2_1(p, a, l, n, r):
 # permutation of 1..p-1. One work unit per (p, n).
 
 _CONJ_PERM_N = _where(_N, lambda n, bound: n != 1 and n % bound["p"] and (n - 1) % (bound["p"] - 1) == 0)
-_CONJ_PERM_R = ("r_values", lambda grid, bound: [list(grid.residues(bound["p"], 2))])
+_CONJ_PERM_R = ("r_values", ("r_values",), lambda grid, bound: [list(grid.residues(bound["p"], 2))])
 
 
 def _eval_conj_perm(p, n, r_values):
@@ -559,7 +557,8 @@ def _eval_psi_identity(p, a, n, r, l_max):
 class Check:
     """expand(grid, block=None) yields tuples of values, one per axis and in
     axis order, and evaluate takes a tuple's values positionally. blocks(grid)
-    gives (binding, tuple count) of every block of grid, in expansion order."""
+    gives (binding, tuple count) of every block of grid, in expansion order;
+    fields names every SweepGrid field that the axes read."""
 
     expand: Callable[..., Iterator[tuple]]
     evaluate: Callable[..., tuple[str, str] | None]
@@ -570,6 +569,10 @@ class Check:
     def names(self) -> tuple[str, ...]:
         return _names(self.axes)
 
+    @property
+    def fields(self) -> frozenset[str]:
+        return frozenset(chain.from_iterable(fields for _, fields, _ in self.axes))
+
 
 def _check(evaluate: Callable[..., tuple[str, str] | None], *axes: Axis) -> Check:
     """evaluate over the tuples of axes, outermost first."""
@@ -579,8 +582,8 @@ def _check(evaluate: Callable[..., tuple[str, str] | None], *axes: Axis) -> Chec
 
 _THM1_5_AXES = (_P, _A, _L, _M, _R)
 # self-test reads _SELF_TEST_GRID whatever grid a sweep passes, in expansion and block plan alike
-_SELF_TEST_AXES = tuple((name, lambda grid, bound, values=values: values(_SELF_TEST_GRID, bound))
-                        for name, values in _THM1_5_AXES)
+_SELF_TEST_AXES = tuple((name, (), lambda grid, bound, values=values: values(_SELF_TEST_GRID, bound))
+                        for name, _, values in _THM1_5_AXES)
 
 CHECKS: dict[str, Check] = {
     "thm1.0": _check(_eval_thm1_0, _P, _A, _L, _N, _R),
@@ -589,16 +592,18 @@ CHECKS: dict[str, Check] = {
     "cor1.3": _check(_eval_cor1_3, _P, _L, _N, _residues_at(2)),
     "thm1.4": _check(_eval_thm1_4, _P, _A, _L, _N_POSITIVE, _R),
     "thm1.5": _check(_boundary_check(1), *_THM1_5_AXES),
-    "lem2.2": _check(_eval_lem2_2, _N_POSITIVE, ("r", lambda grid, bound: grid.free_r(grid.abs_r_max)),
+    "lem2.2": _check(_eval_lem2_2, _N_POSITIVE,
+                     ("r", ("r_values", "abs_r_max"), lambda grid, bound: grid.free_r(grid.abs_r_max)),
                      _L_POSITIVE, _M),
-    "lem3.1": _check(_eval_lem3_1, _span("d"), _span("q"), _N, ("r", lambda grid, bound: grid.free_r(2)),
-                     _LEM3_1_T, _L),
+    "lem3.1": _check(_eval_lem3_1, _span("d"), _span("q"), _N,
+                     ("r", ("r_values",), lambda grid, bound: grid.free_r(2)), _LEM3_1_T, _L),
     "lem3.2": _check(_eval_lem3_2, _P, _A, _L, _N, _R, _S, _T),
     "lem3.3": _check(_eval_lem3_3, _P, _N_POSITIVE, _where(_S, lambda s, bound: s != bound["p"] - 1), _T),
     "lem4.1": _check(_eval_lem4_1, _P, _L, _LEM4_1_N, _residues_at(1)),
     "rem2.1": _check(_eval_rem2_1, _P, _A, _L_POSITIVE, _N_POSITIVE, _R),
     "conj-perm": _check(_eval_conj_perm, _P, _CONJ_PERM_N, _CONJ_PERM_R),
-    "psi-identity": _check(_eval_psi_identity, _P, _A, _N, _R, ("l_max", lambda grid, bound: (grid.coeff_degree,))),
+    "psi-identity": _check(_eval_psi_identity, _P, _A, _N, _R,
+                           ("l_max", ("coeff_degree",), lambda grid, bound: (grid.coeff_degree,))),
     "self-test": _check(_boundary_check(-1), *_SELF_TEST_AXES),
 }
 

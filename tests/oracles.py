@@ -109,11 +109,11 @@ def phi_by_substitution(coeffs, p: int) -> list[int]:
 
 
 def nested_expand(axes, grid):
-    """The tuples of a check's axes (name, values), outermost first, by the
+    """The tuples of a check's axes (name, fields, values), outermost first, by the
     nested loops the verifier expanded with before it took products, each
     axis' values read with every outer axis bound: one tuple per point, one
     value per axis, in axis order."""
-    *outer, (_, values) = axes
+    *outer, (_, _, values) = axes
     for bound in _bind(grid, outer, {}):
         prefix = tuple(bound.values())
         for value in values(grid, bound):
@@ -127,7 +127,7 @@ def _bind(grid, axes, bound: dict):
     Keys enter bound on the first descent, outermost first, so its values are
     in axis order whichever values later replace them.
     """
-    (name, values), rest = axes[0], axes[1:]
+    (name, _, values), rest = axes[0], axes[1:]
     for value in values(grid, bound):
         bound[name] = value
         if rest:

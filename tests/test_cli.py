@@ -5,11 +5,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from cycpsi import cli, coefficients
+from cycpsi import SweepGrid, cli, coefficients
 from cycpsi.cli import main
+from cycpsi.verifier import VerificationReport
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
 
@@ -359,6 +361,81 @@ def test_flags_the_command_lacks_refused(argv, monkeypatch, capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
+# the SweepGrid fields that each target's axes read; self-test sweeps a fixed grid of its own
+READS = {
+    "thm1.0": "primes a_range n_range l_range r_values",
+    "thm1.1": "primes a_range n_range l_range r_values s_values t_values",
+    "thm1.2": "primes n_range l_range r_values s_values t_values",
+    "cor1.3": "primes n_range l_range r_values",
+    "thm1.4": "primes a_range n_range l_range r_values",
+    "thm1.5": "primes a_range l_range r_values m_range",
+    "lem2.2": "n_range l_range r_values m_range abs_r_max",
+    "lem3.1": "n_range l_range r_values d_range q_range",
+    "lem3.2": "primes a_range n_range l_range r_values s_values t_values",
+    "lem3.3": "primes n_range s_values t_values",
+    "lem4.1": "primes n_range l_range r_values",
+    "rem2.1": "primes a_range n_range l_range r_values",
+    "conj-perm": "primes n_range r_values",
+    "psi-identity": "primes a_range n_range r_values coeff_degree",
+    "self-test": "",
+    "rem1.2": "primes a_range n_range l_range r_values",
+}
+# each grid flag with a value that moves its field off the SweepGrid() default
+GRID_FLAGS = {
+    "--p": ("3", "primes"), "--a": ("1", "a_range"), "--a-min": ("2", "a_range"), "--a-max": ("1", "a_range"),
+    "--n": ("3", "n_range"), "--n-min": ("1", "n_range"), "--n-max": ("3", "n_range"),
+    "--l": ("1", "l_range"), "--l-min": ("1", "l_range"), "--l-max": ("1", "l_range"),
+    "--r": ("0", "r_values"), "--s": ("0", "s_values"), "--t": ("0", "t_values"),
+    "--m-min": ("2", "m_range"), "--m-max": ("2", "m_range"), "--d-max": ("2", "d_range"),
+    "--q-max": ("2", "q_range"), "--abs-r-max": ("2", "abs_r_max"), "--coeff-degree": ("2", "coeff_degree"),
+}
+
+
+def _stub_sweeps(monkeypatch) -> list:
+    """Replace run_sweep and run_explore by stubs that log the grid they get and pass."""
+    grids = []
+
+    def stub(*args, workers):
+        grids.append(args[-1])
+        return VerificationReport(theorem="stub", checked=1, failures=[], elapsed_ms=0)
+
+    monkeypatch.setattr(cli, "run_sweep", stub)
+    monkeypatch.setattr(cli, "run_explore", stub)
+    return grids
+
+
+@pytest.mark.parametrize("flag", GRID_FLAGS)
+@pytest.mark.parametrize("target", READS)
+def test_a_grid_flag_the_target_does_not_read_is_refused(target, flag, monkeypatch, capsys):
+    # a flag that moves a field the target's axes never read would run the default sweep unchanged
+    grids = _stub_sweeps(monkeypatch)
+    value, name = GRID_FLAGS[flag]
+    command = "explore" if target == "rem1.2" else "verify"
+    code, out, err = run_cli([command, target, flag, value], capsys)
+    if name in READS[target].split():
+        assert (code, err) == (0, "")
+        [grid] = grids
+        assert [f.name for f in fields(grid) if getattr(grid, f.name) != getattr(SweepGrid(), f.name)] == [name]
+    else:
+        assert (code, out, err, grids) == (2, "", f"error: {target} does not read {name}\n", [])
+
+
+def test_every_unread_field_is_named_and_a_default_value_moves_nothing(monkeypatch, capsys):
+    grids = _stub_sweeps(monkeypatch)
+    argv = ["verify", "self-test", "--p", "7", "--a", "2", "--n-max", "3", "--abs-r-max", "10"]
+    assert run_cli(argv, capsys) == (2, "", "error: self-test does not read primes, a_range, n_range\n")
+    argv = ["verify", "thm1.5", "--p", "2,3,5", "--n-min", "0", "--n-max", "40", "--q-max", "9"]
+    assert run_cli(argv, capsys)[0] == 0
+    assert grids == [SweepGrid()]
+
+
+@pytest.mark.parametrize("argv", [["verify", "thm9.9", "--m-max", "2"], ["verify", "rem1.2", "--m-max", "2"]])
+def test_an_unknown_check_id_is_refused_as_unknown_whatever_its_flags(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unknown check id {argv[1]!r}; valid ids: thm1.0, ")
 
 
 THM1_1_DIGITS = ["verify", "thm1.1", "--p", "3", "--a", "2", "--l", "0", "--n-max", "2"]

@@ -20,7 +20,7 @@ TABLE = "table --p 3 --a 1 --n-max 6 --r 0,1 --l 0,1"
 PSI_ROW = "psi-check --p 3 --a 2 --n 7 --r -4 --l-max 2"
 PSI_GRID = "verify psi-identity --p 3 --a 2 --n-max 12 --r=0,-3,7 --coeff-degree 2"
 VERIFY_PASS = "verify thm1.5 --p 3 --a 1 --l 0 --m-max 6"
-VERIFY_FAIL = "verify self-test --p 3 --a 1 --l 0"
+VERIFY_FAIL = "verify self-test"
 EXPLORE = "explore rem1.2 --p 3 --a 1 --n-max 6 --l-max 1"
 
 FORMATS = ("json", "csv", "plain")
@@ -114,11 +114,11 @@ DIGESTS = {
         "e643b84e420b6ab3e86b8086f7223505c9eee80b9070da781be468edc20b0a60",
     "verify thm1.5 --p 3 --a 1 --l 0 --m-max 6 --format plain":
         "1c66baf5554ca1f3ef66a4a79e21f30959f3514c9721c2ce82c25c5b2d050f56",
-    "verify self-test --p 3 --a 1 --l 0 --format json":
+    "verify self-test --format json":
         "974806b11845dae9c8fe1236e4599bac88b0387f4102664c833f27ba63d7e3c7",
-    "verify self-test --p 3 --a 1 --l 0 --format csv":
+    "verify self-test --format csv":
         "a0585ae9c81978af69208fd09f1531125c3175b53ddbfeea01995ea1375fbb8c",
-    "verify self-test --p 3 --a 1 --l 0 --format plain":
+    "verify self-test --format plain":
         "5f0058b5c41bb27c71aa9b728111de06ace98ca61e03a64e5c4f5383cde4648a",
     "explore rem1.2 --p 3 --a 1 --n-max 6 --l-max 1 --format json":
         "31dc6e71ee4c5ec1faa1582146e43fa8d5b5889eebd7d44da3cb9123f89b2838",

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
@@ -597,8 +597,8 @@ def test_abs_r_max_bounds_lem2_2_only():
 
 
 def test_lem3_1_t_axis_is_the_small_digits_and_d_minus_1_below_d():
-    name, values = verifier._LEM3_1_T
-    assert name == "t"
+    name, axis_fields, values = verifier._LEM3_1_T
+    assert (name, axis_fields) == ("t", ())
     for d in range(1, 13):
         assert list(values(SweepGrid(), {"d": d})) == [t for t in sorted({-2, -1, 0, 1, 2, d - 1}) if t < d]
 
@@ -663,21 +663,37 @@ def test_block_sizes_count_what_each_block_expands_to(targets, grid):
         assert [sum(1 for _ in check.expand(grid, block)) for block, _ in blocks] == [n for _, n in blocks], target
 
 
+GRID_FIELDS = frozenset(f.name for f in fields(SweepGrid))
+
+
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_every_axis_reads_only_what_it_declares(target):
     # an axis declares what it reads by its place: a block axis reads no axis and an inner
-    # axis only the block axes, so given those it takes the values it takes with every outer axis bound
+    # axis only the block axes, so given those it takes the values it takes with every outer axis bound;
+    # and it reads exactly the grid fields it names, which a grid that logs its field reads shows
+    reads = set()
+
+    class ReadLog(SweepGrid):
+        def __getattribute__(self, name):
+            if name in GRID_FIELDS:
+                reads.add(name)
+            return super().__getattribute__(name)
+
     _, axes, fixed = _targets()[target]
-    grid = fixed or SMALL
+    grid = ReadLog(**asdict(fixed or SMALL))
     names, depth = verifier._names(axes), verifier._block_depth(axes)
     seen = set()
     for values in nested_expand(axes, grid):
-        for k, (_, axis_values) in enumerate(axes):
+        for k, (_, axis_fields, axis_values) in enumerate(axes):
             prefix = values[:k]
             if (k, prefix) not in seen:
                 seen.add((k, prefix))
                 declared = dict(zip(names[:depth], prefix)) if k >= depth else {}
-                assert list(axis_values(grid, declared)) == list(axis_values(grid, dict(zip(names, prefix))))
+                reads.clear()
+                got = list(axis_values(grid, declared))
+                assert reads == set(axis_fields), (target, names[k], prefix)
+                assert got == list(axis_values(grid, dict(zip(names, prefix))))
+    assert verifier._check_of(target).fields == frozenset().union(*(f for _, f, _ in axes))
 
 
 def test_empty_grid_raises():
