@@ -7,7 +7,9 @@ such as a >= 2 or n = l (mod p-1) lives on the axis it tests. A block axis
 (one that binds a block, below) reads no axis, an inner one only block axes, so
 _expander yields a block's tuples, one value per axis in axis order, from
 one itertools.product over the inner axes; thm1.2, whose valid tuples
-depend on its digits and its row together, filters that expansion. The
+depend on its digits and its row together, filters that expansion, and
+thm1.0 expands no row past n = 1 whose bound says nothing, though its
+blocks count every tuple of its axes as checked. The
 evaluator's parameters are the axis names in axis order, and it is called
 as evaluate(*values); it returns None when the statement holds there, else
 an (expected, actual) pair, mostly decided from both sides by _mod_p
@@ -300,7 +302,8 @@ _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
 # thm1.0: ord_p of every Fleck sum reaches the floor exponent. r is the innermost axis, so
 # _thm1_0_row keeps the last binding (p, a, l, n)'s state; _block empties it per block. A bound <= 0
-# says nothing (p^0 divides every sum), so its state is None and no sum is read; at n <= 1 it starts
+# says nothing (p^0 divides every sum), so such a row past n = 1 is never expanded, though its block
+# counts it, and a direct call gets None with no sum read; at n <= 1 (always a bound <= 0) the row starts
 # the record _sums[p, a, l], as a block from n = 0 or 1 does. A positive bound first steps a record
 # lagging behind n - 1 over the (vacuous) rows it skipped, then keeps the residue row, bound and
 # levels of the record at n, or off it one _fleck_residues pass and None. Any other r is read from
@@ -337,6 +340,12 @@ def _eval_thm1_0(p, a, l, n, r):
         for i, c in enumerate(_shift(r // m, l), 1):
             total += c * raw[l - i][r0]
     return _ord_at_least(total, bound, p)
+
+
+_THM1_0_AXES = (_P, _A, _L, _N, _R)
+_expand_thm1_0, _ = _expander(_P, _A, _L, _where(
+    _N, lambda n, bound: n <= 1 or floor_exponent(bound["p"], bound["a"], n, bound["l"]) > 0), _R)
+_, _blocks_thm1_0 = _expander(*_THM1_0_AXES)
 
 
 # thm1.1 and lem3.2: <pn+s, pr+t> at depth a+1 against (-1)^t binom(s,t) <n,r>
@@ -557,7 +566,7 @@ def _eval_psi_identity(p, a, n, r, l_max):
 class Check:
     """expand(grid, block=None) yields tuples of values, one per axis and in
     axis order, and evaluate takes a tuple's values positionally. blocks(grid)
-    gives (binding, tuple count) of every block of grid, in expansion order;
+    gives (binding, tuples checked) of every block of grid, in expansion order;
     fields names every SweepGrid field that the axes read."""
 
     expand: Callable[..., Iterator[tuple]]
@@ -586,7 +595,7 @@ _SELF_TEST_AXES = tuple((name, (), lambda grid, bound, values=values: values(_SE
                         for name, _, values in _THM1_5_AXES)
 
 CHECKS: dict[str, Check] = {
-    "thm1.0": _check(_eval_thm1_0, _P, _A, _L, _N, _R),
+    "thm1.0": Check(_expand_thm1_0, _eval_thm1_0, _THM1_0_AXES, _blocks_thm1_0),
     "thm1.1": _check(_eval_thm1_1, _P, _where(_A, lambda a, bound: a >= 2), _L, _N, _R, _S, _T),
     "thm1.2": Check(_expand_thm1_2, _eval_thm1_2, _THM1_2_AXES, _blocks_thm1_2),
     "cor1.3": _check(_eval_cor1_3, _P, _L, _N, _residues_at(2)),

@@ -469,12 +469,35 @@ def test_thm1_0_vacuous_tuples_read_nothing(grid, monkeypatch):
         raise AssertionError("a vacuous tuple reached _ord_at_least")
 
     monkeypatch.setattr(verifier, "_ord_at_least", no_verdict)
-    vacuous = [values for values in CHECKS["thm1.0"].expand(grid) if not _positive(values)]
+    # from the nested loops, since expand keeps only the vacuous rows at n <= 1
+    vacuous = [values for values in nested_expand(CHECKS["thm1.0"].axes, grid) if not _positive(values)]
     assert any(n >= 2 for _, _, _, n, _ in vacuous)
     for values in vacuous:
         record_work = set() if values[3] >= 2 else {"steps"}
         assert set(+work_of(CHECKS["thm1.0"].evaluate, *values)) <= record_work, values
     assert [CHECKS["thm1.0"].evaluate(*values) for values in vacuous] == [None] * len(vacuous)
+
+
+# thm1.0 from n = 1, where a kept n = 1 row starts each record, and from n = 2, where no row starts one,
+# so every read of a class outside [0, p^a) is a direct sum
+THM1_0_FROM_N = [SweepGrid(primes=(2, 3, 5), a_range=(1, 2), n_range=(n_lo, 30), l_range=(0, 2),
+                           r_values=(-7, -1, 0, 3, 11, 26)) for n_lo in (1, 2)]
+
+
+@pytest.mark.parametrize("grid", [*THM1_0_GRIDS, *THM1_0_FROM_N])
+def test_thm1_0_reads_as_when_it_evaluated_every_tuple(grid, monkeypatch):
+    # the route that pruning replaced: every tuple of the nested loops evaluated, block by block in
+    # expansion order, each on the memos _block empties; its vacuous rows past n = 1 read nothing
+    with count_work() as work:
+        reads = _thm1_0_reads(verifier, grid, monkeypatch)
+    assert bool(work["direct_sums"]) is (grid.n_range[0] >= 2)
+    check = CHECKS["thm1.0"]
+    tuples = {}
+    for values in nested_expand(check.axes, grid):
+        tuples.setdefault(values[:3], []).append(values)
+    monkeypatch.setitem(CHECKS, "thm1.0", replace(check, expand=lambda grid, block: tuples[block]))
+    every = [outcome for block, _ in check.blocks(grid) for _, outcome in _block("thm1.0", grid, block)]
+    assert reads and every == reads
 
 
 # The read of a class outside [0, p^a): its residue's level l plus shift coefficient i times level l - i.
@@ -644,23 +667,64 @@ EXPANSION_GRIDS = [
 @pytest.mark.parametrize("targets, grid", EXPANSION_GRIDS)
 def test_products_expand_as_the_nested_loops(targets, grid):
     # the expanders take products over the inner axes; the oracle binds every axis in turn,
-    # and thm1.2 keeps the tuples of its axes that lie in a branch of the statement
+    # thm1.2 keeps the tuples of its axes that lie in a branch of the statement, and thm1.0 those
+    # at n <= 1 (which start its records) or with a positive bound
     missing = object()
     for target in targets:
         expand, axes, fixed = _targets()[target]
         want = nested_expand(axes, fixed or grid)
         if target == "thm1.2":
             want = (v for v in want if _thm1_2_branch(v[0], v[1], v[2], v[4], v[5]))
+        if target == "thm1.0":
+            want = (v for v in want if v[3] <= 1 or _positive(v))
         pairs = zip_longest(expand(grid), want, fillvalue=missing)
         assert all(got == want for got, want in pairs), target
 
 
 @pytest.mark.parametrize("targets, grid", EXPANSION_GRIDS)
 def test_block_sizes_count_what_each_block_expands_to(targets, grid):
+    # thm1.0's blocks also count the vacuous rows it does not expand: each size is the block's count
+    # over the nested loops of its axes
     for target in targets:
         check = verifier._check_of(target)
         blocks = check.blocks(grid)
-        assert [sum(1 for _ in check.expand(grid, block)) for block, _ in blocks] == [n for _, n in blocks], target
+        if target == "thm1.0":
+            counts = Counter(values[:3] for values in nested_expand(check.axes, grid))
+            assert [counts[block] for block, _ in blocks] == [n for _, n in blocks], target
+        else:
+            assert [sum(1 for _ in check.expand(grid, block)) for block, _ in blocks] == [n for _, n in blocks], target
+
+
+# thm1.0's (expanded, pruned, checked) tuples: a row past n = 1 whose bound is <= 0 is counted, never built
+THM1_0_PRUNED = [
+    (ACCEPTANCE_GRIDS[0][1], (49_694, 331_456, 381_150)),
+    (SweepGrid(), (4_362, 5_314, 9_676)),
+    (THM1_0_GRIDS[0], (1_290, 1_110, 2_400)),
+    (THM1_0_GRIDS[1], (648, 840, 1_488)),
+]
+
+
+@pytest.mark.parametrize("grid, counts", THM1_0_PRUNED)
+def test_thm1_0_expands_no_vacuous_row_past_n_1(grid, counts, monkeypatch):
+    check = CHECKS["thm1.0"]
+    pruned = Counter(values[:3] for values in nested_expand(check.axes, grid)
+                     if values[3] >= 2 and not _positive(values))
+    expanded = []
+    for block, size in check.blocks(grid):
+        kept = list(check.expand(grid, block))
+        assert not any(values[3] >= 2 and not _positive(values) for values in kept), block
+        assert len(kept) + pruned[block] == size, block
+        expanded += kept
+    assert (len(expanded), sum(pruned.values()), len(expanded) + sum(pruned.values())) == counts
+    calls = []
+
+    def evaluate(*values):
+        calls.append(values)
+        return check.evaluate(*values)
+
+    monkeypatch.setitem(CHECKS, "thm1.0", replace(check, evaluate=evaluate))
+    assert run_sweep("thm1.0", grid).checked == counts[2]
+    assert len(calls) == counts[0] and Counter(calls) == Counter(expanded)
 
 
 GRID_FIELDS = frozenset(f.name for f in fields(SweepGrid))
