@@ -47,7 +47,8 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
         raise ValueError(f"modulus must be positive, got {m}")
     total = 0
     for k in range(r % m, n + 1, m):
-        term = comb(n, k) * binom((k - r) // m, l)
+        j = (k - r) // m  # binom(j, l) is comb(j, l) at j >= 0; a negative j needs the reflection
+        term = comb(n, k) * (comb(j, l) if j >= 0 else binom(j, l))
         total += -term if k & 1 else term
     return total
 

@@ -55,7 +55,7 @@ def binom(x: int, k: int) -> int:
     if k < 0:
         return 0
     if x >= 0:
-        return math.comb(x, k) if k <= x else 0
+        return math.comb(x, k)
     value = math.comb(k - x - 1, k)
     return -value if k & 1 else value
 

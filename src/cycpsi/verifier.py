@@ -27,8 +27,8 @@ order. The memos that step along n or repeat at every n of a block (the
 raw-sum records per (p, a, l) that normalized, thm1.0 and psi-identity read,
 psi images per (p, a, l_max), the operator constants per (p^a, r, l_max) and
 thm1.0's row of the last binding) live for one block, which empties them
-first. Every sweep runs its blocks largest first, and concatenating their rows
-in expansion order gives the report.
+first. Every sweep runs its blocks largest first by the tuples they count, and
+concatenating their rows in expansion order gives the report.
 """
 
 import multiprocessing
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
-from math import prod
+from math import comb, prod
 from time import perf_counter
 
 from . import coefficients
@@ -361,7 +361,7 @@ def _lem3_2_exceptional(p: int, a: int, l: int, n: int, s: int) -> bool:
 def _lucas_check(corrected: bool) -> Callable[..., tuple[str, str] | None]:
     def evaluate(p, a, l, n, r, s, t):
         lhs = normalized(p, a + 1, p * n + s, p * r + t, l)
-        rhs = _sign(t) * binom(s, t) * normalized(p, a, n, r, l)
+        rhs = _sign(t) * comb(s, t) * normalized(p, a, n, r, l)
         if corrected and _lem3_2_exceptional(p, a, l, n, s):
             rhs += _sign(n - 1) * normalized(p, a, n - 1, r, l) * normalized(p, 1, p * n + s, t, n - 1)
         return _mod_p(lhs, rhs, p)
@@ -658,10 +658,11 @@ _last_grid: SweepGrid | None = None
 
 def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     """(checked, rows in expansion order, elapsed_ms) over the nonempty blocks of
-    target, run largest first (ties in expansion order): by map in process when
-    there is one worker or one block, else as the tasks of a pool of at most
-    workers processes, so each free worker takes the largest block left. The
-    rows are put back in expansion order, and checked is the blocks' sizes summed.
+    target, run largest first by the tuples blocks() counts, thm1.0's pruned rows
+    included (ties in expansion order): by map in process when there is one
+    worker or one block, else as the tasks of a pool of at most workers
+    processes, so each free worker takes the largest block left. The rows are
+    put back in expansion order, and checked is the blocks' sizes summed.
 
     The coefficient memos are kept while sweeps run on the same grid, so
     checks on one grid share them, and cleared when the grid changes; _block

@@ -50,6 +50,18 @@ class TestFleckSum:
                     for l in range(0, 4):
                         assert fleck_sum_general(n, r, m, l) == fleck_oracle(n, r, m, l)
 
+    # lem3.1's right side sums at moduli d q <= 81 and classes d r + t down to -92, with n <= 40;
+    # r runs past n, so some sums take every term at j = (k - r)/m < 0, and l runs past j
+    @given(st.tuples(st.integers(0, 45), st.integers(1, 81)).flatmap(lambda nm: st.tuples(
+        st.just(nm[0]), st.integers(-100, nm[0] + 2 * nm[1]), st.just(nm[1]), st.integers(0, 6))))
+    @example((45, -45, 81, 6))  # one term, at j = 1 < l
+    @example((45, -100, 9, 6))  # every j in [12, 16]
+    @example((45, 20, 7, 4))  # j from -2 to 3
+    @example((30, 120, 50, 3))  # every j negative
+    @settings(max_examples=300, deadline=None)
+    def test_against_oracle_at_composite_moduli(self, args):
+        assert coefficients._direct_fleck_sum(*args) == fleck_oracle(*args)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             fleck_sum_general(-1, 0, 2, 0)

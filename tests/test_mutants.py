@@ -200,8 +200,8 @@ LUCAS = {"thm1.1", "lem3.2", "thm1.2"}
 
 # name -> (verifier source text, its replacement, the checks whose verdict changes)
 VERIFIER_MUTANTS = {
-    "Lucas rhs without (-1)^t": ("rhs = _sign(t) * binom(s, t)", "rhs = binom(s, t)", LUCAS),
-    "Lucas binom(t, s)": ("_sign(t) * binom(s, t)", "_sign(t) * binom(t, s)", LUCAS),
+    "Lucas rhs without (-1)^t": ("rhs = _sign(t) * comb(s, t)", "rhs = comb(s, t)", LUCAS),
+    "Lucas binom(t, s)": ("_sign(t) * comb(s, t)", "_sign(t) * comb(t, s)", LUCAS),
     "boundary residue sign flipped": ("return _sign(m - 1) * binom(m - 1, l)",
                                       "return -_sign(m - 1) * binom(m - 1, l)", {"thm1.5", "lem4.1", "self-test"}),
     "sigma with the odd-prime sign at p = 2": ("ratio if p == 2 else -ratio", "-ratio if p == 2 else -ratio",
