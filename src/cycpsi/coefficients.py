@@ -55,9 +55,8 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
 
 # The sum without fleck_sum_general's memo, which now serves only t_coeff (cor1.3):
 # lem2.2's sums and lem3.1's columns live in _lines and normalized values in
-# normalized_table, but lem3.1's right side is a direct sum, one per tuple (354,240
-# at SweepGrid()), and thm1.0 sums a class directly only where a binding with a
-# positive bound is off the raw-sum records.
+# normalized_table, lem3.1's right sides come from _fleck_row, and thm1.0 sums a class
+# directly only where a binding with a positive bound is off the raw-sum records.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
 
 # (m, l, r, slope) -> [S(i, r + slope i, m, l) for i = 0, 1, ...], grown in place
@@ -357,30 +356,32 @@ def _truncation_error(j_max: int, d: int, q: int, n: int, r: int, t: int, l: int
 _signed_rows: dict[tuple[int, int, int], list[int]] = {}
 
 
-def factorization_sides(d: int, q: int, n: int, r: int, t: int, l: int) -> tuple[int, int]:
-    """Both sides of the exact convolution collapsing moduli d and q into dq, for t < d:
-    lhs = sum_j (-1)^j S_d(n,t,j) S_q(j,r,l) as a dot product, rhs = S_dq(n, dr+t, l).
+def factorization_sides(d: int, q: int, n: int, r: int, t: int, ls) -> tuple[list[int], list[int]]:
+    """Both sides of the exact convolution collapsing moduli d and q into dq, for t < d, as lists over the
+    increasing l of ls: lhs = sum_j (-1)^j S_d(n,t,j) S_q(j,r,l) as a dot product, rhs = S_dq(n, dr+t, l).
 
     The row (-1)^j S_d(n,t,j) for j <= j_max depends only on (d, n, t) and
     comes from one _fleck_row pass, whose extra entry at j_max + 1 is the
-    truncation trap. The column S_q(j,r,l) is the line (q, l, r, 0), grown in
-    place to the longest row it meets. The rhs is the direct sum, so the
-    two sides share no memo. The arguments are validated on a row miss; on a
-    hit (d, n, t) already were, and the rhs, computed first, refuses q < 1 and
-    l < 0 before a column is made.
+    truncation trap, raised for the first l. The column S_q(j,r,l) is the line
+    (q, l, r, 0), grown in place to the longest row it meets. One more
+    _fleck_row pass gives the rhs of every l, so the two sides share no
+    memo. A row hit checks only q and the first l again.
     """
     row = _signed_rows.get((d, n, t))
-    if row is None:
-        j_max = _factorization_j_max(d, q, n, t, l)
+    if row is None or q < 1 or ls[0] < 0:
+        j_max = _factorization_j_max(d, q, n, t, ls[0])
         *head, last = _fleck_row(n, t, d, j_max + 1)
         if last:
-            raise _truncation_error(j_max, d, q, n, r, t, l)
+            raise _truncation_error(j_max, d, q, n, r, t, ls[0])
         row = _signed_rows[d, n, t] = [-v if j & 1 else v for j, v in enumerate(head)]
-    rhs = _direct_fleck_sum(n, d * r + t, d * q, l)
-    column = _lines.get((q, l, r, 0))
-    if column is None or len(column) < len(row):
-        column = _line(q, l, r, 0, len(row))
-    return sum(map(mul, row, column)), rhs
+    rhs = _fleck_row(n, d * r + t, d * q, ls[-1])
+    size, lhs = len(row), []
+    for l in ls:
+        column = _lines.get((q, l, r, 0), ())
+        if len(column) < size:
+            column = _line(q, l, r, 0, size)
+        lhs.append(sum(map(mul, row, column)))
+    return lhs, [rhs[l] for l in ls]
 
 
 def clear_caches() -> None:

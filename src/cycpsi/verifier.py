@@ -5,15 +5,15 @@ Each check in CHECKS is declared as named axes plus an evaluator. An axis is
 a parameter name, the grid fields it reads and the values it takes; a filter
 such as a >= 2 or n = l (mod p-1) lives on the axis it tests. A block axis
 (one that binds a block, below) reads no axis, an inner one only block axes, so
-_expander yields a block's tuples, one value per axis in axis order, from
-one itertools.product over the inner axes; thm1.2, whose valid tuples
-depend on its digits and its row together, filters that expansion, and
-thm1.0 expands no row past n = 1 whose bound says nothing, though its
-blocks count every tuple of its axes as checked. The
-evaluator's parameters are the axis names in axis order, and it is called
-as evaluate(*values); it returns None when the statement holds there, else
-an (expected, actual) pair, mostly decided from both sides by _mod_p
-(integers mod p), _congruent (p-integral rationals mod p), _exact or
+_expander yields a block's rows, each one value per axis but the innermost plus
+that axis' values, (*outer, values), from one itertools.product over the inner
+axes; thm1.2, whose valid tuples depend on its digits and its row together,
+filters each row's t values, and thm1.0 expands no row past n = 1 whose bound
+says nothing, though its blocks count every tuple of its axes as checked. The
+evaluator is called as evaluate(*outer, values), its parameters named after the
+axes: it does the work the row's tuples share once and returns (value,
+(expected, actual)) for each failing value, mostly decided from both sides by
+_mod_p (integers mod p), _congruent (p-integral rationals mod p), _exact or
 _ord_at_least. A report's params dict, keys in axis order, is built only for
 a tuple it keeps. Evaluators look coefficient functions up in this module at
 call time, never binding them earlier, so a tracer that rebinds those names
@@ -25,10 +25,10 @@ binding of the axes before n (before m where n is a function of m), and at
 least of the outermost axis, so one process evaluates every n of a block, in
 order. The memos that step along n or repeat at every n of a block (the
 raw-sum records per (p, a, l) that normalized, thm1.0 and psi-identity read,
-psi images per (p, a, l_max), the operator constants per (p^a, r, l_max) and
-thm1.0's row of the last binding) live for one block, which empties them
-first. Every sweep runs its blocks largest first by the tuples they count, and
-concatenating their rows in expansion order gives the report.
+psi images per (p, a, l_max) and the operator constants per (p^a, r, l_max))
+live for one block, which empties them first. Every sweep runs its blocks
+largest first by the tuples they count, and concatenating their rows in
+expansion order gives the report.
 """
 
 import multiprocessing
@@ -36,7 +36,7 @@ from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial, wraps
 from itertools import chain, product
 from math import comb, prod
 from time import perf_counter
@@ -225,6 +225,28 @@ def _ord_at_least(value: int, bound: int, p: int) -> tuple[str, str] | None:
     return f"ord_{p} >= {bound}", f"ord_{p} = {ord_p(value, p)}"
 
 
+def _rowwise(outcomes: Callable[..., Iterable]) -> Callable[..., list]:
+    """The row evaluator of outcomes(*outer, values), which does the values' shared work once and gives
+    each value's outcome in turn (None where it holds), or nothing when all hold. A bug trap fails the
+    value whose outcome was due, and the values after it are evaluated as a row of their own, so a trap
+    in shared work fails each tuple of the row with its own text, as one-value rows would."""
+    @wraps(outcomes)
+    def evaluate(*row):
+        found, rest = [], ()
+        try:
+            for outcome in outcomes(*row):
+                found.append(outcome)
+        except (IntegrityError, NotPIntegralError) as err:
+            found.append((f"no {type(err).__name__}", str(err)))
+            rest = row[-1][len(found):]
+        if found.count(None) == len(found):
+            return []
+        failures = [(value, outcome) for value, outcome in zip(row[-1], found) if outcome is not None]
+        return failures + evaluate(*row[:-1], rest) if rest else failures
+
+    return evaluate
+
+
 # Axes: (name, fields, values), where values(grid, bound) gives the values of the axis' parameter as a
 # collection, reading of grid exactly the SweepGrid fields named in fields, and bound maps names of outer
 # axes to their values. A block axis (one before n, or before m, per _block_depth) reads no axis, and an
@@ -244,10 +266,10 @@ def _block_depth(axes: tuple[Axis, ...]) -> int:
 
 
 def _expander(*axes: Axis) -> tuple[Callable[..., Iterator[tuple]], Callable]:
-    """(expand, blocks) over the tuples of axes, one value per axis, in the order of
-    nested loops. expand(grid, block) yields those of one block binding, by
-    itertools.product over the inner axes, and expand(grid) those of every block;
-    blocks(grid) gives (binding, tuple count) of every block, with no tuple built."""
+    """(expand, blocks) over the rows of axes in the order of nested loops, each one value per axis
+    but the innermost, whose values it holds as one sequence. expand(grid, block) yields those of one
+    block binding, by itertools.product over the inner axes, and expand(grid) those of every block;
+    blocks(grid) gives (binding, tuple count) of every block, with no row built."""
     depth = _block_depth(axes)
     outer, inner = _names(axes[:depth]), axes[depth:]
 
@@ -261,7 +283,8 @@ def _expander(*axes: Axis) -> tuple[Callable[..., Iterator[tuple]], Callable]:
     def expand(grid: SweepGrid, block: tuple | None = None) -> Iterator[tuple]:
         if block is None:
             return chain.from_iterable(expand(grid, block) for block in bindings(grid))
-        return product(*zip(block), *columns(grid, block))
+        *middle, last = columns(grid, block)
+        return product(*zip(block), *middle, (last,)) if last else iter(())
 
     def blocks(grid: SweepGrid) -> list[tuple[tuple, int]]:
         return [(block, prod(map(len, columns(grid, block)))) for block in bindings(grid)]
@@ -300,46 +323,38 @@ _L_POSITIVE = _where(_L, lambda l, bound: l >= 1)
 _N_POSITIVE = _where(_N, lambda n, bound: n >= 1)
 
 
-# thm1.0: ord_p of every Fleck sum reaches the floor exponent. r is the innermost axis, so
-# _thm1_0_row keeps the last binding (p, a, l, n)'s state; _block empties it per block. A bound <= 0
-# says nothing (p^0 divides every sum), so such a row past n = 1 is never expanded, though its block
-# counts it, and a direct call gets None with no sum read; at n <= 1 (always a bound <= 0) the row starts
-# the record _sums[p, a, l], as a block from n = 0 or 1 does. A positive bound first steps a record
-# lagging behind n - 1 over the (vacuous) rows it skipped, then keeps the residue row, bound and
-# levels of the record at n, or off it one _fleck_residues pass and None. Any other r is read from
-# the record as _fill reads one level (level l of r % p^a plus Vandermonde terms), or summed off it.
+# thm1.0: ord_p of every Fleck sum reaches the floor exponent, tested a row (p, a, l, n) of classes r
+# at a time. A bound <= 0 says nothing (p^0 divides every sum), so such a row past n = 1 is never
+# expanded, though its block counts it, and a direct call reads no sum; at n <= 1 (always a bound <= 0)
+# the row starts the record _sums[p, a, l], as a block from n = 0 or 1 does. A positive bound first
+# steps a record lagging behind n - 1 over the (vacuous) rows it skipped, then reads the residue row
+# of the record at n, or off it one _fleck_residues pass. Any other r is read from the record as
+# _fill reads one level (level l of r % p^a plus Vandermonde terms), or summed off it.
 
-@lru_cache(maxsize=1)
-def _thm1_0_row(p, a, l, n):
+def _eval_thm1_0(p, a, l, n, rs):
     bound = floor_exponent(p, a, n, l)
     if bound <= 0:
         if n <= 1:
             _raw_at(p, a, n, l)
-        return None
+        return
     for k in range(_sums.get((p, a, l), (n,))[0] + 1, n):
         _raw_at(p, a, k, l)
     m = p ** a
     raw = _raw_at(p, a, n, l)
     row = _fleck_residues(n, m, l) if raw is None else raw[l]
-    return row, bound, m, raw
-
-
-def _eval_thm1_0(p, a, l, n, r):
-    if (state := _thm1_0_row(p, a, l, n)) is None:
-        return None
-    row, bound, m, raw = state
-    r0 = r % m
-    if r0 > n:
-        total = 0  # a residue past n has no term k <= n
-    elif r == r0:
-        total = row[r]
-    elif raw is None:
-        total = _direct_fleck_sum(n, r, m, l)
-    else:
-        total = row[r0]
-        for i, c in enumerate(_shift(r // m, l), 1):
-            total += c * raw[l - i][r0]
-    return _ord_at_least(total, bound, p)
+    for r in rs:
+        r0 = r % m
+        if r0 > n:
+            total = 0  # a residue past n has no term k <= n
+        elif r == r0:
+            total = row[r]
+        elif raw is None:
+            total = _direct_fleck_sum(n, r, m, l)
+        else:
+            total = row[r0]
+            for i, c in enumerate(_shift(r // m, l), 1):
+                total += c * raw[l - i][r0]
+        yield _ord_at_least(total, bound, p)
 
 
 _THM1_0_AXES = (_P, _A, _L, _N, _R)
@@ -348,23 +363,27 @@ _expand_thm1_0, _ = _expander(_P, _A, _L, _where(
 _, _blocks_thm1_0 = _expander(*_THM1_0_AXES)
 
 
-# thm1.1 and lem3.2: <pn+s, pr+t> at depth a+1 against (-1)^t binom(s,t) <n,r>
-# at depth a, mod p. thm1.1 (a >= 2) asserts the plain congruence on every
-# row; lem3.2 (every depth) adds the stated correction term on the rows
-# _lem3_2_exceptional picks out, so its classification is total.
+# thm1.1 and lem3.2: <pn+s, pr+t> at depth a+1 against (-1)^t binom(s,t) <n,r> at depth a, mod p.
+# thm1.1 (a >= 2) asserts the plain congruence on every row; lem3.2 (every depth) adds the stated
+# correction term on the rows _lem3_2_exceptional picks out, so its classification is total. A row
+# of digits t reads <n,r> (and the correction's <n-1,r>) once, before any t.
 
 def _lem3_2_exceptional(p: int, a: int, l: int, n: int, s: int) -> bool:
     phi = totient_prime_power(p, a)
     return n > 0 and s != p - 1 and (n - (l + 1) * p ** (a - 1)) % phi == 0
 
 
-def _lucas_check(corrected: bool) -> Callable[..., tuple[str, str] | None]:
-    def evaluate(p, a, l, n, r, s, t):
-        lhs = normalized(p, a + 1, p * n + s, p * r + t, l)
-        rhs = _sign(t) * comb(s, t) * normalized(p, a, n, r, l)
-        if corrected and _lem3_2_exceptional(p, a, l, n, s):
-            rhs += _sign(n - 1) * normalized(p, a, n - 1, r, l) * normalized(p, 1, p * n + s, t, n - 1)
-        return _mod_p(lhs, rhs, p)
+def _lucas_check(corrected: bool) -> Callable[..., Iterator]:
+    def evaluate(p, a, l, n, r, s, ts):
+        base = normalized(p, a, n, r, l)
+        exceptional = corrected and _lem3_2_exceptional(p, a, l, n, s)
+        below = _sign(n - 1) * normalized(p, a, n - 1, r, l) if exceptional else None
+        for t in ts:
+            lhs = normalized(p, a + 1, p * n + s, p * r + t, l)
+            rhs = _sign(t) * comb(s, t) * base
+            if below is not None:
+                rhs += below * normalized(p, 1, p * n + s, t, n - 1)
+            yield _mod_p(lhs, rhs, p)
 
     return evaluate
 
@@ -373,12 +392,11 @@ _eval_thm1_1 = _lucas_check(corrected=False)
 _eval_lem3_2 = _lucas_check(corrected=True)
 
 
-# thm1.2: the depth-1 analogue. Branch 1 is thm1.1 at a = 1; branch 2 is
-# the explicit rational value on digits s < t. Tuples in neither branch are
-# outside the statement and are not expanded (counterexamples exist there);
-# evaluating one is a caller's error. The branch reads s, t and n together, so
-# thm1.2 filters its axes' tuples and sizes its blocks by the tuples kept,
-# counted apart from Check.expand, which a tracer wraps to count evaluations.
+# thm1.2: the depth-1 analogue. Branch 1 is thm1.1 at a = 1; branch 2 is the explicit rational value
+# on digits s < t. Tuples in neither branch are outside the statement and are not expanded
+# (counterexamples exist there); evaluating one is a caller's error. The branch reads s, t and n
+# together, so thm1.2 keeps the t of a row in a branch (a row of none is dropped), and sizes its blocks
+# by the tuples kept, counted apart from Check.expand, which a tracer wraps to count evaluations.
 
 def _thm1_2_branch(p: int, l: int, n: int, s: int, t: int) -> int:
     if n % p == 0 or (n - l - 1) % (p - 1) != 0 or s == p - 1 or (s == 2 * t and p != 2):
@@ -393,41 +411,46 @@ _expand_thm1_2_axes, _blocks_thm1_2_axes = _expander(*_THM1_2_AXES)
 
 
 def _expand_thm1_2(grid: SweepGrid, block: tuple | None = None) -> Iterator[tuple]:
-    return (values for values in _expand_thm1_2_axes(grid, block)
-            if _thm1_2_branch(values[0], values[1], values[2], values[4], values[5]))
+    for p, l, n, r, s, ts in _expand_thm1_2_axes(grid, block):
+        if kept := [t for t in ts if _thm1_2_branch(p, l, n, s, t)]:
+            yield p, l, n, r, s, kept
 
 
 def _blocks_thm1_2(grid: SweepGrid) -> list[tuple[tuple, int]]:
-    return [(block, sum(1 for _ in _expand_thm1_2(grid, block))) for block, _ in _blocks_thm1_2_axes(grid)]
+    return [(block, sum(len(row[-1]) for row in _expand_thm1_2(grid, block)))
+            for block, _ in _blocks_thm1_2_axes(grid)]
 
 
-def _eval_thm1_2(p, l, n, r, s, t):
-    branch = _thm1_2_branch(p, l, n, s, t)
-    if branch == 1:
-        return _eval_thm1_1(p, 1, l, n, r, s, t)
-    if branch == 2:
-        lhs = normalized(p, 2, p * n + s, p * r + t, l)
-        if n <= l + 1:
-            return _mod_p(lhs, 0, p)
-        u = (n - l - 1) // (p - 1)
-        return _congruent(lhs, Fraction(_sign(s + u) * n * binom(u - 1, l), t * binom(t - 1, s)), p)
-    raise ValueError(f"no branch of thm1.2 covers p={p}, l={l}, n={n}, r={r}, s={s}, t={t}")
+def _eval_thm1_2(p, l, n, r, s, ts):
+    plain = _eval_thm1_1(p, 1, l, n, r, s, [t for t in ts if _thm1_2_branch(p, l, n, s, t) == 1])
+    for t in ts:
+        branch = _thm1_2_branch(p, l, n, s, t)
+        if branch == 1:
+            yield next(plain)
+        elif branch == 2:
+            lhs, u = normalized(p, 2, p * n + s, p * r + t, l), (n - l - 1) // (p - 1)
+            yield (_mod_p(lhs, 0, p) if n <= l + 1
+                   else _congruent(lhs, Fraction(_sign(s + u) * n * binom(u - 1, l), t * binom(t - 1, s)), p))
+        else:
+            raise ValueError(f"no branch of thm1.2 covers p={p}, l={l}, n={n}, r={r}, s={s}, t={t}")
 
 
 # cor1.3: Lucas-type congruence for the factorial-normalized rationals;
 # _congruent traps a side that is not p-integral.
 
-def _eval_cor1_3(p, l, n, r):
-    lhs = t_coeff(p, 2, n, r, l)
-    return _congruent(lhs, _sign(r % p) * binom(n % p, r % p) * t_coeff(p, 1, n // p, r // p, l), p)
+def _eval_cor1_3(p, l, n, rs):
+    for r in rs:
+        lhs = t_coeff(p, 2, n, r, l)
+        yield _congruent(lhs, _sign(r % p) * binom(n % p, r % p) * t_coeff(p, 1, n // p, r // p, l), p)
 
 
 # thm1.4: valuation of <pn,pr> - <n,r> is at least ceil((p-1)/p (2 ord_p(n) + delta)).
 
-def _eval_thm1_4(p, a, l, n, r):
-    diff = normalized(p, a + 1, p * n, p * r, l) - normalized(p, a, n, r, l)
+def _eval_thm1_4(p, a, l, n, rs):
     numerator = (p - 1) * (2 * ord_p(n, p) + delta_for(p))
-    return _ord_at_least(diff, -(-numerator // p), p)
+    bound = -(-numerator // p)
+    for r in rs:
+        yield _ord_at_least(normalized(p, a + 1, p * n, p * r, l) - normalized(p, a, n, r, l), bound, p)
 
 
 # thm1.5: on rows n = (l+1) p^(a-1) - 1 + m phi(p^a) the residue mod p is
@@ -443,10 +466,12 @@ def _boundary_residue(m: int, l: int) -> int:
     return _sign(m - 1) * binom(m - 1, l)
 
 
-def _boundary_check(sign: int) -> Callable[..., tuple[str, str] | None]:
-    def evaluate(p, a, l, m, r):
+def _boundary_check(sign: int) -> Callable[..., Iterator]:
+    def evaluate(p, a, l, m, rs):
         n = (l + 1) * p ** (a - 1) - 1 + m * totient_prime_power(p, a)
-        return _mod_p(normalized(p, a, n, r, l), sign * _boundary_residue(m, l), p)
+        expected = sign * _boundary_residue(m, l)
+        for r in rs:
+            yield _mod_p(normalized(p, a, n, r, l), expected, p)
 
     return evaluate
 
@@ -455,8 +480,9 @@ def _boundary_check(sign: int) -> Callable[..., tuple[str, str] | None]:
 # lem3.1 and in psi-identity the axis names are the parameters, in order, of
 # the function that computes both sides.
 
-def _eval_lem2_2(n, r, l, m):
-    return _exact(*index_reduction_identity(n, r, l, m))
+def _eval_lem2_2(n, r, l, ms):
+    for m in ms:
+        yield _exact(*index_reduction_identity(n, r, l, m))
 
 
 # lem3.1: exact convolution collapsing moduli d and q into dq, t < d.
@@ -471,8 +497,9 @@ def _lem3_1_t(grid: SweepGrid, bound: dict) -> Iterable[int]:
 _LEM3_1_T = ("t", (), _lem3_1_t)
 
 
-def _eval_lem3_1(d, q, n, r, t, l):
-    return _exact(*factorization_sides(d, q, n, r, t, l))
+def _eval_lem3_1(d, q, n, r, t, ls):
+    lhs, rhs = factorization_sides(d, q, n, r, t, ls)
+    return () if lhs == rhs else map(_exact, lhs, rhs)
 
 
 # lem3.3: explicit value of the correction coefficient <pn+s, t> at order n-1,
@@ -491,14 +518,15 @@ def _sigma(p: int, n: int, s: int, t: int) -> Fraction:
     return 1 + (ratio if p == 2 else -ratio)
 
 
-def _eval_lem3_3(p, n, s, t):
-    value = normalized(p, 1, p * n + s, t, n - 1)
-    if s < t:
-        return _congruent(value, Fraction(_sign(n + s) * n, t * binom(t - 1, s)), p)
-    sigma = _sigma(p, n, s, t)
-    if sigma.numerator % p:
-        return f"ord_{p}(sigma) >= 1", f"sigma = {sigma}"
-    return _congruent(value, _sign(n + t) * n * binom(s, t) * sigma / p, p)
+def _eval_lem3_3(p, n, s, ts):
+    for t in ts:
+        value = normalized(p, 1, p * n + s, t, n - 1)
+        if s < t:
+            yield _congruent(value, Fraction(_sign(n + s) * n, t * binom(t - 1, s)), p)
+            continue
+        sigma = _sigma(p, n, s, t)
+        yield ((f"ord_{p}(sigma) >= 1", f"sigma = {sigma}") if sigma.numerator % p
+               else _congruent(value, _sign(n + t) * n * binom(s, t) * sigma / p, p))
 
 
 # lem4.1: depth-1 residues along rows with n = l (mod p-1); beyond n = l the
@@ -507,35 +535,38 @@ def _eval_lem3_3(p, n, s, t):
 _LEM4_1_N = _where(_N, lambda n, bound: (n - bound["l"]) % (bound["p"] - 1) == 0)
 
 
-def _eval_lem4_1(p, l, n, r):
+def _eval_lem4_1(p, l, n, rs):
     expected = 0 if n <= l else _boundary_residue((n - l) // (p - 1), l)
-    return _mod_p(normalized(p, 1, n, r, l), expected, p)
+    for r in rs:
+        yield _mod_p(normalized(p, 1, n, r, l), expected, p)
 
 
 # rem2.1: the order-lowering recurrence agrees with the coefficient mod p.
 
-def _eval_rem2_1(p, a, l, n, r):
-    return _mod_p(recurrence_residue(p, a, n, r, l), normalized(p, a, n, r, l), p)
+def _eval_rem2_1(p, a, l, n, rs):
+    for r in rs:
+        yield _mod_p(recurrence_residue(p, a, n, r, l), normalized(p, a, n, r, l), p)
 
 
 # conj-perm: for qualifying n (p does not divide n, p-1 divides n-1, n != 1)
 # and s = 0, the residues over t in (0, p-1] are r-independent and form a
-# permutation of 1..p-1. One work unit per (p, n).
+# permutation of 1..p-1. One work unit per (p, n), whose row holds one value, the classes r.
 
 _CONJ_PERM_N = _where(_N, lambda n, bound: n != 1 and n % bound["p"] and (n - 1) % (bound["p"] - 1) == 0)
 _CONJ_PERM_R = ("r_values", ("r_values",), lambda grid, bound: [list(grid.residues(bound["p"], 2))])
 
 
-def _eval_conj_perm(p, n, r_values):
+def _eval_conj_perm(p, n, r_lists):
+    (r_values,) = r_lists
     residues = []
     for t in range(1, p):
         seen = {normalized(p, 2, p * n, p * r + t, 0) % p for r in r_values}
         if len(seen) != 1:
-            return "one residue per t over all r", f"t={t} gave {sorted(seen)}"
+            yield "one residue per t over all r", f"t={t} gave {sorted(seen)}"
+            return
         residues.append(seen.pop())
-    if sorted(residues) != list(range(1, p)):
-        return f"a permutation of 1..{p - 1}", f"{residues} for t=1..{p - 1}"
-    return None
+    permutation = sorted(residues) == list(range(1, p))
+    yield None if permutation else (f"a permutation of 1..{p - 1}", f"{residues} for t=1..{p - 1}")
 
 
 # psi-identity: coefficients of psi^a(T^n (1+T)^(-r)) equal the sign-adjusted
@@ -558,19 +589,20 @@ def psi_sides(p: int, a: int, n: int, r: int, l_max: int) -> tuple[list[int], li
     return got, [-v for v in want] if n & 1 else want
 
 
-def _eval_psi_identity(p, a, n, r, l_max):
-    return _exact(*psi_sides(p, a, n, r, l_max))
+def _eval_psi_identity(p, a, n, r, l_maxes):
+    for l_max in l_maxes:
+        yield _exact(*psi_sides(p, a, n, r, l_max))
 
 
 @dataclass(frozen=True)
 class Check:
-    """expand(grid, block=None) yields tuples of values, one per axis and in
-    axis order, and evaluate takes a tuple's values positionally. blocks(grid)
-    gives (binding, tuples checked) of every block of grid, in expansion order;
-    fields names every SweepGrid field that the axes read."""
+    """expand(grid, block=None) yields rows (*outer, values), one value per axis but the innermost,
+    in axis order, and that axis' values as one sequence; evaluate(*outer, values) returns (value,
+    outcome) for each value that fails. blocks(grid) gives (binding, tuples checked) of every block
+    of grid, in expansion order; fields names every SweepGrid field that the axes read."""
 
     expand: Callable[..., Iterator[tuple]]
-    evaluate: Callable[..., tuple[str, str] | None]
+    evaluate: Callable[..., list]
     axes: tuple[Axis, ...]
     blocks: Callable[[SweepGrid], list[tuple[tuple, int]]]
 
@@ -583,10 +615,10 @@ class Check:
         return frozenset(chain.from_iterable(fields for _, fields, _ in self.axes))
 
 
-def _check(evaluate: Callable[..., tuple[str, str] | None], *axes: Axis) -> Check:
-    """evaluate over the tuples of axes, outermost first."""
+def _check(outcomes: Callable[..., Iterator], *axes: Axis) -> Check:
+    """The check of outcomes (as _rowwise takes it) over the rows of axes, outermost first."""
     expand, blocks = _expander(*axes)
-    return Check(expand, evaluate, axes, blocks)
+    return Check(expand, _rowwise(outcomes), axes, blocks)
 
 
 _THM1_5_AXES = (_P, _A, _L, _M, _R)
@@ -595,9 +627,9 @@ _SELF_TEST_AXES = tuple((name, (), lambda grid, bound, values=values: values(_SE
                         for name, _, values in _THM1_5_AXES)
 
 CHECKS: dict[str, Check] = {
-    "thm1.0": Check(_expand_thm1_0, _eval_thm1_0, _THM1_0_AXES, _blocks_thm1_0),
+    "thm1.0": Check(_expand_thm1_0, _rowwise(_eval_thm1_0), _THM1_0_AXES, _blocks_thm1_0),
     "thm1.1": _check(_eval_thm1_1, _P, _where(_A, lambda a, bound: a >= 2), _L, _N, _R, _S, _T),
-    "thm1.2": Check(_expand_thm1_2, _eval_thm1_2, _THM1_2_AXES, _blocks_thm1_2),
+    "thm1.2": Check(_expand_thm1_2, _rowwise(_eval_thm1_2), _THM1_2_AXES, _blocks_thm1_2),
     "cor1.3": _check(_eval_cor1_3, _P, _L, _N, _residues_at(2)),
     "thm1.4": _check(_eval_thm1_4, _P, _A, _L, _N_POSITIVE, _R),
     "thm1.5": _check(_boundary_check(1), *_THM1_5_AXES),
@@ -625,31 +657,23 @@ def _check_of(target: str) -> Check:
 
 
 def _block(target: str, grid: SweepGrid, block: tuple) -> list:
-    """[(params, outcome)] for each outcome not None over one block of target (a
-    check id or "rem1.2"), as the check's expand gives its tuples. params maps
-    the axis names to the tuple's values; only a kept row builds it. The
-    stepping memos are emptied first, so a block does the same work anywhere.
-
-    A bug trap of the package (IntegrityError, NotPIntegralError) raised while
-    evaluating a tuple becomes that tuple's failure outcome, named after the
-    trap; any other exception propagates. The evaluators are looked up on
+    """[(params, outcome)] for each failing tuple of one block of target (a check
+    id or "rem1.2"), one evaluate call per row its expand gives; a bug trap is
+    a failure outcome (_rowwise). params maps the axis names to the tuple's
+    values; only a kept tuple builds it. The stepping memos are emptied first,
+    so a block does the same work anywhere. The evaluators are looked up on
     each call, so rebinding CHECKS entries, _expand_rem1_2 or _margin_rem1_2
     (as a tracer does) takes effect.
     """
     _sums.clear()
     _images.clear()
     _twists.clear()
-    _thm1_0_row.cache_clear()
     check = _check_of(target)
     evaluate, names = check.evaluate, check.names
     rows = []
-    for values in check.expand(grid, block):
-        try:
-            outcome = evaluate(*values)
-        except (IntegrityError, NotPIntegralError) as err:
-            outcome = f"no {type(err).__name__}", str(err)
-        if outcome is not None:
-            rows.append((dict(zip(names, values)), outcome))
+    for row in check.expand(grid, block):
+        for value, outcome in evaluate(*row):
+            rows.append((dict(zip(names, (*row[:-1], value))), outcome))
     return rows
 
 
@@ -714,13 +738,13 @@ _REM1_2_AXES = (_where(_P, lambda p, bound: p != 2), _A, _L, _N_POSITIVE, _resid
 _expand_rem1_2, _blocks_rem1_2 = _expander(*_REM1_2_AXES)
 
 
-def _margin_rem1_2(p, a, l, n, r):
-    diff = normalized(p, a + 1, p ** a * n, p * r, l) - normalized(p, a, p ** (a - 1) * n, r, l)
-    if diff == 0:
-        return None
+@_rowwise
+def _margin_rem1_2(p, a, l, n, rs):
     target = 2 * a - (1 if p == 3 else 0)
-    observed = ord_p(diff, p)
-    return {"target": target, "observed": observed, "margin": observed - target}
+    for r in rs:
+        diff = normalized(p, a + 1, p ** a * n, p * r, l) - normalized(p, a, p ** (a - 1) * n, r, l)
+        observed = ord_p(diff, p) if diff else None
+        yield None if observed is None else {"target": target, "observed": observed, "margin": observed - target}
 
 
 def run_explore(grid: SweepGrid | None = None, workers: int = 1) -> VerificationReport:

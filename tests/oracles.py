@@ -120,6 +120,12 @@ def nested_expand(axes, grid):
             yield prefix + (value,)
 
 
+def row_tuples(rows):
+    """The tuples of a check's rows (*outer, values), one per value, in order:
+    what nested_expand gives for the same axes."""
+    return [(*outer, value) for *outer, values in rows for value in values]
+
+
 def _bind(grid, axes, bound: dict):
     """Bind each of axes (at least one) in turn and yield bound (one dict,
     updated in place) per combination.

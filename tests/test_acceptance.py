@@ -25,7 +25,7 @@ from cycpsi.verifier import CHECKS, _lem3_2_exceptional, _sigma
 def _params(check_id, grid):
     """The tuples check_id expands on grid, each as a dict keyed by axis name."""
     check = CHECKS[check_id]
-    return [dict(zip(check.names, values)) for values in check.expand(grid)]
+    return [dict(zip(check.names, (*outer, value))) for *outer, values in check.expand(grid) for value in values]
 
 
 def _line(num, name, ok, detail=""):

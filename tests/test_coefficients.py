@@ -442,7 +442,8 @@ class TestRawSumRecord:
                 want = fleck_oracle(n, r, q, l) if floor_exponent(p, a, n, l) > 0 else None
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(verifier, "_ord_at_least", lambda value, bound, p: value)
-                    assert verifier.CHECKS["thm1.0"].evaluate(p, a, l, n, r) == want, (n, r)
+                    got = verifier.CHECKS["thm1.0"].evaluate(p, a, l, n, (r,))
+                    assert got == ([] if want is None else [(r, want)]), (n, r)
 
 class TestTCoeff:
     @pytest.mark.parametrize(
@@ -562,50 +563,59 @@ FACTORIZATION_ROWS = st.integers(1, 6).flatmap(
 )
 
 
+def _pairs(sides: tuple[list[int], list[int]]) -> list[tuple[int, int]]:
+    """factorization_sides' (lhs, rhs) lists as one (lhs, rhs) pair per l."""
+    return list(zip(*sides))
+
+
 class TestFactorizationSides:
     @given(q=st.integers(1, 6), r=st.integers(-10, 10), l=st.integers(0, 3),
            rows=st.lists(FACTORIZATION_ROWS, min_size=1, max_size=8))
     @example(q=2, r=-3, l=1, rows=[(1, 4, 0), (1, 30, -2), (3, 12, 2)])  # a short column, then extended
     @settings(max_examples=100, deadline=None)
     def test_matches_the_direct_form(self, q, r, l, rows):
-        # the rows come in random order and share one column, which grows in place
+        # the rows come in random order and share one column per l, which grows in place
         # whenever a longer row meets it; the memos persist from example to example
         for d, n, t in rows:
-            assert factorization_sides(d, q, n, r, t, l) == modulus_factorization_identity(d, q, n, r, t, l)
+            assert _pairs(factorization_sides(d, q, n, r, t, (l,))) == [modulus_factorization_identity(d, q, n, r, t, l)]
+            assert _pairs(factorization_sides(d, q, n, r, t, range(l, 4))) == [
+                modulus_factorization_identity(d, q, n, r, t, k) for k in range(l, 4)]
 
     def test_a_column_grows_in_place(self):
-        # the column S_2(j, -3, 1) of 5 values, then the 10 more a row of 15 needs; each rhs is one more sum
-        for (d, n, t), sums in (((1, 4, 0), 6), ((1, 12, -2), 11)):
+        # the column S_2(j, -3, 1) of 5 values, then the 10 more a row of 15 needs; the signed row and the
+        # right side are one _fleck_row pass each
+        for (d, n, t), sums in (((1, 4, 0), 5), ((1, 12, -2), 10)):
             with count_work() as work:
-                sides = factorization_sides(d, 2, n, -3, t, 1)
-            assert sides == modulus_factorization_identity(d, 2, n, -3, t, 1)
-            assert work == Counter(fleck_rows=1, direct_sums=sums)
+                sides = factorization_sides(d, 2, n, -3, t, (1,))
+            assert _pairs(sides) == [modulus_factorization_identity(d, 2, n, -3, t, 1)]
+            assert work == Counter(fleck_rows=2, direct_sums=sums)
 
     def test_truncation_trap(self, monkeypatch):
         # a row whose entry past j_max does not vanish: nothing is stored
         monkeypatch.setattr(coefficients, "_fleck_row", lambda n, r, m, l_max: [0] * l_max + [1])
-        with pytest.raises(IntegrityError, match="does not end at j = 2"):
-            factorization_sides(2, 2, 5, 0, 1, 0)
+        with pytest.raises(IntegrityError, match=r"does not end at j = 2 \(d=2, q=2, n=5, r=0, t=1, l=2\)"):
+            factorization_sides(2, 2, 5, 0, 1, range(2, 4))
         assert coefficients._signed_rows == {}
 
     def test_rejects_t_not_below_d(self):
         with pytest.raises(ValueError, match="need t < d"):
-            factorization_sides(2, 3, 5, 0, 2, 0)
+            factorization_sides(2, 3, 5, 0, 2, (0,))
 
     def test_refuses_q_and_l_on_a_row_hit(self):
-        # the row of (d, n, t) = (2, 5, 1) is stored, so only the direct sums see q and l
-        factorization_sides(2, 2, 5, 0, 1, 0)
+        # the row of (d, n, t) = (2, 5, 1) is stored, so only q and the first l are checked again
+        factorization_sides(2, 2, 5, 0, 1, (0,))
         with count_work() as work:
-            for q, l, message in ((0, 0, "modulus must be positive, got 0"), (2, -1, "l must be >= 0, got -1")):
+            for q, ls, message in ((0, (0,), "moduli must be positive, got d=2, q=0"),
+                                   (2, (-1, 0), "need n, l >= 0, got n=5, l=-1")):
                 with pytest.raises(ValueError, match=message):
-                    factorization_sides(2, q, 5, 0, 1, l)
-        # no sum is made: the right side is refused, and no column is summed
+                    factorization_sides(2, q, 5, 0, 1, ls)
+        # no sum is made: neither the right side nor a column is summed
         assert work == Counter()
 
     def test_clear_caches_empties_both_memos(self):
-        # the signed row and the column are summed again; a hit sums only the right side
-        args = 3, 2, 10, 1, 2, 1
+        # the signed row and the column are summed again; a hit makes only the right side's pass
+        args = 3, 2, 10, 1, 2, (1,)
         first, again = work_of(factorization_sides, *args), work_of(factorization_sides, *args)
         coefficients.clear_caches()
-        assert work_of(factorization_sides, *args) == first == Counter(fleck_rows=1, direct_sums=4)
-        assert again == Counter(direct_sums=1)
+        assert work_of(factorization_sides, *args) == first == Counter(fleck_rows=2, direct_sums=3)
+        assert again == Counter(fleck_rows=1)

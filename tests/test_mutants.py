@@ -78,10 +78,12 @@ FILLED = {"thm1.1", "thm1.5"}
 # name -> (module, function, source text, its replacement, the checks that fail)
 COEFFICIENT_MUTANTS = {
     # the term it drops, k = r for 0 <= r < m, is 0 at l >= 1; lem3.3's l = 0 values are filled. Rows are
-    # kept while the grid stays, so lem4.1, which sums nothing itself, reads values earlier sweeps summed.
-    # thm1.0 reads every class from its record on CATALOG_GRID, so it sums nothing directly there
+    # kept while the grid stays, so lem4.1, which sums nothing itself, reads values earlier sweeps left;
+    # since the Lucas checks read a row's <n,r> before its digits' <pn+s,pr+t>, those values are the
+    # fill's, not the mutant's. thm1.0 reads every class from its record on CATALOG_GRID, so it sums
+    # nothing directly there
     "sum from k = r % m + m": (coefficients, "fleck_sum_general", "range(r % m, n + 1, m)",
-                               "range(r % m + m, n + 1, m)", ALL_BUT_PSI - FILLED - {"lem3.3", "thm1.0"}),
+                               "range(r % m + m, n + 1, m)", ALL_BUT_PSI - FILLED - {"lem3.3", "thm1.0", "lem4.1"}),
     # without the sign, the direct sums that lem4.1, thm1.2 and thm1.4 read keep their verdicts on CATALOG_GRID
     "sum without (-1)^k": (coefficients, "fleck_sum_general", "total += -term if k & 1 else term",
                            "total += term", ALL_BUT_PSI - FILLED - {"lem4.1", "thm1.2", "thm1.4", "thm1.0"}),
@@ -108,9 +110,10 @@ COEFFICIENT_MUTANTS = {
     "fill growth S(n+1, n+1) = S(n, n)": (coefficients, "_step", "-level[-1]", "level[-1]",
                                           (NORMALIZED_READERS - {"conj-perm"}) | {"psi-identity", "thm1.0"}),
     # a read more than one step past a record steps it once, as if one past it; thm1.0, psi-identity and
-    # thm1.1 ask each record for n = 0, 1, 2, ... in turn on CATALOG_GRID, so they never jump
+    # thm1.1 ask each record for n = 0, 1, 2, ... in turn on CATALOG_GRID, so they never jump; lem4.1
+    # reads the values earlier sweeps left, as under the first mutant
     "record advance past a jump": (coefficients, "_raw_at", "if n == at + 1:", "if n > at:",
-                                   NORMALIZED_READERS - {"thm1.1"}),
+                                   NORMALIZED_READERS - {"thm1.1", "lem4.1"}),
     # binom(-k, i) for i >= 1 multiplies a sum that p^(e+1) divides, so no congruence sees it; psi-identity
     # compares the sums of the classes -1 and 1 - p^a exactly, and so does
     # test_the_differential_route_catches_fill_mutants; the last two also break thm1.4's valuation bound
@@ -218,15 +221,15 @@ VERIFIER_MUTANTS = {
                                          {"thm1.0", "thm1.4"}),
 }
 
-# Evaluators take a tuple's values positionally, so one whose parameters are out
-# of axis order reads the wrong values: (source text, its replacement, the ids
-# whose evaluator no longer names the axes in order, the checks whose verdict
-# changes). A sweep sees the swap only where the statement tells the two
+# Evaluators take a row's outer values positionally, so one whose parameters are
+# out of axis order reads the wrong values: (source text, its replacement, the
+# ids whose evaluator no longer names the outer axes in order, the checks whose
+# verdict changes). A sweep sees the swap only where the statement tells the two
 # values apart; thm1.0's bound holds with n and l swapped.
 SWAPPED_PARAMETER_MUTANTS = {
-    "thm1.0 with l and n swapped": ("def _eval_thm1_0(p, a, l, n, r):", "def _eval_thm1_0(p, a, n, l, r):",
+    "thm1.0 with l and n swapped": ("def _eval_thm1_0(p, a, l, n, rs):", "def _eval_thm1_0(p, a, n, l, rs):",
                                     {"thm1.0"}, set()),
-    "boundary rows with l and m swapped": ("def evaluate(p, a, l, m, r):", "def evaluate(p, a, m, l, r):",
+    "boundary rows with l and m swapped": ("def evaluate(p, a, l, m, rs):", "def evaluate(p, a, m, l, rs):",
                                            {"thm1.5", "self-test"}, {"thm1.5"}),
 }
 
@@ -269,7 +272,7 @@ def test_swapped_parameters_are_caught(mutant):
     old, new, out_of_order, changed = SWAPPED_PARAMETER_MUTANTS[mutant]
     sweeps = _mutated_verifier(old, new)
     assert {c for c, check in sweeps.CHECKS.items()
-            if tuple(inspect.signature(check.evaluate).parameters) != check.names} == out_of_order
+            if tuple(inspect.signature(check.evaluate).parameters)[:-1] != check.names[:-1]} == out_of_order
     assert _verdict_changes(sweeps) == changed
 
 
@@ -333,7 +336,8 @@ GRIDS = st.builds(
 def test_pooled_blocks_give_the_serial_report(grid, target, workers, marked):
     """A pool of 2 or 3 workers, run in process, gives the serial report.
     Tuples whose params print to a length divisible by marked are made to
-    fail, so every block's failure rows must come back in expansion order."""
+    fail, so every block's failure rows must come back in expansion order;
+    every other tuple is evaluated as a row of its own."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
         if target == "rem1.2":
@@ -341,11 +345,16 @@ def test_pooled_blocks_give_the_serial_report(grid, target, workers, marked):
         else:
             check = verifier.CHECKS[target]
 
-            def evaluate(*values):
-                params = dict(zip(check.names, values))
-                if len(repr(params)) % marked == 0:
-                    return "an unmarked tuple", repr(params)
-                return check.evaluate(*values)
+            def evaluate(*row):
+                *outer, values = row
+                failures = []
+                for value in values:
+                    params = dict(zip(check.names, (*outer, value)))
+                    if len(repr(params)) % marked == 0:
+                        failures.append((value, ("an unmarked tuple", repr(params))))
+                    else:
+                        failures += check.evaluate(*outer, (value,))
+                return failures
 
             mp.setitem(verifier.CHECKS, target, replace(check, evaluate=evaluate))
 
@@ -370,7 +379,7 @@ def test_results_left_in_dispatch_order_break_the_failure_list(monkeypatch):
     # list the tuples; a = 1 and a = 2 are blocks of 20 and 44 tuples, and the larger goes first
     for sweeps in (verifier, mutated):
         monkeypatch.setitem(sweeps.CHECKS, "thm1.5",
-                            replace(sweeps.CHECKS["thm1.5"], evaluate=sweeps._boundary_check(-1)))
+                            replace(sweeps.CHECKS["thm1.5"], evaluate=sweeps.CHECKS["self-test"].evaluate))
     grid = SweepGrid(primes=(3,), a_range=(1, 2), l_range=(0, 0), m_range=(1, 4))
     serial = run_sweep("thm1.5", grid)
     assert serial.checked == len(serial.failures) == 64

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from operator import ne
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,13 +26,14 @@ from cycpsi import (
     run_explore,
     run_sweep,
 )
-from cycpsi import coefficients, verifier
+from cycpsi import IntegrityError, coefficients, verifier
 from cycpsi.coefficients import floor_exponent, normalized
 from cycpsi.psi_series import _images
 from cycpsi.verifier import CHECKS, CheckFailure, _block, _lem3_2_exceptional, _sigma, _thm1_2_branch
-from oracles import fleck_oracle, nested_expand
+from oracles import fleck_oracle, nested_expand, row_tuples
 from test_golden_reports import GRIDS
-from test_mutants import CATALOG_GRID, _doc, _InProcessPool, _mutated_verifier
+from test_mutants import (CATALOG_GRID, COEFFICIENT_MUTANTS, _doc, _InProcessPool, _mutant, _mutated_verifier,
+                          _rebind_everywhere)
 from work import count_work, empty_memos, work_of
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
@@ -115,7 +116,7 @@ def test_checked_counts_match_expansion():
     report = run_sweep("thm1.5", grid)
     # 6 multipliers times the 5-element residue system mod 3
     assert report.checked == 30
-    assert report.checked == sum(1 for _ in CHECKS["thm1.5"].expand(grid))
+    assert report.checked == len(row_tuples(CHECKS["thm1.5"].expand(grid)))
 
 
 def test_self_test_fails():
@@ -200,10 +201,10 @@ def test_pool_start_methods_match_serial(method, tmp_path):
 def concatenated_blocks(target, grid):
     """The nonempty blocks' sizes summed, and their rows concatenated in expansion order,
     each block run in process by _block as a pool task would run it. A block's size is the
-    number of tuples its expand gives."""
+    number of tuples its expand's rows hold."""
     check = verifier._check_of(target)
     blocks = [(block, size) for block, size in check.blocks(grid) if size]
-    assert [size for _, size in blocks] == [sum(1 for _ in check.expand(grid, block)) for block, _ in blocks]
+    assert [size for _, size in blocks] == [len(row_tuples(check.expand(grid, block))) for block, _ in blocks]
     return sum(size for _, size in blocks), [row for block, _ in blocks for row in _block(target, grid, block)]
 
 
@@ -404,15 +405,16 @@ def test_psi_sides_matches_the_oracle_on_and_off_the_record(p, a):
 
 
 def test_thm1_0_rows_off_the_record_are_summed_directly(monkeypatch):
-    # a stand-in verdict that returns the sum each tuple read, for residues and for classes outside [0, 3);
-    # the bound floor((n - 7) / 2) of (3, 1, 2, n) is positive from n = 9, and below it nothing is read
+    # a stand-in verdict that returns the sum each tuple read, for residues and for classes outside [0, 3),
+    # each row of classes evaluated in one call; the bound floor((n - 7) / 2) of (3, 1, 2, n) is positive
+    # from n = 9, and below it nothing is read
     monkeypatch.setattr(verifier, "_ord_at_least", lambda value, bound, p: value)
     classes = (-4, -1, 0, 1, 2, 4, 5)
     works = []
     for n in (10, 0, 1, 8, 9, 10, 11, 9, 13, 12):
         with count_work() as work:
-            sums = [CHECKS["thm1.0"].evaluate(3, 1, 2, n, r) for r in classes]
-        assert sums == ([fleck_oracle(n, r, 3, 2) for r in classes] if n >= 9 else [None] * 7), n
+            sums = CHECKS["thm1.0"].evaluate(3, 1, 2, n, classes)
+        assert sums == ([(r, fleck_oracle(n, r, 3, 2)) for r in classes] if n >= 9 else []), n
         works.append(work)
     # with no record, 10 is off it: one residue row, and every class outside [0, 3) summed directly. Then
     # n = 0 and 1 start the record, and 8 leaves it at 1; 9 steps it over 2..8 first, and 13 over 12.
@@ -448,12 +450,12 @@ def _positive(values) -> bool:
 def _thm1_0_oracle_reads(grid) -> list:
     """[(bound, sum)] of every thm1.0 tuple of grid with a positive bound, the sum from the oracle."""
     return [(floor_exponent(p, a, n, l), fleck_oracle(n, r, p ** a, l))
-            for p, a, l, n, r in filter(_positive, CHECKS["thm1.0"].expand(grid))]
+            for p, a, l, n, r in filter(_positive, row_tuples(CHECKS["thm1.0"].expand(grid)))]
 
 
 @pytest.mark.parametrize("grid", THM1_0_GRIDS)
 def test_thm1_0_matches_an_evaluator_on_the_oracle(grid, monkeypatch):
-    tuples = list(filter(_positive, CHECKS["thm1.0"].expand(grid)))
+    tuples = list(filter(_positive, row_tuples(CHECKS["thm1.0"].expand(grid))))
     assert any(r < 0 for *_, r in tuples) and any(r >= p ** a for p, a, *_, r in tuples)
     assert [verifier._ord_at_least(value, bound, p)
             for (bound, value), (p, *_) in zip(_thm1_0_oracle_reads(grid), tuples)] == [None] * len(tuples)
@@ -474,8 +476,8 @@ def test_thm1_0_vacuous_tuples_read_nothing(grid, monkeypatch):
     assert any(n >= 2 for _, _, _, n, _ in vacuous)
     for values in vacuous:
         record_work = set() if values[3] >= 2 else {"steps"}
-        assert set(+work_of(CHECKS["thm1.0"].evaluate, *values)) <= record_work, values
-    assert [CHECKS["thm1.0"].evaluate(*values) for values in vacuous] == [None] * len(vacuous)
+        assert set(+work_of(CHECKS["thm1.0"].evaluate, *values[:-1], values[-1:])) <= record_work, values
+    assert [CHECKS["thm1.0"].evaluate(*values[:-1], values[-1:]) for values in vacuous] == [[]] * len(vacuous)
 
 
 # thm1.0 from n = 1, where a kept n = 1 row starts each record, and from n = 2, where no row starts one,
@@ -486,15 +488,16 @@ THM1_0_FROM_N = [SweepGrid(primes=(2, 3, 5), a_range=(1, 2), n_range=(n_lo, 30),
 
 @pytest.mark.parametrize("grid", [*THM1_0_GRIDS, *THM1_0_FROM_N])
 def test_thm1_0_reads_as_when_it_evaluated_every_tuple(grid, monkeypatch):
-    # the route that pruning replaced: every tuple of the nested loops evaluated, block by block in
-    # expansion order, each on the memos _block empties; its vacuous rows past n = 1 read nothing
+    # the route that pruning replaced: every tuple of the nested loops evaluated as a one-value row,
+    # block by block in expansion order, each on the memos _block empties; its vacuous rows past n = 1
+    # read nothing
     with count_work() as work:
         reads = _thm1_0_reads(verifier, grid, monkeypatch)
     assert bool(work["direct_sums"]) is (grid.n_range[0] >= 2)
     check = CHECKS["thm1.0"]
     tuples = {}
     for values in nested_expand(check.axes, grid):
-        tuples.setdefault(values[:3], []).append(values)
+        tuples.setdefault(values[:3], []).append((*values[:-1], values[-1:]))
     monkeypatch.setitem(CHECKS, "thm1.0", replace(check, expand=lambda grid, block: tuples[block]))
     every = [outcome for block, _ in check.blocks(grid) for _, outcome in _block("thm1.0", grid, block)]
     assert reads and every == reads
@@ -603,7 +606,7 @@ def test_a_new_grid_starts_with_empty_memos():
 def test_the_memo_holds_one_row_per_r_and_l():
     # every coefficient thm1.1 reads is kept for the grid, each the direct route's value
     run_sweep("thm1.1", SMALL)
-    reads = {args for p, a, l, n, r, s, t in CHECKS["thm1.1"].expand(SMALL)
+    reads = {args for p, a, l, n, r, s, t in row_tuples(CHECKS["thm1.1"].expand(SMALL))
              for args in ((p, a + 1, p * n + s, p * r + t, l), (p, a, n, r, l))}
     with count_work() as work:
         kept = {args: normalized(*args) for args in reads}
@@ -664,20 +667,30 @@ EXPANSION_GRIDS = [
 ]
 
 
+def _expanded_tuples(target: str, grid: SweepGrid) -> dict:
+    """block -> the tuples of the nested loops that target's expand keeps in it, in order: thm1.2's
+    in a branch of the statement, thm1.0's at n <= 1 or with a positive bound."""
+    _, axes, fixed = _targets()[target]
+    depth = verifier._block_depth(axes)
+    tuples = {}
+    for values in nested_expand(axes, fixed or grid):
+        if target == "thm1.2" and not _thm1_2_branch(values[0], values[1], values[2], values[4], values[5]):
+            continue
+        if target == "thm1.0" and not (values[3] <= 1 or _positive(values)):
+            continue
+        tuples.setdefault(values[:depth], []).append(values)
+    return tuples
+
+
 @pytest.mark.parametrize("targets, grid", EXPANSION_GRIDS)
 def test_products_expand_as_the_nested_loops(targets, grid):
-    # the expanders take products over the inner axes; the oracle binds every axis in turn,
-    # thm1.2 keeps the tuples of its axes that lie in a branch of the statement, and thm1.0 those
-    # at n <= 1 (which start its records) or with a positive bound
+    # the expanders take products over the inner axes; the oracle binds every axis in turn, and keeps
+    # thm1.2's tuples in a branch of the statement and thm1.0's at n <= 1 (which start its records) or
+    # with a positive bound
     missing = object()
     for target in targets:
-        expand, axes, fixed = _targets()[target]
-        want = nested_expand(axes, fixed or grid)
-        if target == "thm1.2":
-            want = (v for v in want if _thm1_2_branch(v[0], v[1], v[2], v[4], v[5]))
-        if target == "thm1.0":
-            want = (v for v in want if v[3] <= 1 or _positive(v))
-        pairs = zip_longest(expand(grid), want, fillvalue=missing)
+        want = chain.from_iterable(_expanded_tuples(target, grid).values())
+        pairs = zip_longest(row_tuples(_targets()[target][0](grid)), want, fillvalue=missing)
         assert all(got == want for got, want in pairs), target
 
 
@@ -692,7 +705,7 @@ def test_block_sizes_count_what_each_block_expands_to(targets, grid):
             counts = Counter(values[:3] for values in nested_expand(check.axes, grid))
             assert [counts[block] for block, _ in blocks] == [n for _, n in blocks], target
         else:
-            assert [sum(1 for _ in check.expand(grid, block)) for block, _ in blocks] == [n for _, n in blocks], target
+            assert [len(row_tuples(check.expand(grid, block))) for block, _ in blocks] == [n for _, n in blocks], target
 
 
 # thm1.0's (expanded, pruned, checked) tuples: a row past n = 1 whose bound is <= 0 is counted, never built
@@ -711,20 +724,158 @@ def test_thm1_0_expands_no_vacuous_row_past_n_1(grid, counts, monkeypatch):
                      if values[3] >= 2 and not _positive(values))
     expanded = []
     for block, size in check.blocks(grid):
-        kept = list(check.expand(grid, block))
+        kept = row_tuples(check.expand(grid, block))
         assert not any(values[3] >= 2 and not _positive(values) for values in kept), block
         assert len(kept) + pruned[block] == size, block
         expanded += kept
     assert (len(expanded), sum(pruned.values()), len(expanded) + sum(pruned.values())) == counts
     calls = []
 
-    def evaluate(*values):
-        calls.append(values)
-        return check.evaluate(*values)
+    def evaluate(*row):
+        calls.append(row)
+        return check.evaluate(*row)
 
     monkeypatch.setitem(CHECKS, "thm1.0", replace(check, evaluate=evaluate))
     assert run_sweep("thm1.0", grid).checked == counts[2]
-    assert len(calls) == counts[0] and Counter(calls) == Counter(expanded)
+    assert len(row_tuples(calls)) == counts[0] and Counter(row_tuples(calls)) == Counter(expanded)
+
+
+def _one_value_rows(target: str, tuples: list) -> list:
+    """[(params, outcome)] of each failing tuple, every tuple evaluated as a one-value row, in order."""
+    check = verifier._check_of(target)
+    return [(dict(zip(check.names, (*outer, v))), outcome)
+            for *outer, value in tuples for v, outcome in check.evaluate(*outer, (value,))]
+
+
+def _rows_against_one_value_rows(targets, grid) -> int:
+    """Assert that each target's rows, block by block in expansion order from empty memos, fail as
+    its tuples do evaluated one by one as one-value rows the same way; return the failures seen."""
+    seen = 0
+    for target in targets:
+        blocks = _expanded_tuples(target, grid)
+        for block, _ in verifier._check_of(target).blocks(grid):
+            empty_memos()
+            rows = _block(target, grid, block)
+            empty_memos()
+            assert rows == _one_value_rows(target, blocks.get(block, [])), (target, block)
+            seen += len(rows)
+    return seen
+
+
+# two mutants whose failure rows reach most checks, wrong values and bug traps alike: a Pascal step of
+# the records (IntegrityError in thm1.1, thm1.2 and rem2.1 on CATALOG_GRID) and a direct sum that drops
+# a term (NotPIntegralError in cor1.3, IntegrityError in rem2.1)
+ROW_DIFFERENTIAL_MUTANTS = ("fill step S(n-1, r-1) - S(n-1, r)", "sum from k = r % m + m")
+
+
+@pytest.mark.parametrize("targets, grid", EXPANSION_GRIDS)
+def test_rows_report_as_one_value_rows(targets, grid):
+    # a row shares work among its values (a signed row, a base coefficient, a record read, a bound);
+    # the one-value rows share none of it and read in the nested loops' order
+    _rows_against_one_value_rows(targets, grid)
+
+
+@pytest.mark.parametrize("mutant", ROW_DIFFERENTIAL_MUTANTS)
+@pytest.mark.parametrize("targets, grid", EXPANSION_GRIDS)
+def test_mutated_rows_report_as_one_value_rows(mutant, targets, grid, monkeypatch):
+    module, name, old, new, _ = COEFFICIENT_MUTANTS[mutant]
+    _rebind_everywhere(monkeypatch, module, name, _mutant(module, name, old, new))
+    # both mutants fail rows on each grid swept for every target; one swept for a single check may see none
+    assert _rows_against_one_value_rows(targets, grid) or targets != ALL_TARGETS
+
+
+def test_rows_have_the_oracle_sides_tuple_by_tuple(monkeypatch):
+    # thm1.0 under a stand-in verdict that fails every tuple with its (bound, sum), and lem3.1 with each
+    # row's two sides recorded per tuple as factorization_sides gives them, both against sums of
+    # fleck_oracle, tuple by tuple in expansion order
+    monkeypatch.setattr(verifier, "_ord_at_least", lambda value, bound, p: (bound, value))
+    grid = SweepGrid(primes=(2, 3), a_range=(1, 2), n_range=(0, 9), l_range=(0, 2), r_values=(-5, -1, 0, 2, 4, 11),
+                     d_range=(1, 3), q_range=(1, 3))
+    sides = [(f.expected, f.actual) for f in run_sweep("thm1.0", grid).failures]
+    assert sides == _thm1_0_oracle_reads(grid) and len(sides) > 100
+
+    def recording(*row):
+        lhs, rhs = sides_of(*row)
+        *outer, ls = row
+        sides.update(((*outer, l), pair) for l, pair in zip(ls, zip(lhs, rhs)))
+        return lhs, rhs
+
+    sides, sides_of = {}, verifier.factorization_sides
+    monkeypatch.setattr(verifier, "factorization_sides", recording)
+    assert run_sweep("lem3.1", grid).verdict == "pass"
+
+    def lem3_1_oracle(d, q, n, r, t, l):
+        lhs = sum((-1) ** j * fleck_oracle(n, t, d, j) * fleck_oracle(j, r, q, l) for j in range((n - t) // d + 1))
+        return lhs, fleck_oracle(n, d * r + t, d * q, l)
+
+    tuples = list(nested_expand(CHECKS["lem3.1"].axes, grid))
+    # t takes 3, 4 and 5 values below d = 1, 2 and 3, for 3 moduli q, 10 values of n, 6 of r and 3 of l
+    assert len(sides) == len(tuples) == (3 + 4 + 5) * 3 * 10 * 6 * 3
+    assert [sides[values] for values in tuples] == [lem3_1_oracle(*values) for values in tuples]
+
+
+def test_a_trap_fails_its_own_tuple_or_its_row(monkeypatch):
+    # a read of one tuple's own coefficient <pn+s, pr+t> that raises fails that tuple alone; a read of
+    # its row's <n, r>, which every digit t of the row shares, fails each t of the row
+    planted = {(3, 3, 3 * 4 + 1, 3 * 2 + 2, 1), (3, 2, 5, -1, 0)}
+
+    def trapping(p, a, n, r, l):
+        if (p, a, n, r, l) in planted:
+            raise IntegrityError(f"planted at {(p, a, n, r, l)}")
+        return normalized(p, a, n, r, l)
+
+    monkeypatch.setattr(verifier, "normalized", trapping)
+    report = run_sweep("thm1.1", SMALL)
+    text = "no IntegrityError"
+    assert [(f.params, f.expected, f.actual) for f in report.failures] == [
+        (dict(p=3, a=2, l=0, n=5, r=-1, s=s, t=t), text, "planted at (3, 2, 5, -1, 0)")
+        for s in range(3) for t in range(3)] + [
+        (dict(p=3, a=2, l=1, n=4, r=2, s=1, t=2), text, "planted at (3, 3, 13, 8, 1)")]
+
+
+def test_a_truncation_trap_fails_every_l_of_its_rows(monkeypatch):
+    # the signed row of (d, n, t) = (2, 6, 1) ends at j = 2; its pass to j = 3 is made to end in 1, so
+    # every row (2, 3, 6, r, 1) fails at each l, each text naming its own r and l, while the rows at
+    # n = 5 and 7 and the other t pass
+    kernel = coefficients._fleck_row
+
+    def truncating(n, r, m, l_max):
+        row = kernel(n, r, m, l_max)
+        return row[:-1] + [1] if (n, r, m, l_max) == (6, 1, 2, 3) else row
+
+    monkeypatch.setattr(coefficients, "_fleck_row", truncating)
+    grid = SweepGrid(d_range=(2, 2), q_range=(3, 3), n_range=(5, 7), l_range=(0, 3))
+    report = run_sweep("lem3.1", grid)
+    assert report.checked == 3 * 5 * 4 * 4
+    assert [(f.params, f.expected, f.actual) for f in report.failures] == [
+        (dict(d=2, q=3, n=6, r=r, t=1, l=l), "no IntegrityError",
+         f"the j-sum does not end at j = 2 (d=2, q=3, n=6, r={r}, t=1, l={l})")
+        for r in range(-2, 3) for l in range(4)]
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_one_evaluate_call_per_row(target, monkeypatch):
+    # a tracer counts the rows expand yields and the evaluate calls, and reads them as one count
+    check = verifier._check_of(target)
+    rows, calls = [], []
+
+    def expand(grid, block=None):
+        for row in check.expand(grid, block):
+            rows.append(row)
+            yield row
+
+    def evaluate(*row):
+        calls.append(row)
+        return check.evaluate(*row)
+
+    if target == "rem1.2":
+        monkeypatch.setattr(verifier, "_expand_rem1_2", expand)
+        monkeypatch.setattr(verifier, "_margin_rem1_2", evaluate)
+        run_explore(SMALL)
+    else:
+        monkeypatch.setitem(CHECKS, target, replace(check, expand=expand, evaluate=evaluate))
+        run_sweep(target, SMALL)
+    assert rows and calls == rows
 
 
 GRID_FIELDS = frozenset(f.name for f in fields(SweepGrid))
@@ -814,16 +965,25 @@ def test_an_inverted_zero_bound_return_breaks_ord_at_least():
     assert [mutated._ord_at_least(*case[:3]) for case in ORD_AT_LEAST_CASES] != [c[3] for c in ORD_AT_LEAST_CASES]
 
 
+def _outcome(check_id: str, params: dict):
+    """The outcome of the one tuple params evaluated as a one-value row, None if it holds."""
+    assert tuple(params) == CHECKS[check_id].names
+    *outer, value = params.values()
+    failures = CHECKS[check_id].evaluate(*outer, (value,))
+    assert [v for v, _ in failures] in ([], [value])
+    return failures[0][1] if failures else None
+
+
 def test_valuation_failure_texts(monkeypatch):
     # a unit sum misses thm1.0's floor exponent floor((5 - 1) / 2) = 2, read from the row at r = 0
     monkeypatch.setattr(verifier, "_fleck_residues", lambda n, m, l: [1] * min(n + 1, m))
-    assert CHECKS["thm1.0"].evaluate(p=3, a=1, l=0, n=5, r=0) == ("ord_3 >= 2", "ord_3 = 0")
+    assert _outcome("thm1.0", dict(p=3, a=1, l=0, n=5, r=0)) == ("ord_3 >= 2", "ord_3 = 0")
     # and summed directly at the negative representative r = -1
     monkeypatch.setattr(verifier, "_direct_fleck_sum", lambda n, r, m, l: 1)
-    assert CHECKS["thm1.0"].evaluate(p=3, a=1, l=0, n=5, r=-1) == ("ord_3 >= 2", "ord_3 = 0")
+    assert _outcome("thm1.0", dict(p=3, a=1, l=0, n=5, r=-1)) == ("ord_3 >= 2", "ord_3 = 0")
     # a difference of 3 misses thm1.4's bound ceil(4/5 (2 ord_5(5) + 2)) = 4
     monkeypatch.setattr(verifier, "normalized", lambda p, a, n, r, l: 3 * a)
-    assert CHECKS["thm1.4"].evaluate(p=5, a=1, l=0, n=5, r=0) == ("ord_5 >= 4", "ord_5 = 0")
+    assert _outcome("thm1.4", dict(p=5, a=1, l=0, n=5, r=0)) == ("ord_5 >= 4", "ord_5 = 0")
 
 
 # (check id, params, (expected, actual)) under the stand-in coefficients of
@@ -855,16 +1015,18 @@ def test_congruence_failure_texts(monkeypatch):
     monkeypatch.setattr(verifier, "t_coeff", lambda p, a, n, r, l: Fraction(a, 7))
     monkeypatch.setattr(verifier, "recurrence_residue", lambda p, a, n, r, l: 1)
     for check_id, params, outcome in CONGRUENCE_FAILURES:
-        assert CHECKS[check_id].evaluate(**params) == outcome, (check_id, params)
+        assert _outcome(check_id, params) == outcome, (check_id, params)
 
 
 @pytest.mark.parametrize("target", CHECK_IDS + ("rem1.2",))
 def test_evaluators_take_the_values_in_axis_order(target):
-    # _block calls evaluate(*values), so the parameters must be the axis names in order
+    # _block calls evaluate(*outer, values), so the parameters must be the outer axis names in order,
+    # then one for the innermost axis' values; every row binds each outer axis once
     check = verifier._check_of(target)
-    assert tuple(inspect.signature(check.evaluate).parameters) == check.names
-    sizes = Counter(len(values) for values in check.expand(SweepGrid()))
-    assert list(sizes) == [len(check.names)]
+    parameters = tuple(inspect.signature(check.evaluate).parameters)
+    assert parameters[:-1] == check.names[:-1] and len(parameters) == len(check.names)
+    rows = list(check.expand(SweepGrid()))
+    assert {len(row) for row in rows} == {len(check.names)} and all(row[-1] for row in rows)
 
 
 def test_evaluators_resolve_names_at_call_time(monkeypatch):
@@ -875,7 +1037,7 @@ def test_evaluators_resolve_names_at_call_time(monkeypatch):
     assert len(report.failures) == report.checked > 0
     assert (report.failures[0].expected, report.failures[0].actual) == ("2", "1")
     margin = {"target": 0, "observed": -7, "margin": -7}
-    monkeypatch.setattr(verifier, "_margin_rem1_2", lambda p, a, l, n, r: margin)
+    monkeypatch.setattr(verifier, "_margin_rem1_2", lambda p, a, l, n, rs: [(r, margin) for r in rs])
     report = run_explore(SMALL)
     assert report.extra["min_margin"] == "-7"
     assert report.extra["worst"][0] == {"params": {"p": 3, "a": 1, "l": 0, "n": 1, "r": 0}, **margin}
@@ -924,12 +1086,12 @@ class TestThm12Branches:
     def test_evaluating_an_uncovered_tuple_is_refused(self):
         # s = 1, t = 0 at p = 3, n = 5 is in neither branch, so no sweep expands it
         with pytest.raises(ValueError, match="^no branch of thm1.2 covers p=3, l=0, n=5, r=0, s=1, t=0$"):
-            CHECKS["thm1.2"].evaluate(p=3, l=0, n=5, r=0, s=1, t=0)
+            CHECKS["thm1.2"].evaluate(3, 0, 5, 0, 1, (0,))
 
     def test_expansion_skips_uncovered(self):
         grid = SweepGrid(primes=(3,), n_range=(5, 5), l_range=(0, 0))
         check = CHECKS["thm1.2"]
-        tuples = [dict(zip(check.names, values)) for values in check.expand(grid)]
+        tuples = [dict(zip(check.names, values)) for values in row_tuples(check.expand(grid))]
         assert all(_thm1_2_branch(t["p"], t["l"], t["n"], t["s"], t["t"]) for t in tuples)
         assert not any(t["s"] == 1 and t["t"] == 0 for t in tuples)
 
@@ -940,7 +1102,7 @@ def test_lem3_2_classification_is_total():
     grid = SweepGrid(primes=(3,), a_range=(1, 1), n_range=(0, 10), l_range=(0, 2))
     seen = {True: 0, False: 0}
     check = CHECKS["lem3.2"]
-    for t in (dict(zip(check.names, values)) for values in check.expand(grid)):
+    for t in (dict(zip(check.names, values)) for values in row_tuples(check.expand(grid))):
         seen[_lem3_2_exceptional(t["p"], t["a"], t["l"], t["n"], t["s"])] += 1
     assert seen[True] > 0 and seen[False] > 0
 

@@ -2,6 +2,7 @@
 as count_work() counts it. A change that moves a count re-pins it here."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from cycpsi import CHECK_IDS, SweepGrid, run_explore, run_sweep, verifier
 from cycpsi.coefficients import floor_exponent
 from cycpsi.verifier import CHECKS, _block, psi_sides
-from test_verifier import ACCEPTANCE_GRIDS, _thm1_0_oracle_reads, _thm1_0_reads
+from test_verifier import ACCEPTANCE_GRIDS, THM1_0_GRIDS, _thm1_0_oracle_reads, _thm1_0_reads
 from work import work_of
 
 
@@ -39,9 +40,19 @@ WORK = {
                                   dict(steps=480, psi_power=48, images=528, constants=60)),
     # every sum read from a line, each line value summed once
     "lem2.2-default": (_sweeps(SweepGrid(), "lem2.2"), dict(direct_sums=49_824)),
-    # a direct right side per tuple plus the column values, and a _fleck_row per signed row (d, n, t)
+    # the column values summed directly, a _fleck_row per signed row (d, n, t), and one more per row
+    # (d, q, n, r, t) for the right sides of all its l: against a direct right side per tuple, 59,040
+    # direct sums fewer and 14,760 passes more (354,240 and 88,560 on the composite-moduli grid)
     "lem3.1-d4-q4": (_sweeps(SweepGrid(d_range=(1, 4), q_range=(1, 4)), "lem3.1"),
-                     dict(direct_sums=62_480, fleck_rows=738)),
+                     dict(direct_sums=3_440, fleck_rows=15_498)),
+    # thm1.0 tests a row's classes in one pass, from the record or, from n = 5, off it by one residue pass
+    # and direct sums: the same work as when each tuple was a call of its own
+    "thm1.0-grid0": (_sweeps(THM1_0_GRIDS[0], "thm1.0"), dict(steps=172)),
+    "thm1.0-grid0-from-n5": (_sweeps(replace(THM1_0_GRIDS[0], n_range=(5, 14)), "thm1.0"),
+                             dict(residue_rows=90, direct_sums=654)),
+    "thm1.0-grid1": (_sweeps(THM1_0_GRIDS[1], "thm1.0"), dict(steps=122)),
+    "thm1.0-grid1-from-n5": (_sweeps(replace(THM1_0_GRIDS[1], n_range=(5, 30)), "thm1.0"),
+                             dict(residue_rows=69, direct_sums=402)),
     # stress: from n = 2 a record never moves, so every read is a direct sum, 27 times those from n = 0
     "thm1.1-n2-20": (_sweeps(SweepGrid(n_range=(2, 20)), "thm1.1"),
                      dict(normalized_parts=63_992, direct_sums=63_992)),

@@ -92,8 +92,7 @@ def work_of(run, *args) -> Counter:
 
 def empty_memos() -> None:
     """Empty the coefficient rows and sums, the raw-sum records, lines and
-    signed rows, the operator images and constants, and thm1.0's row."""
+    signed rows, and the operator images and constants."""
     coefficients.clear_caches()
     psi_series._images.clear()
     psi_series._twists.clear()
-    verifier._thm1_0_row.cache_clear()
