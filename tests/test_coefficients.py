@@ -1,7 +1,9 @@
 import copy
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -483,6 +485,74 @@ class TestRecurrence:
             recurrence_residue(3, 1, 0, 0, 1)
         with pytest.raises(ValueError, match="a must be >= 1"):
             recurrence_residue(3, 0, 5, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _line_oracle(m: int, l: int, r: int, slope: int, i: int) -> int:
+    """Value i of the line (m, l, r, slope), S(i, r + slope i, m, l), from the oracle."""
+    return fleck_oracle(i, r + slope * i, m, l)
+
+
+# one _line call (m, l, r, slope, length): composite moduli, classes and starts near each other so
+# that calls meet stored neighbours (r - 1 at slope 0, r + 1 at slope 1), short ones and long ones
+LINE_CALLS = st.lists(st.tuples(st.sampled_from((4, 6, 8, 9)), st.integers(0, 2), st.integers(-6, 4),
+                                st.integers(0, 1), st.integers(0, 40)), min_size=1, max_size=14)
+
+
+def _call_lines(calls) -> set:
+    """Make the calls in order; the keys they asked for."""
+    for m, l, r, slope, length in calls:
+        assert len(coefficients._line(m, l, r, slope, length)) >= length
+    return {call[:4] for call in calls}
+
+
+def _assert_lines_match_the_oracle(asked: set) -> None:
+    assert set(coefficients._lines) == asked
+    for key, line in coefficients._lines.items():
+        assert line == [_line_oracle(*key, i) for i in range(len(line))], key
+
+
+class TestLines:
+    """The lines _line grows by Pascal's rule from stored neighbours, against the oracle."""
+
+    @given(calls=LINE_CALLS, earlier=LINE_CALLS, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_oracle_in_any_order(self, calls, earlier, data):
+        # from empty memos, then in another order from a store that earlier calls partly filled:
+        # every value of every held line is the oracle's, and no line is held that was not asked for
+        coefficients.clear_caches()
+        _assert_lines_match_the_oracle(_call_lines(calls))
+        coefficients.clear_caches()
+        asked = _call_lines(earlier) | _call_lines(data.draw(st.permutations(calls)))
+        _assert_lines_match_the_oracle(asked)
+
+    def test_a_long_run_of_neighbours_grows_without_recursion(self):
+        # 1,500 stored neighbours of one value each, deeper than the recursion limit: the line of start 0
+        # grows the whole run first, each line one value shorter than the one before; only line 1,500,
+        # long enough already, is not grown. At m = 1 the sums vanish past i = l, so the run stays small
+        depth = 1_500
+        assert depth > sys.getrecursionlimit()
+        for s in range(1, depth + 1):
+            coefficients._line(1, 2, s, 1, 1)
+        with count_work() as work:
+            line = coefficients._line(1, 2, 0, 1, depth + 1)
+        assert work == Counter()
+        assert [len(coefficients._lines[1, 2, s, 1]) for s in (0, 1, 750, depth)] == [depth + 1, depth, 751, 1]
+        for i in (0, 1, 2, 3, 99, depth):
+            assert line[i] == fleck_oracle(i, i, 1, 2), i
+        assert len(coefficients._lines) == depth + 1
+
+    def test_the_end_of_a_run_sums_directly(self):
+        # line -1 (slope 0, m = 6) has no stored neighbour, so its 8 values are direct sums; line 0 then
+        # takes its first value, S(0, 0) = binom(0, 1) = 0, and 7 more by one subtraction each
+        with count_work() as work:
+            coefficients._line(6, 1, -1, 0, 8)
+            line = coefficients._line(6, 1, 0, 0, 9)
+        assert work == Counter(direct_sums=8)
+        assert line == [_line_oracle(6, 1, 0, 0, i) for i in range(9)]
+        # asked for 12, line 0 needs 11 of line -1, which has 8 and no neighbour: 3 more direct sums
+        assert work_of(coefficients._line, 6, 1, 0, 0, 12) == Counter(direct_sums=3)
+        _assert_lines_match_the_oracle({(6, 1, -1, 0), (6, 1, 0, 0)})
 
 
 class TestIndexReduction:

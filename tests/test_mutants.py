@@ -84,9 +84,13 @@ COEFFICIENT_MUTANTS = {
     # nothing directly there
     "sum from k = r % m + m": (coefficients, "fleck_sum_general", "range(r % m, n + 1, m)",
                                "range(r % m + m, n + 1, m)", ALL_BUT_PSI - FILLED - {"lem3.3", "thm1.0", "lem4.1"}),
-    # without the sign, the direct sums that lem4.1, thm1.2 and thm1.4 read keep their verdicts on CATALOG_GRID
+    # without the sign, the direct sums that lem4.1, thm1.2 and thm1.4 read keep their verdicts on CATALOG_GRID.
+    # lem2.2 sums directly only the line at the end of each run of neighbours: a line of slope 1 sums only
+    # S(0, s), which has no odd term, and the slope-0 lines at m = 1 and 3 that grow from a wrong end are
+    # wrong at every level, yet satisfy the identity on all its tuples
     "sum without (-1)^k": (coefficients, "fleck_sum_general", "total += -term if k & 1 else term",
-                           "total += term", ALL_BUT_PSI - FILLED - {"lem4.1", "thm1.2", "thm1.4", "thm1.0"}),
+                           "total += term",
+                           ALL_BUT_PSI - FILLED - {"lem4.1", "thm1.2", "thm1.4", "thm1.0", "lem2.2"}),
     "floor_exponent + 1": (coefficients, "floor_exponent", "// totient_prime_power(p, a)",
                            "// totient_prime_power(p, a) + 1", ALL_BUT_PSI - {"cor1.3", "lem2.2", "lem3.1"}),
     # lem3.1's signed rows come from _fleck_row too; psi-identity reads the record on CATALOG_GRID
@@ -98,6 +102,12 @@ COEFFICIENT_MUTANTS = {
                                 "row[k % m] += c", {"thm1.0"}),
     "residues from k = l m + 1": (coefficients, "_fleck_residues", "range(l * m, n + 1)",
                                   "range(l * m + 1, n + 1)", {"thm1.0"}),
+    # the Pascal steps of the lines L_r[i+1] = L_r[i] - L_(r-1)[i] (slope 0), which lem2.2 and lem3.1's
+    # columns read, and L_s[i+1] = L_(s+1)[i] - L_s[i] (slope 1), which only lem2.2 reads
+    "line step at slope 0 reversed": (coefficients, "_line", "line[i] - neighbour[i] if",
+                                      "neighbour[i] - line[i] if", {"lem2.2", "lem3.1"}),
+    "line step at slope 1 reversed": (coefficients, "_line", "else neighbour[i] - line[i]",
+                                      "else line[i] - neighbour[i]", {"lem2.2"}),
     # the Pascal step of the raw-sum records that normalized, psi-identity and thm1.0 read
     "fill step S(n-1, r-1) - S(n-1, r)": (coefficients, "_step", "map(sub, level[1:], level[:-1])",
                                           "map(sub, level[:-1], level[1:])",

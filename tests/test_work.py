@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycpsi import CHECK_IDS, SweepGrid, run_explore, run_sweep, verifier
+from cycpsi import CHECK_IDS, SweepGrid, coefficients, run_explore, run_sweep, verifier
 from cycpsi.coefficients import floor_exponent
 from cycpsi.verifier import CHECKS, _block, psi_sides
 from test_verifier import ACCEPTANCE_GRIDS, THM1_0_GRIDS, _thm1_0_oracle_reads, _thm1_0_reads
@@ -38,13 +38,22 @@ WORK = {
     # the images below p^a from psi_power and the rest by the recurrence; the Fleck side from the records
     "psi-identity-psi-operator": (_sweeps(PSI_OPERATOR, "psi-identity"),
                                   dict(steps=480, psi_power=48, images=528, constants=60)),
-    # every sum read from a line, each line value summed once
-    "lem2.2-default": (_sweeps(SweepGrid(), "lem2.2"), dict(direct_sums=49_824)),
-    # the column values summed directly, a _fleck_row per signed row (d, n, t), and one more per row
-    # (d, q, n, r, t) for the right sides of all its l: against a direct right side per tuple, 59,040
-    # direct sums fewer and 14,760 passes more (354,240 and 88,560 on the composite-moduli grid)
+    # every sum read from a line; a line grows from its stored neighbour by Pascal's rule, so only the
+    # line at the end of a run of neighbours sums its values directly: 1,362 of the 49,824 values held
+    "lem2.2-default": (_sweeps(SweepGrid(), "lem2.2"), dict(direct_sums=1_362)),
+    # stress: from n = 20 the first reads of each r find no neighbour long enough, so whole runs end far
+    # out; 8,304 of the 31,374 values held are summed directly
+    "lem2.2-n20-30": (_sweeps(SweepGrid(n_range=(20, 30)), "lem2.2"), dict(direct_sums=8_304)),
+    # the column values summed directly only at the end of a run of neighbours (688 of the 3,440 held),
+    # a _fleck_row per signed row (d, n, t), and one more per row (d, q, n, r, t) for the right sides of
+    # all its l: against a direct right side per tuple, 59,040 direct sums fewer and 14,760 passes more
+    # (354,240 and 88,560 on the composite-moduli grid)
     "lem3.1-d4-q4": (_sweeps(SweepGrid(d_range=(1, 4), q_range=(1, 4)), "lem3.1"),
-                     dict(direct_sums=3_440, fleck_rows=15_498)),
+                     dict(direct_sums=688, fleck_rows=15_498)),
+    # the composite-moduli benchmark workload (seed 1)
+    "lem3.1-composite": (_sweeps(SweepGrid(r_values=(-9, -8, -7, -6, -5)), "lem3.1"),
+                         dict(direct_sums=1_548, fleck_rows=90_528)),
+    "lem2.2-composite": (_sweeps(SweepGrid(r_values=tuple(range(-5, 10))), "lem2.2"), dict(direct_sums=1_254)),
     # thm1.0 tests a row's classes in one pass, from the record or, from n = 5, off it by one residue pass
     # and direct sums: the same work as when each tuple was a call of its own
     "thm1.0-grid0": (_sweeps(THM1_0_GRIDS[0], "thm1.0"), dict(steps=172)),
@@ -68,10 +77,18 @@ WORK = {
 }
 
 
+# row -> (lines, values) that _lines holds after it: the lines its reads name, each as long as its
+# longest read, so growing a neighbour line for a read left it no longer than its own reads did
+LINES_HELD = {"lem2.2-default": (1_584, 49_824), "lem2.2-n20-30": (1_062, 31_374), "lem3.1-d4-q4": (80, 3_440),
+              "lem3.1-composite": (180, 7_740), "lem2.2-composite": (1_332, 39_600)}
+
+
 @pytest.mark.parametrize("row", WORK)
 def test_work(row):
     run, counts = WORK[row]
     assert work_of(run) == Counter(counts)
+    held = len(coefficients._lines), sum(map(len, coefficients._lines.values()))
+    assert held == LINES_HELD.get(row, held)
 
 
 @given(st.integers(0, 6), st.integers(0, 24), st.sampled_from([(2,), (3,), (2, 5)]), st.integers(1, 2),
