@@ -54,7 +54,7 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
 
 
 # The sum without fleck_sum_general's memo, which now serves only t_coeff (cor1.3):
-# lem2.2's sums and lem3.1's columns live in _lines (summed here at a run's end only),
+# lem2.2's sums and lem3.1's columns live in _lines (summed here without a neighbour),
 # normalized values in normalized_table, lem3.1's right sides come from _fleck_row, and
 # thm1.0 sums a class directly only where a binding with a positive bound is off the records.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
@@ -68,28 +68,21 @@ def _line(m: int, l: int, r: int, slope: int, length: int) -> list[int]:
     """The line _lines[m, l, r, slope], grown to at least length values.
 
     Pascal's rule S(i+1, c) = S(i, c) - S(i, c-1) grows a line one subtraction a
-    value from its stored neighbour: L_r[i+1] = L_r[i] - L_(r-1)[i] at slope 0 and
-    L_s[i+1] = L_(s+1)[i] - L_s[i] at slope 1. A run of stored neighbours, each too
-    short for the one before, grows from its far end, which sums directly if it has
-    no neighbour. No line is created but the one asked for, and nothing recurses.
+    value from its stored neighbour, when that holds length - 1 values already:
+    L_r[i+1] = L_r[i] - L_(r-1)[i] at slope 0, L_s[i+1] = L_(s+1)[i] - L_s[i] at
+    slope 1, after S(0, r) = binom(-r/m, l) if m divides r, else 0. Otherwise the
+    new values are summed directly; no other line grows.
     """
     line = _lines.setdefault((m, l, r, slope), [])
-    if len(line) >= length:
-        return line
-    step, run, need, c = 1 if slope else -1, [line], length, r
-    while (neighbour := _lines.get((m, l, c + step, slope))) is not None and len(neighbour) < need - 1:
-        run.append(neighbour)
-        need, c = need - 1, c + step
-    if neighbour is None:
-        neighbour = run.pop()
-        neighbour.extend(_direct_fleck_sum(i, c + slope * i, m, l) for i in range(len(neighbour), need))
-        need, c = need + 1, c - step
-    for line in reversed(run):
+    if len(line) < length:
+        neighbour = _lines.get((m, l, r + 1 if slope else r - 1, slope))
+        if neighbour is None or len(neighbour) < length - 1:
+            line.extend(_direct_fleck_sum(i, r + slope * i, m, l) for i in range(len(line), length))
+            return line
         if not line:
-            line.append(binom(-c // m, l) if c % m == 0 else 0)
-        for i in range(len(line) - 1, need - 1):
+            line.append(binom(-r // m, l) if r % m == 0 else 0)
+        for i in range(len(line) - 1, length - 1):
             line.append(line[i] - neighbour[i] if slope == 0 else neighbour[i] - line[i])
-        neighbour, need, c = line, need + 1, c - step
     return line
 
 

@@ -1,5 +1,4 @@
 import copy
-import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -499,15 +498,17 @@ LINE_CALLS = st.lists(st.tuples(st.sampled_from((4, 6, 8, 9)), st.integers(0, 2)
                                 st.integers(0, 1), st.integers(0, 40)), min_size=1, max_size=14)
 
 
-def _call_lines(calls) -> set:
-    """Make the calls in order; the keys they asked for."""
+def _call_lines(calls, asked: dict) -> dict:
+    """Make the calls in order; asked, updated to each key's longest call."""
     for m, l, r, slope, length in calls:
         assert len(coefficients._line(m, l, r, slope, length)) >= length
-    return {call[:4] for call in calls}
+        asked[m, l, r, slope] = max(asked.get((m, l, r, slope), 0), length)
+    return asked
 
 
-def _assert_lines_match_the_oracle(asked: set) -> None:
-    assert set(coefficients._lines) == asked
+def _assert_lines_match_the_oracle(asked: dict) -> None:
+    # the store holds the lines asked for, each exactly as long as its longest call
+    assert {key: len(line) for key, line in coefficients._lines.items()} == asked
     for key, line in coefficients._lines.items():
         assert line == [_line_oracle(*key, i) for i in range(len(line))], key
 
@@ -518,41 +519,25 @@ class TestLines:
     @given(calls=LINE_CALLS, earlier=LINE_CALLS, data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_the_oracle_in_any_order(self, calls, earlier, data):
-        # from empty memos, then in another order from a store that earlier calls partly filled:
-        # every value of every held line is the oracle's, and no line is held that was not asked for
+        # from empty memos, then in another order from a store that earlier calls partly filled
         coefficients.clear_caches()
-        _assert_lines_match_the_oracle(_call_lines(calls))
+        _assert_lines_match_the_oracle(_call_lines(calls, {}))
         coefficients.clear_caches()
-        asked = _call_lines(earlier) | _call_lines(data.draw(st.permutations(calls)))
+        asked = _call_lines(data.draw(st.permutations(calls)), _call_lines(earlier, {}))
         _assert_lines_match_the_oracle(asked)
 
-    def test_a_long_run_of_neighbours_grows_without_recursion(self):
-        # 1,500 stored neighbours of one value each, deeper than the recursion limit: the line of start 0
-        # grows the whole run first, each line one value shorter than the one before; only line 1,500,
-        # long enough already, is not grown. At m = 1 the sums vanish past i = l, so the run stays small
-        depth = 1_500
-        assert depth > sys.getrecursionlimit()
-        for s in range(1, depth + 1):
-            coefficients._line(1, 2, s, 1, 1)
-        with count_work() as work:
-            line = coefficients._line(1, 2, 0, 1, depth + 1)
-        assert work == Counter()
-        assert [len(coefficients._lines[1, 2, s, 1]) for s in (0, 1, 750, depth)] == [depth + 1, depth, 751, 1]
-        for i in (0, 1, 2, 3, 99, depth):
-            assert line[i] == fleck_oracle(i, i, 1, 2), i
-        assert len(coefficients._lines) == depth + 1
-
-    def test_the_end_of_a_run_sums_directly(self):
+    def test_a_line_without_a_long_enough_neighbour_sums_directly(self):
         # line -1 (slope 0, m = 6) has no stored neighbour, so its 8 values are direct sums; line 0 then
-        # takes its first value, S(0, 0) = binom(0, 1) = 0, and 7 more by one subtraction each
+        # takes its first value, S(0, 0) = binom(0, 1) = 0, and 8 more by one subtraction each
         with count_work() as work:
             coefficients._line(6, 1, -1, 0, 8)
             line = coefficients._line(6, 1, 0, 0, 9)
         assert work == Counter(direct_sums=8)
         assert line == [_line_oracle(6, 1, 0, 0, i) for i in range(9)]
-        # asked for 12, line 0 needs 11 of line -1, which has 8 and no neighbour: 3 more direct sums
+        # asked for 12, line 0 needs 11 values of line -1, which holds 8: line 0 sums its 3 new values
+        # directly, and line -1 is not grown
         assert work_of(coefficients._line, 6, 1, 0, 0, 12) == Counter(direct_sums=3)
-        _assert_lines_match_the_oracle({(6, 1, -1, 0), (6, 1, 0, 0)})
+        _assert_lines_match_the_oracle({(6, 1, -1, 0): 8, (6, 1, 0, 0): 12})
 
 
 class TestIndexReduction:

@@ -85,8 +85,8 @@ COEFFICIENT_MUTANTS = {
     "sum from k = r % m + m": (coefficients, "fleck_sum_general", "range(r % m, n + 1, m)",
                                "range(r % m + m, n + 1, m)", ALL_BUT_PSI - FILLED - {"lem3.3", "thm1.0", "lem4.1"}),
     # without the sign, the direct sums that lem4.1, thm1.2 and thm1.4 read keep their verdicts on CATALOG_GRID.
-    # lem2.2 sums directly only the line at the end of each run of neighbours: a line of slope 1 sums only
-    # S(0, s), which has no odd term, and the slope-0 lines at m = 1 and 3 that grow from a wrong end are
+    # lem2.2 sums directly only a line read before its neighbour: a line of slope 1 sums only
+    # S(0, s), which has no odd term, and the slope-0 lines at m = 1 and 3 that grow from a wrong first line are
     # wrong at every level, yet satisfy the identity on all its tuples
     "sum without (-1)^k": (coefficients, "fleck_sum_general", "total += -term if k & 1 else term",
                            "total += term",

@@ -38,13 +38,13 @@ WORK = {
     # the images below p^a from psi_power and the rest by the recurrence; the Fleck side from the records
     "psi-identity-psi-operator": (_sweeps(PSI_OPERATOR, "psi-identity"),
                                   dict(steps=480, psi_power=48, images=528, constants=60)),
-    # every sum read from a line; a line grows from its stored neighbour by Pascal's rule, so only the
-    # line at the end of a run of neighbours sums its values directly: 1,362 of the 49,824 values held
+    # every sum read from a line; a line grows from its stored neighbour by Pascal's rule, so only a line
+    # read before its neighbour sums its values directly: 1,362 of the 49,824 values held
     "lem2.2-default": (_sweeps(SweepGrid(), "lem2.2"), dict(direct_sums=1_362)),
-    # stress: from n = 20 the first reads of each r find no neighbour long enough, so whole runs end far
-    # out; 8,304 of the 31,374 values held are summed directly
+    # stress: from n = 20 a line read before its neighbour asks for 20 or more values at once, all summed
+    # directly; 8,304 of the 31,374 values held are direct sums
     "lem2.2-n20-30": (_sweeps(SweepGrid(n_range=(20, 30)), "lem2.2"), dict(direct_sums=8_304)),
-    # the column values summed directly only at the end of a run of neighbours (688 of the 3,440 held),
+    # the column values summed directly only where a line is read before its neighbour (688 of 3,440),
     # a _fleck_row per signed row (d, n, t), and one more per row (d, q, n, r, t) for the right sides of
     # all its l: against a direct right side per tuple, 59,040 direct sums fewer and 14,760 passes more
     # (354,240 and 88,560 on the composite-moduli grid)
@@ -78,7 +78,7 @@ WORK = {
 
 
 # row -> (lines, values) that _lines holds after it: the lines its reads name, each as long as its
-# longest read, so growing a neighbour line for a read left it no longer than its own reads did
+# longest read, the same as when every value was summed directly
 LINES_HELD = {"lem2.2-default": (1_584, 49_824), "lem2.2-n20-30": (1_062, 31_374), "lem3.1-d4-q4": (80, 3_440),
               "lem3.1-composite": (180, 7_740), "lem2.2-composite": (1_332, 39_600)}
 
