@@ -4,8 +4,9 @@ operator checks, and conjecture exploration.
 Exit codes: 0 all checks pass, 1 mathematical mismatch (a failed sweep, or a
 psi-check row whose two sides differ) or a bug trap hit during a sweep (its
 failure row names the trap), 2 usage or validation error: main maps every
-ValueError, the CLI's or the library's, to it, 3 out of memory: main prints
-one error line for a MemoryError, not a traceback.
+ValueError, the CLI's or the library's, to it, 3 out of memory, or a worker
+process of a sweep that ended without sending its rows: main prints one error
+line for a MemoryError or a WorkerExited, not a traceback.
 """
 
 import argparse
@@ -20,7 +21,8 @@ from functools import partial
 from pathlib import Path
 
 from .coefficients import normalized_parts, t_coeff
-from .verifier import CHECK_IDS, CHECKS, SweepGrid, _check_of, _refuse_repeats, psi_sides, run_explore, run_sweep
+from .verifier import (CHECK_IDS, CHECKS, SweepGrid, WorkerExited, _check_of, _refuse_repeats, psi_sides, run_explore,
+                       run_sweep)
 
 OUT_DIR_ENV = "CYCPSI_OUT_DIR"
 
@@ -345,6 +347,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory; narrow the grid or the arguments", file=sys.stderr)
+        return 3
+    except WorkerExited as err:
+        print(f"error: {err}", file=sys.stderr)
         return 3
 
 

@@ -20,15 +20,15 @@ call time, never binding them earlier, so a tracer that rebinds those names
 sees every call.
 
 Every evaluation is a pure function of its parameters, so a sweep splits
-into blocks, its unit of work in process and in a pool alike. A block is one
+into blocks, its unit of work in any process. A block is one
 binding of the axes before n (before m where n is a function of m), and at
 least of the outermost axis, so one process evaluates every n of a block, in
 order. The memos that step along n or repeat at every n of a block (the
 raw-sum records per (p, a, l) that normalized, thm1.0 and psi-identity read,
 psi images per (p, a, l_max) and the operator constants per (p^a, r, l_max))
-live for one block, which empties them first. Every sweep runs its blocks
-largest first by the tuples they count, and concatenating their rows in
-expansion order gives the report.
+live for one block, which empties them first. Every sweep deals its blocks
+largest first by the tuples they count into one share per process, and
+concatenating their rows in expansion order gives the report.
 """
 
 import multiprocessing
@@ -36,7 +36,7 @@ from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, wraps
+from functools import wraps
 from itertools import chain, product
 from math import comb, prod
 from time import perf_counter
@@ -478,9 +478,19 @@ def _boundary_check(sign: int) -> Callable[..., Iterator]:
 
 # lem2.2: exact order-lowering identity over any modulus m >= 1. Here, in
 # lem3.1 and in psi-identity the axis names are the parameters, in order, of
-# the function that computes both sides.
+# the function that computes both sides. Its lines of sums grow from each other by
+# Pascal's rule, so they agree under a wrong direct sum: the first row of a block n
+# whose line of r - 1 holds S(n, r - 1) sums its S(n, r) at its first m directly,
+# and a value that differs from the line's is an IntegrityError.
+
+_audited: set[int] = set()  # the blocks n of lem2.2 that have summed their one direct sum; _block empties it
+
 
 def _eval_lem2_2(n, r, l, ms):
+    if n not in _audited and len(coefficients._lines.get((ms[0], l, r - 1, 0), ())) > n:
+        _audited.add(n)
+        if (line := coefficients._line(ms[0], l, r, 0, n + 1)[n]) != (direct := _direct_fleck_sum(n, r, ms[0], l)):
+            raise IntegrityError(f"S({n}, {r}, {ms[0]}, {l}) is {line} on its line but {direct} summed directly")
     for m in ms:
         yield _exact(*index_reduction_identity(n, r, l, m))
 
@@ -668,6 +678,7 @@ def _block(target: str, grid: SweepGrid, block: tuple) -> list:
     _sums.clear()
     _images.clear()
     _twists.clear()
+    _audited.clear()
     check = _check_of(target)
     evaluate, names = check.evaluate, check.names
     rows = []
@@ -680,13 +691,26 @@ def _block(target: str, grid: SweepGrid, block: tuple) -> list:
 _last_grid: SweepGrid | None = None
 
 
+class WorkerExited(RuntimeError):
+    """A worker process of a sweep ended without sending its rows."""
+
+
+def _run_share(send, target: str, grid: SweepGrid, share: list[tuple]) -> None:
+    """Send the rows of each block of share, in turn, or the exception that stopped them."""
+    try:
+        send.send([_block(target, grid, block) for block in share])
+    except Exception as err:
+        send.send(err)
+
+
 def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     """(checked, rows in expansion order, elapsed_ms) over the nonempty blocks of
-    target, run largest first by the tuples blocks() counts, thm1.0's pruned rows
-    included (ties in expansion order): by map in process when there is one
-    worker or one block, else as the tasks of a pool of at most workers
-    processes, so each free worker takes the largest block left. The rows are
-    put back in expansion order, and checked is the blocks' sizes summed.
+    target, dealt largest first by the tuples blocks() counts, thm1.0's pruned rows
+    included (ties in expansion order), each to the share of fewest tuples so far,
+    of min(workers, blocks) shares. This process runs share 0, and a worker process
+    each other one, which sends back its rows or the exception it raised, raised
+    here; a worker that ends without sending raises WorkerExited. The rows are put
+    back in expansion order, and checked is the blocks' sizes summed.
 
     The coefficient memos are kept while sweeps run on the same grid, so
     checks on one grid share them, and cleared when the grid changes; _block
@@ -704,23 +728,45 @@ def _sweep(target: str, grid: SweepGrid, workers: int) -> tuple[int, list, int]:
     blocks = [(block, size) for block, size in _check_of(target).blocks(grid) if size]
     if not blocks:
         raise ValueError(f"the grid gives {target} no tuples to check")
-    order = sorted(range(len(blocks)), key=lambda k: -blocks[k][1])
-    run, tasks = partial(_block, target, grid), [blocks[k][0] for k in order]
-    if workers == 1 or len(blocks) == 1:
-        results = list(map(run, tasks))
-    else:
-        with multiprocessing.Pool(min(workers, len(blocks))) as pool:
-            results = pool.map(run, tasks, chunksize=1)
-    rows = [row for _, part in sorted(zip(order, results)) for row in part]
+    shares, loads = [[] for _ in blocks[:workers]], [0] * min(workers, len(blocks))
+    for k in sorted(range(len(blocks)), key=lambda k: -blocks[k][1]):
+        least = loads.index(min(loads))
+        shares[least].append(k)
+        loads[least] += blocks[k][1]
+    children = []
+    try:
+        for share in shares[1:]:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_run_share, args=(send, target, grid, [blocks[k][0] for k in share]))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        parts = [[_block(target, grid, blocks[k][0]) for k in shares[0]]]
+        for child, receive in children:
+            try:
+                parts.append(receive.recv())
+            except EOFError:
+                child.join()
+                raise WorkerExited(f"a worker process exited with code {child.exitcode} before it sent its rows")
+            if isinstance(parts[-1], Exception):
+                raise parts[-1]
+    finally:
+        for child, receive in children:
+            child.kill()
+            child.join()
+            receive.close()
+    done = dict(zip(chain.from_iterable(shares), chain.from_iterable(parts)))
+    rows = [row for k in sorted(done) for row in done[k]]
     return sum(size for _, size in blocks), rows, int((perf_counter() - start) * 1000)
 
 
 def run_sweep(check_id: str, grid: SweepGrid | None = None, workers: int = 1) -> VerificationReport:
     """Expand the grid for one check, evaluate every tuple, and report.
 
-    workers > 1 runs the check's blocks in a process pool; the report is
-    identical apart from elapsed_ms. An unknown check id, and a grid that
-    gives the check no tuples, raise ValueError; the CLI prints the text.
+    workers > 1 runs the check's blocks in up to that many processes, this one
+    included; the report is identical apart from elapsed_ms. An unknown check
+    id, and a grid that gives the check no tuples, raise ValueError; the CLI
+    prints the text.
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}; valid ids: {', '.join(CHECK_IDS)}")

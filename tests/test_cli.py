@@ -308,10 +308,13 @@ def test_repeated_table_values_refused(argv, error, monkeypatch, capsys):
     ],
 )
 def test_workers_above_cpu_count_refused(argv, monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def no_process(process):
+        raise AssertionError("a process was started")
 
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    # every start method's Process starts through BaseProcess.start, and a sweep of workers starts them
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    with pytest.raises(AssertionError, match="a process was started"):
+        cli.run_sweep("lem3.3", workers=2)
     code, out, err = run_cli(argv + ["--workers", str((os.cpu_count() or 1) + 1)], capsys)
     assert code == 2
     assert out == ""

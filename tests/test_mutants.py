@@ -87,10 +87,11 @@ COEFFICIENT_MUTANTS = {
     # without the sign, the direct sums that lem4.1, thm1.2 and thm1.4 read keep their verdicts on CATALOG_GRID.
     # lem2.2 sums directly only a line read before its neighbour: a line of slope 1 sums only
     # S(0, s), which has no odd term, and the slope-0 lines at m = 1 and 3 that grow from a wrong first line are
-    # wrong at every level, yet satisfy the identity on all its tuples
+    # wrong at every level, yet satisfy the identity on all its tuples; its one direct sum per block, compared
+    # with the line value Pascal's rule grew, sees them
     "sum without (-1)^k": (coefficients, "fleck_sum_general", "total += -term if k & 1 else term",
                            "total += term",
-                           ALL_BUT_PSI - FILLED - {"lem4.1", "thm1.2", "thm1.4", "thm1.0", "lem2.2"}),
+                           ALL_BUT_PSI - FILLED - {"lem4.1", "thm1.2", "thm1.4", "thm1.0"}),
     "floor_exponent + 1": (coefficients, "floor_exponent", "// totient_prime_power(p, a)",
                            "// totient_prime_power(p, a) + 1", ALL_BUT_PSI - {"cor1.3", "lem2.2", "lem3.1"}),
     # lem3.1's signed rows come from _fleck_row too; psi-identity reads the record on CATALOG_GRID
@@ -301,20 +302,33 @@ def test_every_check_changes_verdict_under_some_mutant():
     assert caught == set(CHECK_IDS)
 
 
-class _InProcessPool:
-    """multiprocessing.Pool's map, run in this process one call after another."""
+class _InProcessWorkers:
+    """multiprocessing's Pipe and Process as _sweep uses them, run in this process: a Process runs its
+    target when started, and a Pipe's receiving end gives what its sending end was sent. started lists the
+    share (its blocks, in order) of each Process, in start order."""
 
-    def __init__(self, workers: int):
-        pass
+    def __init__(self):
+        self.started = []
 
-    def __enter__(self):
-        return self
+    def Pipe(self, duplex=True):
+        sent = []
+        return (SimpleNamespace(recv=lambda: sent.pop(0), close=lambda: None),
+                SimpleNamespace(send=sent.append, close=lambda: None))
 
-    def __exit__(self, *exc_info):
-        return False
+    def Process(self, target, args):
+        def start():
+            self.started.append(args[-1])
+            target(*args)
 
-    def map(self, function, iterable, chunksize=1):
-        return list(map(function, iterable))
+        return SimpleNamespace(start=start, kill=lambda: None, join=lambda: None)
+
+
+def _in_process(monkeypatch, workers=None):
+    """Run the worker processes of every sweep in this process, through workers (a new _InProcessWorkers
+    by default), and return it."""
+    workers = workers or _InProcessWorkers()
+    monkeypatch.setattr(verifier, "multiprocessing", workers)
+    return workers
 
 
 def _doc(report) -> dict:
@@ -344,12 +358,12 @@ GRIDS = st.builds(
 @given(grid=GRIDS, target=st.sampled_from(CHECK_IDS + ("rem1.2",)), workers=st.sampled_from([2, 3]),
        marked=st.integers(2, 4))
 def test_pooled_blocks_give_the_serial_report(grid, target, workers, marked):
-    """A pool of 2 or 3 workers, run in process, gives the serial report.
+    """A sweep of 2 or 3 workers, run in process, gives the serial report.
     Tuples whose params print to a length divisible by marked are made to
     fail, so every block's failure rows must come back in expansion order;
     every other tuple is evaluated as a row of its own."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
+        _in_process(mp)
         if target == "rem1.2":
             sweep = run_explore
         else:
@@ -382,9 +396,9 @@ def test_pooled_blocks_give_the_serial_report(grid, target, workers, marked):
 
 
 def test_results_left_in_dispatch_order_break_the_failure_list(monkeypatch):
-    mutated = _mutated_verifier("for _, part in sorted(zip(order, results))", "for part in results")
-    mutated.multiprocessing = SimpleNamespace(Pool=_InProcessPool)
-    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
+    mutated = _mutated_verifier("for k in sorted(done)", "for k in done")
+    mutated.multiprocessing = _InProcessWorkers()
+    _in_process(monkeypatch)
     # self-test's evaluator on thm1.5's axes fails every tuple at p = 3, l = 0, so the failures
     # list the tuples; a = 1 and a = 2 are blocks of 20 and 44 tuples, and the larger goes first
     for sweeps in (verifier, mutated):
@@ -395,9 +409,10 @@ def test_results_left_in_dispatch_order_break_the_failure_list(monkeypatch):
     assert serial.checked == len(serial.failures) == 64
     assert [f.params["a"] for f in serial.failures] == [1] * 20 + [2] * 44
     assert run_sweep("thm1.5", grid, workers=2).failures == serial.failures
-    # in process and in a pool alike, the a = 2 block runs first, so its failures come back ahead
+    # with one share or two alike, the a = 2 block is dealt first, so its failures come back ahead
     for workers in (1, 2):
         dispatched = mutated.run_sweep("thm1.5", grid, workers=workers)
         assert dispatched.checked == serial.checked
         assert sorted(map(repr, dispatched.failures)) == sorted(map(repr, serial.failures))
         assert [f.params["a"] for f in dispatched.failures] == [2] * 44 + [1] * 20
+    assert mutated.multiprocessing.started == [[(3, 1, 0)]]  # the a = 1 block, in the second share

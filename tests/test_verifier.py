@@ -1,5 +1,6 @@
 import inspect
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +11,6 @@ from functools import cache
 from itertools import chain, zip_longest
 from operator import ne
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,8 +32,8 @@ from cycpsi.psi_series import _images
 from cycpsi.verifier import CHECKS, CheckFailure, _block, _lem3_2_exceptional, _sigma, _thm1_2_branch
 from oracles import fleck_oracle, nested_expand, row_tuples
 from test_golden_reports import GRIDS
-from test_mutants import (CATALOG_GRID, COEFFICIENT_MUTANTS, _doc, _InProcessPool, _mutant, _mutated_verifier,
-                          _rebind_everywhere)
+from test_mutants import (CATALOG_GRID, COEFFICIENT_MUTANTS, _doc, _in_process, _InProcessWorkers, _mutant,
+                          _mutated_verifier, _rebind_everywhere)
 from work import count_work, empty_memos, work_of
 
 TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
@@ -198,9 +198,77 @@ def test_pool_start_methods_match_serial(method, tmp_path):
     assert pooled["self-test"]["verdict"] == "fail"
 
 
+FAILING_WORKER_SCRIPT = """
+import multiprocessing
+import os
+import sys
+import time
+
+from cycpsi import cli, verifier
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("fork")
+    how, workers = sys.argv[1], sys.argv[2]
+    parent, block_of = os.getpid(), verifier._block
+
+    def failing_block(target, grid, block):
+        if how == "exit" and os.getpid() != parent:
+            os._exit(7)
+        if how == "raise" and block == (2,):
+            raise MemoryError
+        if how == "raise in this process" and os.getpid() == parent:
+            raise ValueError("raised in this process")
+        if how == "raise in this process":
+            time.sleep(60)
+        return block_of(target, grid, block)
+
+    verifier._block = failing_block
+    code = cli.main(["verify", "lem3.3", "--workers", workers])
+    print("running:", len(multiprocessing.active_children()))
+    sys.exit(code)
+"""
+
+
+def run_failing_workers(how: str, workers: int, tmp_path) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of verify lem3.3 with workers forked processes, whose block (5,) runs in
+    this process and (3,) and (2,) in one worker at workers = 2, when blocks fail as how says."""
+    script = tmp_path / "failing.py"
+    script.write_text(FAILING_WORKER_SCRIPT, encoding="utf-8")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, str(script), how, str(workers)], capture_output=True, text=True,
+                          env=env, timeout=30)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@TWO_CPUS
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_worker_that_dies_raises_in_this_process(tmp_path):
+    # a worker that ends without sending its rows is one error line and exit 3, not a hang
+    code, out, err = run_failing_workers("exit", 2, tmp_path)
+    assert (code, err) == (3, "error: a worker process exited with code 7 before it sent its rows\n")
+    assert out.endswith("running: 0\n")
+    # and a sweep that passes leaves no worker running either
+    code, out, err = run_failing_workers("pass", 2, tmp_path)
+    assert (code, out.splitlines()[-1], err) == (0, "running: 0", "")
+
+
+@TWO_CPUS
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_an_exception_a_worker_raised_is_raised_in_this_process(tmp_path):
+    # the worker's MemoryError is raised here with its own type, so the sweep exits as a serial one does
+    serial = run_failing_workers("raise", 1, tmp_path)
+    assert serial[0] == 3 and serial[2] == "error: out of memory; narrow the grid or the arguments\n"
+    assert run_failing_workers("raise", 2, tmp_path) == serial
+    # an exception in this process's share kills the worker still running, which would sleep for a minute
+    assert run_failing_workers("raise in this process", 2, tmp_path) == (
+        2, "running: 0\n", "error: raised in this process\n")
+
+
 def concatenated_blocks(target, grid):
     """The nonempty blocks' sizes summed, and their rows concatenated in expansion order,
-    each block run in process by _block as a pool task would run it. A block's size is the
+    each block run in process by _block as a share of a sweep runs it. A block's size is the
     number of tuples its expand's rows hold."""
     check = verifier._check_of(target)
     blocks = [(block, size) for block, size in check.blocks(grid) if size]
@@ -221,9 +289,10 @@ def test_concatenated_blocks_give_the_serial_report(monkeypatch):
     assert checked - len(rows) == serial.extra["infinite_margins"] > 0
     worst = sorted(rows, key=lambda row: row[1]["margin"])[:10]
     assert [{"params": params, **outcome} for params, outcome in worst] == serial.extra["worst"]
-    # and a pool of three workers puts the blocks' results back in the same order
-    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
+    # and three shares, two of them in worker processes, put the blocks' results back in the same order
+    started = _in_process(monkeypatch).started
     assert _doc(run_explore(grid, workers=3)) == _doc(serial)
+    assert len(started) == 2
 
 
 # every memo steps along n inside one binding of a check's block axes; thm1.5 and self-test reach n through m
@@ -260,7 +329,7 @@ def test_each_thm1_0_block_builds_its_rows_once():
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_psi_identity_blocks_build_the_images_of_a_fresh_worker(monkeypatch, workers):
-    built, sizes = {}, []
+    built = {}
     block_of = verifier._block
 
     def recording_block(target, grid, block):
@@ -269,14 +338,11 @@ def test_psi_identity_blocks_build_the_images_of_a_fresh_worker(monkeypatch, wor
         built[block] = work
         return rows
 
-    class FreshWorkerPool(_InProcessPool):
-        """Runs every block as if in a worker that has run no block before."""
+    class FreshWorkers(_InProcessWorkers):
+        """Runs each share but the first as if in a worker that has run no block before."""
 
-        def __init__(self, workers: int):
-            sizes.append(workers)
-
-        def map(self, function, iterable, chunksize=1):
-            return [empty_memos() or function(block) for block in iterable]
+        def Process(self, target, args):
+            return super().Process(lambda *args: empty_memos() or target(*args), args)
 
     monkeypatch.setattr(verifier, "_block", recording_block)
     # in process, each block runs after the blocks larger than it, on the memos they left
@@ -284,56 +350,52 @@ def test_psi_identity_blocks_build_the_images_of_a_fresh_worker(monkeypatch, wor
     in_process = dict(built)
     assert len(in_process) == 6 and all(work["images"] for work in in_process.values())
     built.clear()
-    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=FreshWorkerPool))
+    started = _in_process(monkeypatch, FreshWorkers()).started
     run_sweep("psi-identity", workers=workers)
-    assert sizes == [workers]
+    assert len(started) == workers - 1
     assert built == in_process
 
 
 def test_tasks_go_largest_first_with_ties_in_expansion_order(monkeypatch):
-    dispatched, sizes = [], []
+    ran = []
+    block_of = verifier._block
 
-    class RecordingPool(_InProcessPool):
-        def __init__(self, workers: int):
-            sizes.append(workers)
+    def recording_block(target, grid, block):
+        ran.append(block)
+        return block_of(target, grid, block)
 
-        def map(self, function, iterable, chunksize=1):
-            blocks = list(iterable)
-            dispatched.extend(blocks)
-            return super().map(function, blocks, chunksize)
-
-    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=RecordingPool))
+    monkeypatch.setattr(verifier, "_block", recording_block)
+    started = _in_process(monkeypatch).started
     grid = SweepGrid(primes=(2, 3), a_range=(1, 2), l_range=(0, 1), n_range=(0, 4))
     blocks = dict(CHECKS["thm1.0"].blocks(grid))
     serial = _doc(run_sweep("thm1.0", grid))
+    assert ran == [(3, 2, 0), (3, 2, 1), (2, 2, 0), (2, 2, 1), (3, 1, 0), (3, 1, 1), (2, 1, 0), (2, 1, 1)]
+    assert [blocks[block] for block in ran] == [55, 55, 30, 30, 25, 25, 15, 15]
+    # the tie 55, 55 goes to shares 0 and 1 in expansion order, and each later block to the lighter share;
+    # the in-process stand-in runs the second share when it starts, before this process runs the first
+    ran.clear()
     assert _doc(run_sweep("thm1.0", grid, workers=2)) == serial
-    assert sizes == [2]
-    assert dispatched == [(3, 2, 0), (3, 2, 1), (2, 2, 0), (2, 2, 1), (3, 1, 0), (3, 1, 1), (2, 1, 0), (2, 1, 1)]
-    assert [blocks[block] for block in dispatched] == [55, 55, 30, 30, 25, 25, 15, 15]
-    # lem3.3's three blocks (p) grow with p, so the pool takes them last first, and three blocks cap its size
-    dispatched.clear()
+    assert started == [[(3, 2, 1), (2, 2, 1), (3, 1, 1), (2, 1, 1)]]
+    assert ran == started[0] + [(3, 2, 0), (2, 2, 0), (3, 1, 0), (2, 1, 0)]
+    # lem3.3's three blocks (p) grow with p, so they are dealt last first, and three blocks cap the shares
+    started.clear()
+    ran.clear()
     assert _doc(run_sweep("lem3.3", workers=4)) == _doc(run_sweep("lem3.3"))
-    assert sizes == [2, 3]
-    assert dispatched == [(5,), (3,), (2,)]
+    assert started == [[(3,)], [(2,)]]
+    assert ran[:3] == [(3,), (2,), (5,)]
 
 
 def test_a_sweep_of_one_block_starts_no_process(monkeypatch):
-    sizes = []
-
-    class RecordingPool(_InProcessPool):
-        def __init__(self, workers: int):
-            sizes.append(workers)
-
-    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=RecordingPool))
+    started = _in_process(monkeypatch).started
     serial = _doc(run_sweep("self-test"))
     assert serial["verdict"] == "fail"
     for workers in (2, 3):
         assert _doc(run_sweep("self-test", workers=workers)) == serial
-    assert sizes == []  # self-test is one block, so it runs in process
+    assert started == []  # self-test is one block, so it runs in process
     # thm1.5 at p = 3, l = 0 is two blocks, a = 1 and a = 2
     grid = SweepGrid(primes=(3,), a_range=(1, 2), l_range=(0, 0), m_range=(1, 4))
     assert _doc(run_sweep("thm1.5", grid, workers=3)) == _doc(run_sweep("thm1.5", grid))
-    assert sizes == [2]
+    assert started == [[(3, 1, 0)]]
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -922,7 +984,7 @@ def test_a_grid_whose_thm1_2_tuples_all_lie_outside_the_statement_is_refused(mon
     # no branch covers it, and thm1.2's blocks count the tuples its filter keeps
     grid = SweepGrid(primes=(3,), n_range=(1, 1), l_range=(0, 0), s_values=(1,), t_values=(0,))
     assert [size for _, size in CHECKS["thm1.2"].blocks(grid)] == [0]
-    monkeypatch.setattr(verifier, "multiprocessing", SimpleNamespace(Pool=_InProcessPool))
+    _in_process(monkeypatch)
     for workers in (1, 2):
         with pytest.raises(ValueError, match=r"^the grid gives thm1\.2 no tuples to check$"):
             run_sweep("thm1.2", grid, workers)

@@ -92,7 +92,9 @@ def work_of(run, *args) -> Counter:
 
 def empty_memos() -> None:
     """Empty the coefficient rows and sums, the raw-sum records, lines and
-    signed rows, and the operator images and constants."""
+    signed rows, the operator images and constants, and lem2.2's record of
+    the blocks that summed their one direct sum."""
     coefficients.clear_caches()
     psi_series._images.clear()
     psi_series._twists.clear()
+    verifier._audited.clear()
