@@ -53,10 +53,10 @@ def fleck_sum_general(n: int, r: int, m: int, l: int) -> int:
     return total
 
 
-# The sum without fleck_sum_general's memo, which now serves only t_coeff (cor1.3):
-# lem2.2's sums and lem3.1's columns live in _lines (summed here without a neighbour),
-# normalized values in normalized_table, lem3.1's right sides come from _fleck_row, and
-# thm1.0 sums a class directly only where a binding with a positive bound is off the records.
+# The sum without fleck_sum_general's memo, which now serves only t_coeff (cor1.3): lem2.2's
+# sums and lem3.1's columns live in _lines (summed here without a neighbour, and where lem2.2
+# checks a new diagonal), normalized values in normalized_table, lem3.1's right sides come from
+# _fleck_row, and thm1.0 sums a class directly only where a binding with a positive bound is off the records.
 _direct_fleck_sum = fleck_sum_general.__wrapped__
 
 # (m, l, r, slope) -> [S(i, r + slope i, m, l) for i = 0, 1, ...], grown in place
@@ -209,7 +209,7 @@ def _fill(p: int, a: int, n: int, l: int, raw: list[list[int]], targets) -> list
     exponent = floor_exponent(p, a, n, l)
     level = raw[l]
     values = []
-    # the read of _class_sums at one level, inline: a call per filled value costs the catalog ~3%
+    # the read of _class_row at one level, inline: a call per filled value costs the catalog ~3%
     for r, row, r0, shift in targets:
         total = 0  # the empty sum of a residue r0 > n
         if r0 < len(level):
@@ -218,23 +218,6 @@ def _fill(p: int, a: int, n: int, l: int, raw: list[list[int]], targets) -> list
                 total += c * raw[l - i][r0]
         values.append((row, _divide(total, exponent, p, a, n, r, l)))
     return values
-
-
-def _class_sums(raw: list[list[int]], r0: int, shift: tuple[int, ...]) -> list[int]:
-    """[S(n, r0 + k m, m, l) for every level l of raw], read from raw, a
-    record's sums at n, with shift = _shift(k, top level): each level's
-    residue sum plus the Vandermonde terms of the levels below it, as _fill
-    reads one level. A residue r0 > n has the empty sum at every level.
-    """
-    if r0 >= len(raw[0]):
-        return [0] * len(raw)
-    column = [level[r0] for level in raw]
-    sums = []
-    for l, total in enumerate(column):
-        for i, c in enumerate(shift[:l], 1):
-            total += c * column[l - i]
-        sums.append(total)
-    return sums
 
 
 # (p, a, l) -> (n, raw): raw[l'][r0] is the raw sum S(n, r0, p^a, l') for every
@@ -258,6 +241,26 @@ def _raw_at(p: int, a: int, n: int, l: int) -> list[list[int]] | None:
         return None
     _sums[p, a, l] = at, raw
     return raw
+
+
+def _class_row(p: int, a: int, n: int, r: int, l_max: int) -> list[int]:
+    """[S(n, r, p^a, l) for l in 0..l_max]: at the raw-sum record (p, a, l_max)
+    or one past it, each level's residue sum plus the Vandermonde terms of the
+    levels below it, as _fill reads one level (an empty sum past n); elsewhere
+    one _fleck_row pass."""
+    m = p ** a
+    raw = _raw_at(p, a, n, l_max)
+    if raw is None:
+        return _fleck_row(n, r, m, l_max)
+    if (r0 := r % m) >= len(raw[0]):
+        return [0] * (l_max + 1)
+    column, shift = [level[r0] for level in raw], _shift(r // m, l_max)
+    sums = []
+    for l, total in enumerate(column):
+        for i, c in enumerate(shift[:l], 1):
+            total += c * column[l - i]
+        sums.append(total)
+    return sums
 
 
 def normalized(p: int, a: int, n: int, r: int, l: int) -> int:
@@ -336,13 +339,20 @@ def index_reduction_identity(n: int, r: int, l: int, m: int) -> tuple[int, int]:
     included, and for every integer r. Returns (left, right). Every sum is
     read from a line: S(j,r,0) and both sums at n from those of slope 0, and
     S(n-j-1, r-j+m-1, l-1) = S(i, r+m-n+i, l-1), i = n-j-1, from the line of
-    slope 1 that starts at r + m - n, read backwards.
+    slope 1 that starts at r + m - n, read backwards. A diagonal this call
+    stores first has its last value, S(n-1, r+m-1, l-1), summed directly too,
+    since lines that grow from each other agree under a wrong direct sum; a
+    mismatch raises IntegrityError.
     """
     if n < 1 or l < 1 or m < 1:
         raise ValueError(f"need n, l, m >= 1, got n={n}, l={l}, m={m}")
     column = _line(m, 0, r, 0, n + 1)
     left = _line(m, l, r, 0, n + 1)[n] - binom((n - r) // m, l) * column[n]
+    new = (m, l - 1, r + m - n, 1) not in _lines
     diagonal = _line(m, l - 1, r + m - n, 1, n)
+    if new and diagonal[n - 1] != (direct := _direct_fleck_sum(n - 1, r + m - 1, m, l - 1)):
+        raise IntegrityError(
+            f"S({n - 1}, {r + m - 1}, {m}, {l - 1}) is {diagonal[n - 1]} on its line but {direct} summed directly")
     right = -sum(map(mul, map(mul, map(comb, repeat(n), range(n)), column), diagonal[n - 1::-1]))
     return left, right
 

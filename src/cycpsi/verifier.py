@@ -17,7 +17,9 @@ _mod_p (integers mod p), _congruent (p-integral rationals mod p), _exact or
 _ord_at_least. A report's params dict, keys in axis order, is built only for
 a tuple it keeps. Evaluators look coefficient functions up in this module at
 call time, never binding them earlier, so a tracer that rebinds those names
-sees every call.
+sees every call. Memos that grow from each other by Pascal's rule agree
+under a wrong direct sum, so lem2.2's index_reduction_identity checks the last
+value of each diagonal it stores first against a direct sum, as a bug trap.
 
 Every evaluation is a pure function of its parameters, so a sweep splits
 into blocks, its unit of work in any process. A block is one
@@ -44,10 +46,9 @@ from time import perf_counter
 from . import coefficients
 from .coefficients import (
     IntegrityError,
-    _class_sums,
+    _class_row,
     _direct_fleck_sum,
     _fleck_residues,
-    _fleck_row,
     _raw_at,
     _shift,
     _sums,
@@ -478,19 +479,9 @@ def _boundary_check(sign: int) -> Callable[..., Iterator]:
 
 # lem2.2: exact order-lowering identity over any modulus m >= 1. Here, in
 # lem3.1 and in psi-identity the axis names are the parameters, in order, of
-# the function that computes both sides. Its lines of sums grow from each other by
-# Pascal's rule, so they agree under a wrong direct sum: the first row of a block n
-# whose line of r - 1 holds S(n, r - 1) sums its S(n, r) at its first m directly,
-# and a value that differs from the line's is an IntegrityError.
-
-_audited: set[int] = set()  # the blocks n of lem2.2 that have summed their one direct sum; _block empties it
-
+# the function that computes both sides.
 
 def _eval_lem2_2(n, r, l, ms):
-    if n not in _audited and len(coefficients._lines.get((ms[0], l, r - 1, 0), ())) > n:
-        _audited.add(n)
-        if (line := coefficients._line(ms[0], l, r, 0, n + 1)[n]) != (direct := _direct_fleck_sum(n, r, ms[0], l)):
-            raise IntegrityError(f"S({n}, {r}, {ms[0]}, {l}) is {line} on its line but {direct} summed directly")
     for m in ms:
         yield _exact(*index_reduction_identity(n, r, l, m))
 
@@ -587,15 +578,11 @@ def psi_sides(p: int, a: int, n: int, r: int, l_max: int) -> tuple[list[int], li
     """(operator coefficients, sign-adjusted Fleck sums) of degrees 0..l_max.
 
     The operator side comes from monomial_twisted alone, never from the sums,
-    so the two routes stay independent. Where n is at the raw-sum record
-    (p, a, l_max) or one past it, the sums of r at every level are read from
-    its residue r % p^a, shifted as _fill shifts them; elsewhere one
-    _fleck_row pass sums them directly.
+    so the two routes stay independent; _class_row reads the sums of r at
+    every level from the raw-sum record (p, a, l_max), or sums them directly.
     """
     got = list(monomial_twisted(n, r, p, a, l_max).coeffs)
-    m = p ** a
-    raw = _raw_at(p, a, n, l_max)
-    want = _fleck_row(n, r, m, l_max) if raw is None else _class_sums(raw, r % m, _shift(r // m, l_max))
+    want = _class_row(p, a, n, r, l_max)
     return got, [-v for v in want] if n & 1 else want
 
 
@@ -678,7 +665,6 @@ def _block(target: str, grid: SweepGrid, block: tuple) -> list:
     _sums.clear()
     _images.clear()
     _twists.clear()
-    _audited.clear()
     check = _check_of(target)
     evaluate, names = check.evaluate, check.names
     rows = []

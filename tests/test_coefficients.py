@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -373,15 +374,15 @@ class TestRawSumRecord:
 
     @pytest.mark.parametrize("p, a", RECORD_MODULI)
     def test_class_sums_match_the_oracle(self, p, a):
-        # every class r in [-3q, 3q], read at every level l <= 4 through one shift of l_max = 4
+        # every class r in [-3q, 3q], read from the record at n at every level l <= 4 through one shift
+        # of l_max = 4, with no step and no direct pass
         q = p ** a
         for n in (0, 1, 2, q - 1, q, q + 1, 2 * q + 3):
             coefficients._sums[p, a, 4] = n, [[fleck_oracle(n, r0, q, l) for r0 in range(min(n + 1, q))]
                                               for l in range(5)]
-            raw = coefficients._raw_at(p, a, n, 4)
             for r in range(-3 * q, 3 * q + 1):
-                got = coefficients._class_sums(raw, r % q, coefficients._shift(r // q, 4))
-                assert got == [fleck_oracle(n, r, q, l) for l in range(5)], (n, r)
+                assert work_of(coefficients._class_row, p, a, n, r, 4) == Counter(), (n, r)
+                assert coefficients._class_row(p, a, n, r, 4) == [fleck_oracle(n, r, q, l) for l in range(5)], (n, r)
 
     def test_only_the_record_n_or_one_past_it_is_read(self):
         # a record starts at n = 0, so n = 2 is two past it, and a read that misses stores no record
@@ -408,9 +409,8 @@ class TestRawSumRecord:
         q = p ** a
         coefficients._sums.clear()
         for k in range(n + 1):
-            raw = coefficients._raw_at(p, a, k, l)
-        got = coefficients._class_sums(raw, r % q, coefficients._shift(r // q, l))
-        assert got == [fleck_oracle(n, r, q, i) for i in range(l + 1)]
+            coefficients._raw_at(p, a, k, l)
+        assert coefficients._class_row(p, a, n, r, l) == [fleck_oracle(n, r, q, i) for i in range(l + 1)]
 
 
     @given(
@@ -567,6 +567,30 @@ class TestIndexReduction:
             for n, r, l, m in order:
                 assert index_reduction_identity(n, r, l, m) == index_reduction_oracle(n, r, l, m)
             coefficients.clear_caches()
+
+    def test_a_wrong_direct_sum_fails_the_first_diagonal_grown_from_a_neighbour(self, monkeypatch):
+        # lines that grow from each other by Pascal's rule agree with each other under a direct sum without
+        # (-1)^k, so only the direct sum of a new diagonal's last value tells them apart. A diagonal summed
+        # directly, or holding only S(0, c), which has no odd term, agrees with it; read in axis order, the
+        # first diagonal that steps along a stored neighbour does not
+        def unsigned(n, r, m, l):
+            return sum(oracles.binom_product(n, k) * oracles.binom_product((k - r) // m, l)
+                       for k in range(r % m, n + 1, m))
+
+        monkeypatch.setattr(coefficients, "_direct_fleck_sum", unsigned)
+        empty_memos()
+        for n, r, l, m in product(range(1, 8), range(-3, 4), range(1, 3), range(1, 4)):
+            s = r + m - n  # the diagonal (m, l - 1, s, 1) grows from the one that starts at s + 1
+            if (m, l - 1, s, 1) not in coefficients._lines and n >= 2 and len(
+                    coefficients._lines.get((m, l - 1, s + 1, 1), ())) >= n - 1:
+                break
+            index_reduction_identity(n, r, l, m)
+        else:
+            pytest.fail("no diagonal grew from a stored neighbour")
+        with pytest.raises(IntegrityError, match=rf"^S\({n - 1}, {r + m - 1}, {m}, {l - 1}\) is -?\d+ on its line "
+                                                 rf"but -?\d+ summed directly$"):
+            index_reduction_identity(n, r, l, m)
+        empty_memos()
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ PSI_ROUTE_MUTANTS = {
     # coefficient k of the product with the unit dots the core with unit[k], ..., unit[0]
     "unit row unreversed": (psi_series, "_twist", "unit[k::-1]", "unit[:k + 1]"),
     # the record read: level l - i times the i-th shift coefficient, read from level i - 1 instead
-    "class sums shift level i - 1": (coefficients, "_class_sums", "column[l - i]", "column[i - 1]"),
+    "class sums shift level i - 1": (coefficients, "_class_row", "column[l - i]", "column[i - 1]"),
     # the recurrence psi^a(T^i) = T psi^a(T^(i-q)) - sum_{0<k<q} binom(q, k) psi^a(T^(i-q+k)), per degree:
     # entries i-q+1..i-1 of the degree's own column, and the T-shift, entry i-q of the degree below
     "recurrence T-shift at the top": (psi_series, "_monomial_images", "(below[i - q]", "(column[i - q]"),
@@ -87,8 +87,8 @@ COEFFICIENT_MUTANTS = {
     # without the sign, the direct sums that lem4.1, thm1.2 and thm1.4 read keep their verdicts on CATALOG_GRID.
     # lem2.2 sums directly only a line read before its neighbour: a line of slope 1 sums only
     # S(0, s), which has no odd term, and the slope-0 lines at m = 1 and 3 that grow from a wrong first line are
-    # wrong at every level, yet satisfy the identity on all its tuples; its one direct sum per block, compared
-    # with the line value Pascal's rule grew, sees them
+    # wrong at every level, yet satisfy the identity on all its tuples; the direct sum of each new diagonal's
+    # last value, compared with the value Pascal's rule grew, sees them
     "sum without (-1)^k": (coefficients, "fleck_sum_general", "total += -term if k & 1 else term",
                            "total += term",
                            ALL_BUT_PSI - FILLED - {"lem4.1", "thm1.2", "thm1.4", "thm1.0"}),

@@ -39,12 +39,12 @@ WORK = {
     "psi-identity-psi-operator": (_sweeps(PSI_OPERATOR, "psi-identity"),
                                   dict(steps=480, psi_power=48, images=528, constants=60)),
     # every sum read from a line; a line grows from its stored neighbour by Pascal's rule, so only a line
-    # read before its neighbour sums its values directly: 1,362 of the 49,824 values held, and each of the
-    # 40 blocks n sums one value Pascal's rule grew once more, directly, to compare
-    "lem2.2-default": (_sweeps(SweepGrid(), "lem2.2"), dict(direct_sums=1_362 + 40)),
+    # read before its neighbour sums its values directly: 1,362 of the 49,824 values held. Each of the
+    # 1,080 diagonals (slope 1) held sums its last value once more, directly, when it is stored, to compare
+    "lem2.2-default": (_sweeps(SweepGrid(), "lem2.2"), dict(direct_sums=1_362 + 1_080)),
     # stress: from n = 20 a line read before its neighbour asks for 20 or more values at once, all summed
-    # directly; 8,304 of the 31,374 values held are direct sums, and 11 blocks compare one each
-    "lem2.2-n20-30": (_sweeps(SweepGrid(n_range=(20, 30)), "lem2.2"), dict(direct_sums=8_304 + 11)),
+    # directly; 8,304 of the 31,374 values held are direct sums, and each of the 558 diagonals compares one
+    "lem2.2-n20-30": (_sweeps(SweepGrid(n_range=(20, 30)), "lem2.2"), dict(direct_sums=8_304 + 558)),
     # the column values summed directly only where a line is read before its neighbour (688 of 3,440),
     # a _fleck_row per signed row (d, n, t), and one more per row (d, q, n, r, t) for the right sides of
     # all its l: against a direct right side per tuple, 59,040 direct sums fewer and 14,760 passes more
@@ -54,8 +54,9 @@ WORK = {
     # the composite-moduli benchmark workload (seed 1)
     "lem3.1-composite": (_sweeps(SweepGrid(r_values=(-9, -8, -7, -6, -5)), "lem3.1"),
                          dict(direct_sums=1_548, fleck_rows=90_528)),
+    # 1,254 of the 39,600 values held summed directly, and one more for each of the 972 diagonals
     "lem2.2-composite": (_sweeps(SweepGrid(r_values=tuple(range(-5, 10))), "lem2.2"),
-                         dict(direct_sums=1_254 + 40)),
+                         dict(direct_sums=1_254 + 972)),
     # thm1.0 tests a row's classes in one pass, from the record or, from n = 5, off it by one residue pass
     # and direct sums: the same work as when each tuple was a call of its own
     "thm1.0-grid0": (_sweeps(THM1_0_GRIDS[0], "thm1.0"), dict(steps=172)),

@@ -57,7 +57,7 @@ KERNELS = {
     # Fleck sums computed for fleck_sum_general's memo, which serves cor1.3's t_coeff
     "memo_sums": (_memo_misses, "fleck_sum_general", (coefficients,)),
     # one-pass rows of a sum at every l, and of every residue
-    "fleck_rows": (_calls, "_fleck_row", (coefficients, verifier)),
+    "fleck_rows": (_calls, "_fleck_row", (coefficients,)),
     "residue_rows": (_calls, "_fleck_residues", (verifier,)),
     # Pascal steps of a raw-sum record, and the normalized values filled from one
     "steps": (_calls, "_step", (coefficients,)),
@@ -92,9 +92,7 @@ def work_of(run, *args) -> Counter:
 
 def empty_memos() -> None:
     """Empty the coefficient rows and sums, the raw-sum records, lines and
-    signed rows, the operator images and constants, and lem2.2's record of
-    the blocks that summed their one direct sum."""
+    signed rows, and the operator images and constants."""
     coefficients.clear_caches()
     psi_series._images.clear()
     psi_series._twists.clear()
-    verifier._audited.clear()
